@@ -20,8 +20,7 @@ from .harness import (DeltaReport, SampleSet, brownian_fpt_cdf, delta_compare,
 from .rng import (ProposalDraw, RandomStream, draw_brownian_fpt,
                   draw_inverse_gaussian, draw_truncated_brownian_fpt)
 from .samplers import (FptDraw, RunStats, SamplerConfig, optimal_split_count,
-                       poisson_time_points, sample, sample_a1, sample_a2,
-                       sample_a3, sample_batch, sample_rho, sample_shift,
-                       sample_split, validate_config)
+                       poisson_time_points, sample, sample_batch,
+                       validate_config)
 
 __version__ = "0.1.0"

@@ -18,6 +18,8 @@ import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from functools import partial
 
 from .drift import (BoundCertificate, GammaField, certify_bounds,
                     default_domain_hint, model_from_spec, scan_gamma_range,
@@ -26,7 +28,7 @@ from .errors import BudgetError, ConfigError, FptsimError
 from .harness import (SampleSet, delta_compare, histogram_export, ig_cdf,
                       iteration_identity_check, ks_statistic)
 from .rng import RandomStream
-from .samplers import SamplerConfig, sample_batch, validate_config
+from .samplers import VARIANTS, SamplerConfig, sample_batch, validate_config
 
 _CLAIM_MARGIN = 1e-9
 
@@ -35,15 +37,22 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--model", required=True,
                    help="drift spec, e.g. constant:mu=1 | sine | arctan-shift | "
                         "neg-arctan | ou:alpha=0.3,beta=1")
     p.add_argument("--x", type=float, default=0.0, help="starting point (default 0)")
     p.add_argument("--level", type=float, required=True, help="target level L > x")
-    p.add_argument("--variant", default="a1",
-                   choices=["a1", "a2", "a1-shift", "a2-shift", "a3"])
-    p.add_argument("--n", type=int, default=10000, help="number of draws/replicates")
+    p.add_argument("--variant", default="a1", choices=VARIANTS)
+    p.add_argument("--n", type=_positive_int, default=10000,
+                   help="number of draws/replicates (>= 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--streams", type=int, default=0, help="base stream id")
     p.add_argument("--kappa", type=float, default=None, help="gamma upper bound override")
@@ -125,42 +134,30 @@ def _resolve(args, split_k=1):
 # ---------------------------------------------------------------------------
 
 
-def _quiet(args):
-    silenced = argparse.Namespace(**vars(args))
-    silenced.verbose = False
-    return silenced
-
-
-def _block_rows(argd, lo, hi):
-    # workers rebuild the model from its spec string: drift models hold
-    # closures and do not pickle
-    args = argparse.Namespace(**argd)
-    split_k, _ = _parse_k(args.k)
-    config = _resolve(_quiet(args), split_k=split_k)
-    base = RandomStream(args.seed, args.streams)
-    draws = sample_batch(config, hi - lo, base, start=lo)
+def _block_rows(config, seed, streams, lo, hi):
+    draws = sample_batch(config, hi - lo, RandomStream(seed, streams), start=lo)
     return [(lo + i, d.value, d.stats.iterations, d.stats.total_points)
             for i, d in enumerate(draws)]
 
 
-def _block_rows_star(packed):
-    return _block_rows(*packed)
+def _worker_rows(spec, config, seed, streams, lo, hi):
+    # the parent's certified config arrives without its model: drift models
+    # hold closures and do not pickle, so the worker rebuilds it from the spec
+    return _block_rows(replace(config, model=model_from_spec(spec)), seed, streams, lo, hi)
 
 
 def _run_batch(args, config):
     n = args.n
     if args.workers <= 1:
-        base = RandomStream(args.seed, args.streams)
-        draws = sample_batch(config, n, base)
-        return [(i, d.value, d.stats.iterations, d.stats.total_points)
-                for i, d in enumerate(draws)]
-    argd = dict(vars(args))
+        return _block_rows(config, args.seed, args.streams, 0, n)
     block = int(math.ceil(n / args.workers))
-    bounds = [(j * block, min((j + 1) * block, n)) for j in range(args.workers)
-              if j * block < n]
+    los = list(range(0, n, block))
+    his = [min(lo + block, n) for lo in los]
+    job = partial(_worker_rows, args.model, replace(config, model=None),
+                  args.seed, args.streams)
     rows = []
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
-        for part in pool.map(_block_rows_star, [(argd, lo, hi) for lo, hi in bounds]):
+        for part in pool.map(job, los, his):
             rows.extend(part)
     return rows
 
@@ -261,13 +258,11 @@ def _cmd_split_scan(args):
     if hi is None:
         hi = lo
     out = args.out or "scan.csv"
+    config = _resolve(args)
     rows = []
     for k in range(lo, hi + 1):
-        sub = argparse.Namespace(**vars(args))
-        sub.k = str(k)
-        config = _resolve(_quiet(sub), split_k=k)
         base = RandomStream(args.seed, args.streams + k)
-        draws = sample_batch(config, args.n, base)
+        draws = sample_batch(replace(config, split_k=k), args.n, base)
         pts = [d.stats.total_points for d in draws]
         mean = sum(pts) / len(pts)
         var = sum((p - mean) ** 2 for p in pts) / (len(pts) - 1) if len(pts) > 1 else 0.0

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as sstats
-from scipy.integrate import quad
 
 from .bridge import BridgeSkeleton, bisect_insert
 from .drift import eval_beta, eval_scale_p, gamma_fn
@@ -413,11 +412,6 @@ def em_fpt_oracle(model, x, L, t_max, step, n, stream):
                      n_censored=int(len(alive)))
 
 
-def em_censor_horizon(reference_values, q=0.999):
-    """Censor horizon for the oracle: the q-quantile of a pilot or closed-form sample."""
-    return float(np.quantile(np.asarray(reference_values, dtype=float), q))
-
-
 # ---------------------------------------------------------------------------
 # truncation distance bound and file outputs
 # ---------------------------------------------------------------------------
@@ -465,9 +459,3 @@ def histogram_export(samples, bins, path):
 def xi_normalization(model, x, L):
     """The acceptance mass Xi = exp{-(beta(L)-beta(x))}; 1/mean(I) estimates it."""
     return math.exp(-(eval_beta(model, L) - eval_beta(model, x)))
-
-
-def ig_quadrature_norm(gap, mu_drift, upper=np.inf):
-    """Normalization check of the closed-form density by quadrature."""
-    val, _ = quad(lambda t: ig_pdf(t, gap, mu_drift), 0.0, upper, limit=400)
-    return val

@@ -172,7 +172,11 @@ def draw_inverse_gaussian(stream, mu, lam):
 
 
 def _truncated_brownian_fpt_value(stream, gap, t0):
-    """gap^2/G^2 conditioned on being <= t0, i.e. G^2 conditioned on G^2 >= a."""
+    """gap^2/G^2 conditioned on being <= t0, i.e. G^2 conditioned on G^2 >= a.
+
+    The squared-Gaussian rejection is exact; the bound t0 can only be
+    overshot by rounding in gap^2/z, so the value is clamped to it.
+    """
     a = (gap * gap) / t0
     if a <= 1.0:
         # conditioning is mild: plain redraw of G^2 has acceptance >= P(chi2_1 >= 1)
@@ -180,14 +184,14 @@ def _truncated_brownian_fpt_value(stream, gap, t0):
             g = stream.normal()
             z = g * g
             if z >= a and z > 0.0:
-                return (gap * gap) / z
+                return min((gap * gap) / z, t0)
     else:
         # shifted-exponential envelope on [a, inf): the chi2_1 tail decays like
         # exp(-z/2), so rate 1/2 shifted to a dominates with ratio sqrt(a/z)
         for _ in range(_TRUNC_ATTEMPT_CAP):
             z = a + stream.exponential(2.0)
             if stream.uniform() <= math.sqrt(a / z):
-                return (gap * gap) / z
+                return min((gap * gap) / z, t0)
     raise NumericError("truncated-proposal rejection loop exceeded its attempts cap")
 
 
@@ -195,7 +199,5 @@ def draw_truncated_brownian_fpt(stream, gap, t0):
     """Brownian first-passage time conditioned on occurring before t0."""
     if not (gap > 0.0 and t0 > 0.0):
         raise FptsimError(f"gap and t0 must be positive, got gap={gap}, t0={t0}")
-    value = _truncated_brownian_fpt_value(stream, gap, t0)
-    # the squared-Gaussian rejection is exact; the bound can only be grazed by rounding
-    value = min(value, t0)
-    return ProposalDraw(value, "truncated-brownian-fpt", (gap, t0))
+    return ProposalDraw(_truncated_brownian_fpt_value(stream, gap, t0),
+                        "truncated-brownian-fpt", (gap, t0))

@@ -8,16 +8,27 @@ exactly the Girsanov weight tying the diffusion's hitting time to the
 Brownian one, so accepted proposals carry the target law without any
 discretization error.
 
-Two mechanizations of the same point process are provided: time-ordered
+``sample`` and ``sample_batch`` are the only entry points; the variant is
+data, selected by ``SamplerConfig.variant`` and resolved once per call
+through a table of scan order, proposal law, floor and lift.  Two
+mechanizations of the same point process are provided: time-ordered
 scanning (``a1``) and height-ordered scanning with a lazily refined bridge
-skeleton (``a2``).  On top of those sit the variance reducers and extensions:
+skeleton (``a2``, the retrospective scan of Beskos, Papaspiliopoulos &
+Roberts 2006).  On top of those sit the variance reducers and extensions:
 
-* ``a1-shift`` / ``a2-shift``: subtract a positive floor gamma0 from the
-  field and compensate with an inverse-Gaussian proposal;
-* space splitting: chain k independent sub-level passages;
-* ``a3``: conditional sampling of tau given tau <= t0, lifting a field that
-  may dip below zero;
-* rho-truncation: run any variant against a drift frozen below -rho.
+* ``a1`` / ``a2`` need 0 <= gamma <= kappa on (-inf, L];
+* ``a1-shift`` / ``a2-shift``: subtract a positive floor gamma0 <= gamma
+  from the field and compensate with an inverse-Gaussian proposal; the
+  expected iteration count drops by the factor exp(-(L-x) sqrt(2 gamma0));
+* space splitting (``split_k``): chain k independent sub-level passages,
+  slice i on substream i of the draw's stream;
+* ``a3``: conditional sampling of tau given tau <= t0, tolerating
+  gamma >= -m by lifting the field by m*t0/T, non-negative for every
+  admissible proposal T <= t0;
+* rho-truncation (``rho``): run any variant but ``a3`` against the drift
+  frozen below -rho (the certificate must hold for the truncated model);
+  the Kolmogorov distance from the true law is at most
+  2 (p(L)-p(x)) / (p(L)-p(-rho)).
 
 Cost accounting follows the elementary random variates: ``N_i`` counts the
 scalar draws consumed by iteration i's thinning scan (a 3-d Gaussian counts
@@ -27,16 +38,14 @@ once each through the iteration count, and the headline cost figure is
 """
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .bridge import BridgeSkeleton, bisect_insert
-from .drift import DriftModel, BoundCertificate, gamma_fn, truncate_drift
+from .drift import BoundCertificate, DriftModel, gamma_fn, truncate_drift
 from .errors import BudgetError, ConfigError, ModelError
 from .rng import (_brownian_fpt_value, _inverse_gaussian_value,
                   _truncated_brownian_fpt_value)
-
-VARIANTS = ("a1", "a2", "a1-shift", "a2-shift", "a3")
 
 # tolerated floating noise before a field value counts as a certificate breach
 _FIELD_NEG_TOL = 1e-12
@@ -94,16 +103,16 @@ class SamplerConfig:
 def validate_config(config):
     if not config.L > config.x:
         raise ConfigError(f"level L={config.L} must exceed the start x={config.x}")
-    if config.variant not in VARIANTS:
+    variant = _VARIANTS.get(config.variant)
+    if variant is None:
         raise ConfigError(f"unknown variant {config.variant!r}; choose from {VARIANTS}")
     if config.split_k < 1:
         raise ConfigError(f"split_k must be >= 1, got {config.split_k}")
     if config.max_iterations < 1:
         raise ConfigError("max_iterations must be >= 1")
-    shifted = config.variant.endswith("-shift")
-    if shifted and not config.cert.gamma0 > 0.0:
+    if variant.shifted and not config.cert.gamma0 > 0.0:
         raise ConfigError("shift variants need a certificate with gamma0 > 0")
-    if config.variant == "a3":
+    if variant.lifted:
         if config.t0 is None or not config.t0 > 0.0:
             raise ConfigError("variant a3 needs a horizon t0 > 0")
         if not math.isfinite(config.cert.m):
@@ -147,6 +156,8 @@ def _thin_time_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
     bx = by = bz = 0.0
     t = stream.exponential(mean)
     n = 1
+    lo = -_FIELD_NEG_TOL
+    hi = ceiling + _FIELD_POS_TOL
     while t <= T:
         n += 5
         g1, g2, g3 = stream.normal3()
@@ -159,7 +170,7 @@ def _thin_time_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
         rx = t * gap / T + bx
         r = math.sqrt(rx * rx + by * by + bz * bz)
         f = gamma(level - r) - shift + lift
-        if f < -_FIELD_NEG_TOL or f > ceiling + _FIELD_POS_TOL:
+        if not lo <= f <= hi:  # written so that a NaN field is a breach too
             _field_breach(f, ceiling)
         if ceiling * v <= f:
             return False, n
@@ -181,6 +192,8 @@ def _thin_height_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
     mean = 1.0 / T
     height = stream.exponential(mean)
     n = 1
+    lo = -_FIELD_NEG_TOL
+    hi = ceiling + _FIELD_POS_TOL
     while height <= ceiling:
         n += 5
         u = stream.uniform(T)
@@ -189,7 +202,7 @@ def _thin_height_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
         rx = u * gap / T + value[0]
         r = math.sqrt(rx * rx + value[1] * value[1] + value[2] * value[2])
         f = gamma(level - r) - shift + lift
-        if f < -_FIELD_NEG_TOL or f > ceiling + _FIELD_POS_TOL:
+        if not lo <= f <= hi:  # written so that a NaN field is a breach too
             _field_breach(f, ceiling)
         if height <= f:
             return False, n
@@ -198,104 +211,131 @@ def _thin_height_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
 
 
 # ---------------------------------------------------------------------------
-# rejection loops
+# variants as data
 # ---------------------------------------------------------------------------
 
 
-def _rejection_loop(config, stream, propose, thin):
-    points = []
-    for i in range(1, config.max_iterations + 1):
-        T = propose(stream)
-        accepted, n = thin(stream, T)
-        points.append(n)
-        if accepted:
-            return FptDraw(T, RunStats(i, tuple(points)))
-    raise BudgetError(
-        f"no acceptance within {config.max_iterations} iterations",
-        stats=RunStats(config.max_iterations, tuple(points)))
+def _brownian_proposal(gap, gamma0, t0):
+    return lambda stream: _brownian_fpt_value(stream, gap)
 
 
-def sample_a1(config, stream):
-    """Time-ordered exact sampler; needs 0 <= gamma <= kappa on (-inf, L]."""
-    validate_config(config)
-    if config.variant != "a1":
-        raise ConfigError(f"sample_a1 called with variant {config.variant!r}")
-    return _run_plain(config, stream, _thin_time_ordered)
-
-
-def sample_a2(config, stream):
-    """Height-ordered exact sampler; same contract and output law as sample_a1."""
-    validate_config(config)
-    if config.variant != "a2":
-        raise ConfigError(f"sample_a2 called with variant {config.variant!r}")
-    return _run_plain(config, stream, _thin_height_ordered)
-
-
-def _run_plain(config, stream, engine):
-    gap = config.gap
-    level = config.L
-    gamma = gamma_fn(config.model)
-    kappa = config.cert.kappa
-
-    def thin(stream, T):
-        return engine(stream, T, gap, level, gamma, kappa, 0.0, 0.0)
-
-    return _rejection_loop(config, stream,
-                           lambda s: _brownian_fpt_value(s, gap), thin)
-
-
-def sample_shift(config, stream):
-    """Shifted sampler: thins gamma - gamma0 under an inverse-Gaussian proposal.
-
-    Needs gamma0 <= gamma <= kappa with gamma0 > 0; the output law is still
-    exactly the hitting-time law, but the expected iteration count drops by
-    the factor exp(-(L-x) sqrt(2 gamma0)).
-    """
-    validate_config(config)
-    if not config.variant.endswith("-shift"):
-        raise ConfigError(f"sample_shift called with variant {config.variant!r}")
-    engine = _thin_time_ordered if config.variant == "a1-shift" else _thin_height_ordered
-    gap = config.gap
-    level = config.L
-    gamma = gamma_fn(config.model)
-    gamma0 = config.cert.gamma0
-    ceiling = config.cert.kappa - gamma0
+def _inverse_gaussian_proposal(gap, gamma0, t0):
     mu = gap / math.sqrt(2.0 * gamma0)
     lam = gap * gap
-
-    def thin(stream, T):
-        return engine(stream, T, gap, level, gamma, ceiling, gamma0, 0.0)
-
-    return _rejection_loop(config, stream,
-                           lambda s: _inverse_gaussian_value(s, mu, lam), thin)
+    return lambda stream: _inverse_gaussian_value(stream, mu, lam)
 
 
-def sample_a3(config, stream):
-    """Conditional sampler: accepted T is distributed as tau_L given tau_L <= t0.
+def _truncated_proposal(gap, gamma0, t0):
+    return lambda stream: _truncated_brownian_fpt_value(stream, gap, t0)
 
-    Tolerates gamma >= -m by lifting the field with m*t0/T, which is
-    non-negative for every admissible proposal T <= t0.
+
+@dataclass(frozen=True)
+class _Variant:
+    """What sets one variant's rejection loop apart from another's.
+
+    ``proposal(gap, gamma0, t0)`` builds the proposal draw of one slice;
+    ``shifted`` thins gamma - gamma0 under the ceiling kappa - gamma0;
+    ``lifted`` adds m*t0/T to the field and the ceiling (the a3 lift).
     """
+
+    scan: Callable
+    proposal: Callable
+    shifted: bool = False
+    lifted: bool = False
+
+
+_VARIANTS = {
+    "a1": _Variant(_thin_time_ordered, _brownian_proposal),
+    "a2": _Variant(_thin_height_ordered, _brownian_proposal),
+    "a1-shift": _Variant(_thin_time_ordered, _inverse_gaussian_proposal, shifted=True),
+    "a2-shift": _Variant(_thin_height_ordered, _inverse_gaussian_proposal, shifted=True),
+    "a3": _Variant(_thin_time_ordered, _truncated_proposal, lifted=True),
+}
+VARIANTS = tuple(_VARIANTS)
+
+
+@dataclass(frozen=True)
+class _Slice:
+    """One sub-level passage: its gap, its target level and its proposal draw."""
+
+    gap: float
+    level: float
+    propose: Callable
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A validated config resolved to the data the rejection loop reads."""
+
+    scan: Callable
+    gamma: Callable
+    ceiling: float
+    shift: float
+    lift_mass: float
+    t0: Optional[float]
+    max_iterations: int
+    slices: tuple
+
+
+def _prepare(config):
+    """Validate once, freeze the drift below -rho and plan the split slices."""
     validate_config(config)
-    if config.variant != "a3":
-        raise ConfigError(f"sample_a3 called with variant {config.variant!r}")
-    gap = config.gap
-    level = config.L
-    gamma = gamma_fn(config.model)
-    kappa = config.cert.kappa
-    m = config.cert.m
-    t0 = config.t0
+    variant = _VARIANTS[config.variant]
+    model = config.model if config.rho is None else truncate_drift(config.model, config.rho)
+    cert = config.cert
+    gamma0 = cert.gamma0 if variant.shifted else 0.0
+    k = config.split_k
+    slices = []
+    for i in range(1, k + 1):
+        lo = config.x + (i - 1) * config.gap / k
+        hi = config.x + i * config.gap / k if i < k else config.L
+        slices.append(_Slice(hi - lo, hi, variant.proposal(hi - lo, gamma0, config.t0)))
+    return _Plan(scan=variant.scan, gamma=gamma_fn(model), ceiling=cert.kappa - gamma0,
+                 shift=gamma0, lift_mass=cert.m * config.t0 if variant.lifted else 0.0,
+                 t0=config.t0, max_iterations=config.max_iterations,
+                 slices=tuple(slices))
 
-    def thin(stream, T):
-        lift = m * t0 / T
-        return _thin_time_ordered(stream, T, gap, level, gamma,
-                                  kappa + lift, 0.0, lift)
 
-    draw = _rejection_loop(config, stream,
-                           lambda s: _truncated_brownian_fpt_value(s, gap, t0), thin)
-    if draw.value > t0:
-        raise ModelError("conditional draw escaped its support (0, t0]")
-    return draw
+def _run_slice(plan, part, stream):
+    """Rejection loop of one slice; returns the accepted T and the N_i list."""
+    scan = plan.scan
+    gamma = plan.gamma
+    ceiling = plan.ceiling
+    shift = plan.shift
+    lift_mass = plan.lift_mass
+    gap = part.gap
+    level = part.level
+    propose = part.propose
+    points = []
+    for _ in range(plan.max_iterations):
+        T = propose(stream)
+        lift = lift_mass / T
+        accepted, n = scan(stream, T, gap, level, gamma, ceiling + lift, shift, lift)
+        points.append(n)
+        if accepted:
+            if plan.t0 is not None and T > plan.t0:
+                raise ModelError("conditional draw escaped its support (0, t0]")
+            return T, points
+    raise BudgetError(
+        f"no acceptance within {plan.max_iterations} iterations",
+        stats=RunStats(plan.max_iterations, tuple(points)))
+
+
+def _draw(plan, stream):
+    """One draw: the sum of the slices' passages, slice i on substream i.
+
+    An unsplit draw runs its single slice on the caller's stream; stats
+    aggregate uniformly across slices (iterations add up, point lists
+    concatenate).
+    """
+    split = len(plan.slices) > 1
+    total = 0.0
+    points = []
+    for i, part in enumerate(plan.slices, 1):
+        T, part_points = _run_slice(plan, part, stream.substream(i) if split else stream)
+        total += T
+        points += part_points
+    return FptDraw(total, RunStats(len(points), tuple(points)))
 
 
 def optimal_split_count(gap, kappa):
@@ -305,68 +345,9 @@ def optimal_split_count(gap, kappa):
     return int(math.floor(gap * math.sqrt(2.0 * kappa))) + 1
 
 
-def sample_split(config, stream):
-    """Sum of split_k independent sub-level passages x -> x+gap/k -> ... -> L.
-
-    Slice i consumes the dedicated substream (stream, i); stats aggregate
-    uniformly across slices (iterations add up, point lists concatenate).
-    With split_k == 1 this is the base sampler on the caller's stream.
-    """
-    validate_config(config)
-    k = config.split_k
-    base = replace(config, split_k=1)
-    if k == 1:
-        return _sample_validated(base, stream)
-    total = 0.0
-    iterations = 0
-    points = []
-    gap = config.gap
-    for i in range(1, k + 1):
-        lo = config.x + (i - 1) * gap / k
-        hi = config.x + i * gap / k if i < k else config.L
-        slice_config = replace(base, x=lo, L=hi)
-        draw = _sample_validated(slice_config, stream.substream(i))
-        total += draw.value
-        iterations += draw.stats.iterations
-        points.extend(draw.stats.points_per_iteration)
-    return FptDraw(total, RunStats(iterations, tuple(points)))
-
-
-def sample_rho(config, stream):
-    """Run the configured variant against the drift frozen below -rho.
-
-    The output approximates tau_L; its Kolmogorov distance from the true law
-    is bounded by 2 (p(L)-p(x)) / (p(L)-p(-rho)) (see the stats harness).
-    The certificate must hold for the truncated model.
-    """
-    validate_config(config)
-    if config.rho is None:
-        raise ConfigError("sample_rho needs a truncation depth rho")
-    return _sample_validated(config, stream)
-
-
-_PLAIN = {
-    "a1": sample_a1,
-    "a2": sample_a2,
-    "a1-shift": sample_shift,
-    "a2-shift": sample_shift,
-    "a3": sample_a3,
-}
-
-
-def _sample_validated(config, stream):
-    if config.rho is not None:
-        inner = replace(config, model=truncate_drift(config.model, config.rho), rho=None)
-        return _sample_validated(inner, stream)
-    if config.split_k > 1:
-        return sample_split(config, stream)
-    return _PLAIN[config.variant](config, stream)
-
-
 def sample(config, stream):
     """Draw one first-passage time according to the configured variant."""
-    validate_config(config)
-    return _sample_validated(config, stream)
+    return _draw(_prepare(config), stream)
 
 
 def sample_batch(config, n, stream, start=0):
@@ -374,12 +355,10 @@ def sample_batch(config, n, stream, start=0):
 
     The offset lets workers produce disjoint blocks of one deterministic
     sequence: the draws depend only on (stream address, index), never on the
-    partitioning.
+    partitioning.  The config is validated and resolved once per batch.
     """
-    validate_config(config)
-    if config.rho is not None:
-        config = replace(config, model=truncate_drift(config.model, config.rho), rho=None)
-    return [_sample_validated(config, stream.substream(start + i)) for i in range(n)]
+    plan = _prepare(config)
+    return [_draw(plan, stream.substream(start + i)) for i in range(n)]
 
 
 def poisson_time_points(stream, horizon, kappa):

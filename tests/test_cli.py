@@ -141,3 +141,11 @@ def test_split_scan_has_interior_minimum(tmp_path, monkeypatch):
     means = [float(r[1]) for r in rows]
     best = ks[means.index(min(means))]
     assert ks[0] < best < ks[-1]
+
+
+@pytest.mark.parametrize("command", ["sample", "validate", "bench", "split-scan", "compare"])
+def test_nonpositive_n_exits_2(tmp_path, monkeypatch, capsys, command):
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, monkeypatch, [command, *BASE, "--n", "0"])
+    assert err.value.code == 2
+    assert "--n" in capsys.readouterr().err

@@ -7,9 +7,9 @@ import pytest
 
 from fptsim import (BoundCertificate, BudgetError, ConfigError, ModelError,
                     RandomStream, SamplerConfig, constant_drift, custom_drift,
-                    ig_cdf, neg_arctan_drift, optimal_split_count, sample,
-                    sample_a1, sample_batch, sample_rho, sample_split,
-                    sine_drift)
+                    ig_cdf, neg_arctan_drift, optimal_split_count, ou_drift,
+                    sample, sample_batch, sine_drift, truncate_drift,
+                    truncated_ou_kappa)
 from fptsim.harness import (brownian_fpt_cdf, geometric_iteration_gof,
                             ks_statistic, two_sample_ks)
 
@@ -80,13 +80,16 @@ def test_shift_variants_match_plain_law():
 
 
 def test_split_k1_delegates_to_base_path():
+    # one slice runs on the caller's stream itself, not on its substream 1
     cfg = SamplerConfig(x=0.0, L=2.0, model=UNIT, cert=CERT_HALF,
                         variant="a1", split_k=1)
-    d_split = sample_split(cfg, RandomStream(108))
-    d_base = sample_a1(SamplerConfig(x=0.0, L=2.0, model=UNIT, cert=CERT_HALF,
-                                     variant="a1"), RandomStream(108))
+    d_split = sample(cfg, RandomStream(108))
+    d_base = sample(SamplerConfig(x=0.0, L=2.0, model=UNIT, cert=CERT_HALF,
+                                  variant="a1"), RandomStream(108))
+    d_sub = sample(cfg, RandomStream(108).substream(1))
     assert d_split.value == d_base.value
     assert d_split.stats == d_base.stats
+    assert d_sub.value != d_base.value
 
 
 def test_split_preserves_law_and_aggregates_stats():
@@ -141,6 +144,25 @@ class TestConditional:
         assert two_sample_ks(_values(cond), _values(plain)) < 0.03
 
 
+    def test_rounding_at_horizon_is_not_a_support_breach(self):
+        # G^2 = z passes z >= gap^2/t0, yet gap^2/z rounds one ulp above t0;
+        # the proposal clamps to t0 instead of the draw escaping its support
+        t0 = 7.493860291067043
+        g = 0.36529792381166565
+        assert 1.0 / (g * g) > t0
+
+        class NoPointStream:
+            def normal(self):
+                return g
+
+            def exponential(self, mean):
+                return math.inf
+
+        cfg = SamplerConfig(x=0.0, L=1.0, model=UNIT, cert=CERT_HALF,
+                            variant="a3", t0=t0)
+        assert sample(cfg, NoPointStream()).value == t0
+
+
 def test_rho_wrapper_inactive_for_bounded_model():
     cfg_rho = SamplerConfig(x=0.0, L=2.0, model=UNIT, cert=CERT_HALF,
                             variant="a1", rho=50.0)
@@ -148,9 +170,12 @@ def test_rho_wrapper_inactive_for_bounded_model():
     wrapped = sample_batch(cfg_rho, 10**4, RandomStream(113))
     plain = sample_batch(cfg, 10**4, RandomStream(114))
     assert two_sample_ks(_values(wrapped), _values(plain)) < 0.02
-    # sample_rho is the explicit entry point for the same path
-    d = sample_rho(cfg_rho, RandomStream(115))
+    # rho runs the same path as the explicitly truncated model
+    d = sample(cfg_rho, RandomStream(115))
+    frozen = SamplerConfig(x=0.0, L=2.0, model=truncate_drift(UNIT, 50.0),
+                           cert=CERT_HALF, variant="a1")
     assert d.value > 0
+    assert d == sample(frozen, RandomStream(115))
 
 
 def test_budget_error_carries_partial_stats():
@@ -252,3 +277,112 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             sample(SamplerConfig(x=0.0, L=2.0, model=UNIT, cert=CERT_HALF,
                                  variant="a1", rho=-1.0), RandomStream(1))
+
+
+SINE = sine_drift()
+SINE_CERT = BoundCertificate(kappa=5.0, gamma0=0.25, domain_hint=-100.0)
+LAYOUT_CONFIGS = {
+    "a1": SamplerConfig(x=0.0, L=1.0, model=SINE, cert=SINE_CERT, variant="a1"),
+    "a2": SamplerConfig(x=0.0, L=1.0, model=SINE, cert=SINE_CERT, variant="a2"),
+    "a1-shift": SamplerConfig(x=0.0, L=1.0, model=SINE, cert=SINE_CERT,
+                              variant="a1-shift"),
+    "a2-shift": SamplerConfig(x=0.0, L=1.0, model=SINE, cert=SINE_CERT,
+                              variant="a2-shift"),
+    "a3": SamplerConfig(x=0.0, L=1.0, model=neg_arctan_drift(),
+                        cert=BoundCertificate(kappa=math.pi ** 2 / 8, m=0.5,
+                                              domain_hint=-100.0),
+                        variant="a3", t0=1.0),
+    "split3": SamplerConfig(x=0.0, L=2.0, model=SINE, cert=SINE_CERT,
+                            variant="a1", split_k=3),
+    "rho": SamplerConfig(x=0.0, L=1.0, model=ou_drift(0.3, 1.0),
+                         cert=BoundCertificate(kappa=truncated_ou_kappa(0.3, 5.0, 1.0),
+                                               domain_hint=-100.0),
+                         variant="a1", rho=5.0),
+}
+
+# (value.hex(), iterations, total_points) of draws 5, 6, 7 on stream
+# (20261018, 7); any change here changes every realized sample of that variant
+PINNED_LAYOUT = {
+    "a1": [
+        ("0x1.6680c9191c2eep-2", 11, 92),
+        ("0x1.f234cbbac62adp-3", 13, 131),
+        ("0x1.493801e2e0aedp-1", 8, 61),
+    ],
+    "a2": [
+        ("0x1.820bafa069d9bp-2", 12, 79),
+        ("0x1.feb6c04b4d568p-4", 20, 140),
+        ("0x1.d3c2f75fe551ap-1", 4, 33),
+    ],
+    "a1-shift": [
+        ("0x1.03e8b243a03d8p-2", 9, 83),
+        ("0x1.0276efd2897eep-1", 12, 124),
+        ("0x1.f93ec18515d44p-2", 26, 247),
+    ],
+    "a2-shift": [
+        ("0x1.e0a388d45e480p-3", 3, 16),
+        ("0x1.194695d8a723ep-1", 3, 21),
+        ("0x1.22585bcf9d84ap-1", 12, 89),
+    ],
+    "a3": [
+        ("0x1.fd5b0baa25d2ep-2", 1, 2),
+        ("0x1.69480b511cc7bp-3", 1, 2),
+        ("0x1.6e5e74004045dp-1", 4, 33),
+    ],
+    "split3": [
+        ("0x1.ae23fcad5a148p-1", 14, 128),
+        ("0x1.8387f0c68dbb5p-1", 23, 171),
+        ("0x1.742840ccab614p-2", 28, 231),
+    ],
+    "rho": [
+        ("0x1.e9a11f8d9f38dp-1", 3, 51),
+        ("0x1.50e795fc4fedep+0", 10, 275),
+        ("0x1.70f57f9063329p-2", 2, 34),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LAYOUT))
+def test_stream_layout_is_pinned(name):
+    cfg = LAYOUT_CONFIGS[name]
+    base = RandomStream(20261018, 7)
+    batch = sample_batch(cfg, 3, base, start=5)
+    single = [sample(cfg, base.substream(5 + i)) for i in range(3)]
+    for draws in (batch, single):
+        got = [(d.value.hex(), d.stats.iterations, d.stats.total_points) for d in draws]
+        assert got == PINNED_LAYOUT[name]
+
+
+@pytest.mark.parametrize("variant", ["a1", "a2"])
+def test_nan_field_is_a_certificate_breach(variant):
+    # b is NaN below y = -0.5, so gamma(L - R_t) is NaN wherever the Bessel
+    # functional reaches past L + 0.5; such a point must not count as "no hit"
+    def b(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y < -0.5, np.nan, 1.0)
+
+    def b_prime(y):
+        return 0.0 * np.asarray(y, dtype=float)
+
+    cfg = SamplerConfig(x=0.0, L=1.0, model=custom_drift(b, b_prime),
+                        cert=BoundCertificate(kappa=0.5, domain_hint=-100.0),
+                        variant=variant)
+    with pytest.raises(ModelError, match="certificate"):
+        sample_batch(cfg, 2000, RandomStream(131))
+
+
+def test_batch_resolves_config_once(monkeypatch):
+    import fptsim.samplers as samplers
+    calls = {"validate_config": 0, "truncate_drift": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(samplers, name, counted(getattr(samplers, name)))
+    cfg = SamplerConfig(x=0.0, L=2.0, model=UNIT, cert=CERT_HALF, variant="a1",
+                        split_k=3, rho=50.0)
+    sample_batch(cfg, 20, RandomStream(132))
+    assert calls == {"validate_config": 1, "truncate_drift": 1}
