@@ -10,6 +10,9 @@ never share mutable generator state; they derive their own substreams.
 Scalar draws are served from internal buffers refilled in blocks, which keeps
 the per-draw cost low enough for the samplers' inner loops while preserving
 determinism (the refill pattern depends only on the call sequence).
+:class:`LaneStreams` holds the same buffers for many streams side by side so
+that a vectorized sampler can read them in bulk; ``_block`` makes the refill
+blocks of both, so a lane sees exactly the values its stream would give.
 """
 
 import math
@@ -21,6 +24,13 @@ from .errors import FptsimError, NumericError
 
 _MASK64 = (1 << 64) - 1
 _BUFLEN = 1024
+
+# the three scalar buffers of a stream, in the order of _BLOCK_DRAWS
+NORMAL, EXPONENTIAL, UNIFORM = 0, 1, 2
+_BLOCK_DRAWS = ("standard_normal", "standard_exponential", "random")
+# a lane row holds one block plus room for a bulk read that runs past its end
+_ROW = _BUFLEN + 8
+_TRIPLE = np.arange(3)[:, None]
 
 # attempts cap for the truncated-proposal rejection loop; unreachable in practice
 _TRUNC_ATTEMPT_CAP = 10**6
@@ -41,6 +51,15 @@ def _derive_key(seed, stream_id, path):
     for w in (stream_id, *path):
         s = _splitmix64(s ^ ((w & _MASK64) * 0xD1B54A32D192ED03 & _MASK64))
     return [_splitmix64(s), _splitmix64(s ^ 0xA5A5A5A5A5A5A5A5)]
+
+
+def _block(gen, kind, out=None):
+    """The next refill block of a stream's NORMAL, EXPONENTIAL or UNIFORM buffer.
+
+    Written into ``out`` (a lane row) when given; the values are the same.
+    """
+    draw = getattr(gen, _BLOCK_DRAWS[kind])
+    return draw(_BUFLEN) if out is None else draw(out=out)
 
 
 @dataclass
@@ -93,13 +112,18 @@ class RandomStream:
         """One standard Gaussian."""
         i = self._ni
         if i >= len(self._nbuf):
-            self._nbuf = self._gen.standard_normal(_BUFLEN).tolist()
+            self._nbuf = _block(self._gen, NORMAL).tolist()
             i = 0
         self._ni = i + 1
         return self._nbuf[i]
 
     def normal3(self):
         """Three independent standard Gaussians."""
+        i = self._ni
+        buf = self._nbuf
+        if i + 3 <= len(buf):
+            self._ni = i + 3
+            return buf[i], buf[i + 1], buf[i + 2]
         return self.normal(), self.normal(), self.normal()
 
     def exponential(self, mean):
@@ -108,7 +132,7 @@ class RandomStream:
             raise FptsimError(f"exponential mean must be positive, got {mean}")
         i = self._ei
         if i >= len(self._ebuf):
-            self._ebuf = self._gen.standard_exponential(_BUFLEN).tolist()
+            self._ebuf = _block(self._gen, EXPONENTIAL).tolist()
             i = 0
         self._ei = i + 1
         return mean * self._ebuf[i]
@@ -119,7 +143,7 @@ class RandomStream:
             raise FptsimError(f"uniform bound must be positive, got {hi}")
         i = self._ui
         if i >= len(self._ubuf):
-            self._ubuf = self._gen.random(_BUFLEN).tolist()
+            self._ubuf = _block(self._gen, UNIFORM).tolist()
             i = 0
         self._ui = i + 1
         return hi * self._ubuf[i]
@@ -133,14 +157,113 @@ class RandomStream:
         return self._gen.random(n)
 
 
+class LaneStreams:
+    """The scalar buffers of many RandomStreams side by side, read in bulk.
+
+    Each lane reads one attached stream whose NORMAL, EXPONENTIAL and
+    UNIFORM buffers sit in a row of the matching array; the lane's place in
+    each is a flat index into it.  A read that runs past a row's end refills
+    the row from that stream's generator at the very draw where
+    RandomStream's lazy refill would happen, so a lane sees exactly the
+    values its stream would give scalar by scalar.  Lanes can be dropped
+    (:meth:`keep`); rows are never moved.
+    """
+
+    def __init__(self, streams):
+        # the slack past each block is read, and its value ignored, by lanes
+        # that do not consume; ones keep such reads finite and nonzero
+        self._rows = np.ones((3, len(streams), _ROW))
+        self._flat = [rows.reshape(-1) for rows in self._rows]
+        self._streams = list(streams)
+        # a row's end is where its block stops; a fresh stream starts there,
+        # so its first read of each kind refills like RandomStream's does
+        self.end = np.arange(len(streams)) * _ROW + _BUFLEN
+        self.pos = [self.end.copy() for _ in _BLOCK_DRAWS]
+        # per kind, a lower bound on the draws every lane has left in its block
+        self._room = [0, 0, 0]
+
+    def attach(self, lane, stream):
+        """Let a lane read a fresh stream from its row on."""
+        end = self.end[lane]
+        self._streams[end // _ROW] = stream
+        for pos in self.pos:
+            pos[lane] = end
+        self._room = [0, 0, 0]
+
+    def keep(self, lanes):
+        """Drop every lane not listed; the listed ones are renumbered in order."""
+        self.end = self.end[lanes]
+        self.pos = [pos[lanes] for pos in self.pos]
+
+    def take(self, kind, which=None, count=1):
+        """The next draw of one kind on every lane, consumed where ``which`` is True.
+
+        Without ``which`` every lane consumes ``count`` draws; ``count=3``
+        gives them as a (3, lanes) array.  Lanes that do not consume get a
+        value to ignore.
+        """
+        pos = self.pos[kind]
+        flat = self._flat[kind]
+        vals = flat[pos] if count == 1 else flat.take(_TRIPLE + pos)
+        nxt = pos + (count if which is None else which)
+        room = self._room[kind] - count
+        if room < 0:
+            over = nxt > self.end
+            if np.count_nonzero(over):
+                for j in over.nonzero()[0]:
+                    nxt[j] = self._refill(kind, vals, j, int(pos[j]), int(self.end[j]), count)
+            room = int((self.end - nxt).min())
+        self._room[kind] = room
+        self.pos[kind] = nxt
+        return vals
+
+    def _refill(self, kind, vals, j, at, end, count):
+        """Finish lane j's read across a refill; returns its new position."""
+        row = self._rows[kind, end // _ROW]
+        left = end - at
+        head = row[at - end + _BUFLEN:_BUFLEN].copy()
+        _block(self._streams[end // _ROW]._gen, kind, row[:_BUFLEN])
+        if count == 1:
+            vals[j] = row[0]
+        else:
+            vals[:, j] = np.concatenate((head, row[:count - left]))
+        return end - _BUFLEN + count - left
+
+    def stream(self, lane):
+        """The lane's RandomStream, its buffers set to where the lane stands."""
+        end = int(self.end[lane])
+        stream = self._streams[end // _ROW]
+        bufs = [self._rows[kind, end // _ROW, :_BUFLEN].tolist() for kind in range(3)]
+        at = [int(pos[lane]) - end + _BUFLEN for pos in self.pos]
+        stream._nbuf, stream._ebuf, stream._ubuf = bufs
+        stream._ni, stream._ei, stream._ui = at
+        return stream
+
+
 # -- proposal laws ------------------------------------------------------------
 
 
 def _brownian_fpt_value(stream, gap):
     """gap^2 / G^2 with G standard Gaussian; redraws on the fp-zero event."""
-    g2 = stream.normal() ** 2
+    g = stream.normal()
+    g2 = g * g
     while g2 == 0.0:
-        g2 = stream.normal() ** 2
+        g = stream.normal()
+        g2 = g * g
+    return (gap * gap) / g2
+
+
+def _brownian_fpt_lanes(lanes, which, gap):
+    """_brownian_fpt_value on the lanes of a LaneStreams that ``which`` marks."""
+    g = lanes.take(NORMAL, which)
+    g2 = g * g
+    if not g2.min() > 0.0:
+        for j in ((g2 == 0.0) & which).nonzero()[0]:
+            one = np.zeros_like(which)
+            one[j] = True
+            while g2[j] == 0.0:
+                g = lanes.take(NORMAL, one)[j]
+                g2[j] = g * g
     return (gap * gap) / g2
 
 
@@ -162,6 +285,16 @@ def _inverse_gaussian_value(stream, mu, lam):
     if u <= mu / (mu + x):
         return x
     return (mu * mu) / x
+
+
+def _inverse_gaussian_lanes(lanes, which, mu, lam):
+    """_inverse_gaussian_value on the lanes of a LaneStreams that ``which`` marks."""
+    n = lanes.take(NORMAL, which)
+    n2 = n * n
+    x = mu + (mu * mu * n2) / (2.0 * lam) \
+        - (mu / (2.0 * lam)) * np.sqrt(4.0 * mu * lam * n2 + mu * mu * n2 * n2)
+    u = lanes.take(UNIFORM, which)
+    return np.where(u <= mu / (mu + x), x, (mu * mu) / x)
 
 
 def draw_inverse_gaussian(stream, mu, lam):
@@ -192,6 +325,31 @@ def _truncated_brownian_fpt_value(stream, gap, t0):
             z = a + stream.exponential(2.0)
             if stream.uniform() <= math.sqrt(a / z):
                 return min((gap * gap) / z, t0)
+    raise NumericError("truncated-proposal rejection loop exceeded its attempts cap")
+
+
+def _truncated_brownian_fpt_lanes(lanes, which, gap, t0):
+    """_truncated_brownian_fpt_value on the lanes of a LaneStreams that ``which`` marks.
+
+    Every lane makes the same sequence of attempts as the scalar loop; the
+    lanes still pending after an attempt retry together.
+    """
+    a = (gap * gap) / t0
+    out = np.ones(len(which))
+    pending = which.copy()
+    for _ in range(_TRUNC_ATTEMPT_CAP):
+        if a <= 1.0:
+            g = lanes.take(NORMAL, pending)
+            z = g * g
+            ok = (z >= a) & (z > 0.0)
+        else:
+            z = a + 2.0 * lanes.take(EXPONENTIAL, pending)
+            ok = lanes.take(UNIFORM, pending) <= np.sqrt(a / z)
+        done = pending & ok
+        out[done] = np.minimum((gap * gap) / z[done], t0)
+        pending &= ~ok
+        if not pending.any():
+            return out
     raise NumericError("truncated-proposal rejection loop exceeded its attempts cap")
 
 

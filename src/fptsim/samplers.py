@@ -30,6 +30,20 @@ Roberts 2006).  On top of those sit the variance reducers and extensions:
   the Kolmogorov distance from the true law is at most
   2 (p(L)-p(x)) / (p(L)-p(-rho)).
 
+Which kernel runs what: ``sample`` always runs the scalar kernels, one
+Python loop per Poisson point, and accepts any object with RandomStream's
+draw methods.  ``sample_batch`` runs the height-ordered variants (``a2``,
+``a2-shift``) on the scalar kernel draw by draw, and the time-ordered ones
+(``a1``, ``a1-shift``, ``a3``, split, rho) on the lane kernel: numpy arrays
+that advance many (draw, slice) items by one Poisson point per step.  The
+lane kernel reads the same substreams in the same order with the same
+arithmetic, so the determinism contract is one for both: draw i of a batch
+is ``sample`` on substream ``start + i``, bit for bit, whatever the batch
+size or partition.  The lane width is the module constant _LANE_WIDTH, not
+an option; batches too small to fill _LANE_MIN lanes, and the last few
+items of a batch, run on the scalar kernel, which stays the reference the
+lane kernel is tested against.
+
 Cost accounting follows the elementary random variates: ``N_i`` counts the
 scalar draws consumed by iteration i's thinning scan (a 3-d Gaussian counts
 as three, each exponential and uniform as one), the proposals are counted
@@ -41,11 +55,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .bridge import BridgeSkeleton, bisect_insert
-from .drift import BoundCertificate, DriftModel, gamma_fn, truncate_drift
-from .errors import BudgetError, ConfigError, ModelError
-from .rng import (_brownian_fpt_value, _inverse_gaussian_value,
-                  _truncated_brownian_fpt_value)
+from .drift import (BoundCertificate, DriftModel, GammaField, gamma_fn,
+                    truncate_drift)
+from .errors import BudgetError, ConfigError, FptsimError, ModelError
+from .rng import (EXPONENTIAL, NORMAL, UNIFORM, LaneStreams,
+                  _brownian_fpt_lanes, _brownian_fpt_value,
+                  _inverse_gaussian_lanes, _inverse_gaussian_value,
+                  _truncated_brownian_fpt_lanes, _truncated_brownian_fpt_value)
 
 # tolerated floating noise before a field value counts as a certificate breach
 _FIELD_NEG_TOL = 1e-12
@@ -136,7 +155,7 @@ def validate_config(config):
 
 
 def _field_breach(value, ceiling):
-    raise ModelError(
+    return ModelError(
         f"thinning field {value:.6g} escapes [0, {ceiling:.6g}]; "
         "the bound certificate does not hold along the sampled path")
 
@@ -171,7 +190,7 @@ def _thin_time_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
         r = math.sqrt(rx * rx + by * by + bz * bz)
         f = gamma(level - r) - shift + lift
         if not lo <= f <= hi:  # written so that a NaN field is a breach too
-            _field_breach(f, ceiling)
+            raise _field_breach(f, ceiling)
         if ceiling * v <= f:
             return False, n
         t_prev = t
@@ -203,7 +222,7 @@ def _thin_height_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
         r = math.sqrt(rx * rx + value[1] * value[1] + value[2] * value[2])
         f = gamma(level - r) - shift + lift
         if not lo <= f <= hi:  # written so that a NaN field is a breach too
-            _field_breach(f, ceiling)
+            raise _field_breach(f, ceiling)
         if height <= f:
             return False, n
         height += e_next
@@ -215,25 +234,32 @@ def _thin_height_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
 # ---------------------------------------------------------------------------
 
 
-def _brownian_proposal(gap, gamma0, t0):
-    return lambda stream: _brownian_fpt_value(stream, gap)
+@dataclass(frozen=True)
+class _Proposal:
+    """A proposal law: ``params(gap, gamma0, t0)`` gives a slice's parameters,
+    ``draw(stream, *params)`` one proposal, and ``lanes(lanes, which, *params)``
+    one on each lane of a LaneStreams that ``which`` marks, reading each
+    lane's randomness in the order ``draw`` reads a stream's."""
+
+    params: Callable
+    draw: Callable
+    lanes: Callable
 
 
-def _inverse_gaussian_proposal(gap, gamma0, t0):
-    mu = gap / math.sqrt(2.0 * gamma0)
-    lam = gap * gap
-    return lambda stream: _inverse_gaussian_value(stream, mu, lam)
-
-
-def _truncated_proposal(gap, gamma0, t0):
-    return lambda stream: _truncated_brownian_fpt_value(stream, gap, t0)
+_BROWNIAN = _Proposal(lambda gap, gamma0, t0: (gap,),
+                      _brownian_fpt_value, _brownian_fpt_lanes)
+_INVERSE_GAUSSIAN = _Proposal(
+    lambda gap, gamma0, t0: (gap / math.sqrt(2.0 * gamma0), gap * gap),
+    _inverse_gaussian_value, _inverse_gaussian_lanes)
+_TRUNCATED = _Proposal(lambda gap, gamma0, t0: (gap, t0),
+                       _truncated_brownian_fpt_value, _truncated_brownian_fpt_lanes)
 
 
 @dataclass(frozen=True)
 class _Variant:
     """What sets one variant's rejection loop apart from another's.
 
-    ``proposal(gap, gamma0, t0)`` builds the proposal draw of one slice;
+    ``proposal`` is the proposal law of every slice;
     ``shifted`` thins gamma - gamma0 under the ceiling kappa - gamma0;
     ``lifted`` adds m*t0/T to the field and the ceiling (the a3 lift).
     """
@@ -245,30 +271,36 @@ class _Variant:
 
 
 _VARIANTS = {
-    "a1": _Variant(_thin_time_ordered, _brownian_proposal),
-    "a2": _Variant(_thin_height_ordered, _brownian_proposal),
-    "a1-shift": _Variant(_thin_time_ordered, _inverse_gaussian_proposal, shifted=True),
-    "a2-shift": _Variant(_thin_height_ordered, _inverse_gaussian_proposal, shifted=True),
-    "a3": _Variant(_thin_time_ordered, _truncated_proposal, lifted=True),
+    "a1": _Variant(_thin_time_ordered, _BROWNIAN),
+    "a2": _Variant(_thin_height_ordered, _BROWNIAN),
+    "a1-shift": _Variant(_thin_time_ordered, _INVERSE_GAUSSIAN, shifted=True),
+    "a2-shift": _Variant(_thin_height_ordered, _INVERSE_GAUSSIAN, shifted=True),
+    "a3": _Variant(_thin_time_ordered, _TRUNCATED, lifted=True),
 }
 VARIANTS = tuple(_VARIANTS)
 
 
 @dataclass(frozen=True)
 class _Slice:
-    """One sub-level passage: its gap, its target level and its proposal draw."""
+    """One sub-level passage: its gap, its target level and its proposal parameters."""
 
     gap: float
     level: float
-    propose: Callable
+    params: tuple
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """A validated config resolved to the data the rejection loop reads."""
+    """A validated config resolved to the data the rejection loop reads.
+
+    ``gamma`` is the scalar field of the scalar kernels, ``field`` the same
+    field on numpy arrays for the lane kernel.
+    """
 
     scan: Callable
+    proposal: _Proposal
     gamma: Callable
+    field: Callable
     ceiling: float
     shift: float
     lift_mass: float
@@ -289,15 +321,21 @@ def _prepare(config):
     for i in range(1, k + 1):
         lo = config.x + (i - 1) * config.gap / k
         hi = config.x + i * config.gap / k if i < k else config.L
-        slices.append(_Slice(hi - lo, hi, variant.proposal(hi - lo, gamma0, config.t0)))
-    return _Plan(scan=variant.scan, gamma=gamma_fn(model), ceiling=cert.kappa - gamma0,
+        slices.append(_Slice(hi - lo, hi, variant.proposal.params(hi - lo, gamma0, config.t0)))
+    return _Plan(scan=variant.scan, proposal=variant.proposal, gamma=gamma_fn(model),
+                 field=GammaField(model).eval_array, ceiling=cert.kappa - gamma0,
                  shift=gamma0, lift_mass=cert.m * config.t0 if variant.lifted else 0.0,
                  t0=config.t0, max_iterations=config.max_iterations,
                  slices=tuple(slices))
 
 
-def _run_slice(plan, part, stream):
-    """Rejection loop of one slice; returns the accepted T and the N_i list."""
+def _run_slice(plan, part, stream, done=0):
+    """Rejection loop of one slice; returns the accepted T and the N_i list.
+
+    ``done`` iterations of the slice already ran elsewhere (the lane kernel
+    hands a slice over mid-way); they count against the budget.  The
+    returned list and a BudgetError's stats cover the iterations run here.
+    """
     scan = plan.scan
     gamma = plan.gamma
     ceiling = plan.ceiling
@@ -305,10 +343,11 @@ def _run_slice(plan, part, stream):
     lift_mass = plan.lift_mass
     gap = part.gap
     level = part.level
-    propose = part.propose
+    propose = plan.proposal.draw
+    params = part.params
     points = []
-    for _ in range(plan.max_iterations):
-        T = propose(stream)
+    for _ in range(plan.max_iterations - done):
+        T = propose(stream, *params)
         lift = lift_mass / T
         accepted, n = scan(stream, T, gap, level, gamma, ceiling + lift, shift, lift)
         points.append(n)
@@ -318,7 +357,7 @@ def _run_slice(plan, part, stream):
             return T, points
     raise BudgetError(
         f"no acceptance within {plan.max_iterations} iterations",
-        stats=RunStats(plan.max_iterations, tuple(points)))
+        stats=RunStats(plan.max_iterations - done, tuple(points)))
 
 
 def _draw(plan, stream):
@@ -336,6 +375,235 @@ def _draw(plan, stream):
         total += T
         points += part_points
     return FptDraw(total, RunStats(len(points), tuple(points)))
+
+
+# ---------------------------------------------------------------------------
+# lane kernel: the time-ordered scan of many draws at once
+# ---------------------------------------------------------------------------
+
+# lanes advanced together (3 buffer rows of 1032 floats each, ~3 MB in all)
+_LANE_WIDTH = 128
+# with fewer live lanes than this a numpy step costs more than scalar scans
+_LANE_MIN = 16
+
+
+class _Lanes:
+    """The time-ordered rejection loops of a batch, one numpy lane per item.
+
+    An item is one slice of one draw, ``key = draw * k + slice``, and reads
+    the substream the scalar path gives it.  Every step tests one Poisson
+    point on every lane: bridge update, field, thinning test.  A rejected
+    lane draws its next proposal and first arrival in the same step; a lane
+    whose item is accepted takes the next item in key order.  The arithmetic
+    is the scalar kernel's, operation for operation, so each item yields the
+    scalar draw bit for bit, wherever numpy's field agrees with the scalar
+    ``gamma`` (it can differ by an ulp where a transcendental does, which
+    flips a test only if the uniform falls inside that ulp).  Once the queue
+    is empty and fewer than _LANE_MIN lanes are live, each remaining item
+    finishes on the scalar kernel from its next proposal on.  An item that
+    fails (field breach, budget) raises at once; ``sample_batch`` then
+    reruns the batch on the scalar kernel, which raises the error met first
+    in draw order.
+    """
+
+    def __init__(self, plan, n, stream, start):
+        self.plan = plan
+        self.k = k = len(plan.slices)
+        self.base = stream
+        self.offset = start
+        self.next_key = min(_LANE_WIDTH, n * k)
+        self.value = np.empty(n * k)         # accepted proposal of each item
+        self.log_keys = []                   # per iteration: its item and the
+        self.log_tested = []                 # number of points it tested
+        self.lifted = plan.lift_mass != 0.0
+        self.slice_params = [np.array(p) for p in zip(*(part.params for part in plan.slices))]
+        self.slice_gap = np.array([part.gap for part in plan.slices])
+        self.slice_level = np.array([part.level for part in plan.slices])
+        self.key = np.arange(self.next_key, dtype=np.int32)
+        m = len(self.key)
+        self.rng = LaneStreams([self._stream(key) for key in range(m)])
+        self.gap = self.slice_gap[self.key % k]
+        self.level = self.slice_level[self.key % k]
+        self.T = np.ones(m)
+        self.t = np.zeros(m)
+        self.tp = np.zeros(m)
+        self.b = np.zeros((3, m))
+        self.start = np.zeros(m, dtype=np.int32)   # step of the iteration's first test
+        self.rejections = np.zeros(m, dtype=np.intp)
+        self.state = ["key", "gap", "level", "T", "t", "tp", "b", "start", "rejections"]
+        if self.lifted:
+            self.lift = np.zeros(m)
+            self.ceiling = np.ones(m)
+            self.mean = np.ones(m)
+            self.hi = np.ones(m)
+            self.state += ["lift", "ceiling", "mean", "hi"]
+        else:
+            self.ceiling = plan.ceiling
+            self.mean = 1.0 / plan.ceiling
+            self.hi = plan.ceiling + _FIELD_POS_TOL
+        self.live = np.ones(m, dtype=bool)
+        self.dead = 0
+
+    def _stream(self, key):
+        draw, part = divmod(key, self.k)
+        if self.k == 1:
+            return self.base.substream(self.offset + draw)
+        return self.base.substream(self.offset + draw, part + 1)
+
+    def run(self):
+        self._restart(np.ones(len(self.key), dtype=bool), -1)
+        step = 0
+        while True:
+            if self.dead:
+                self._compact()
+            if not len(self.key):
+                break
+            self._step(step)
+            step += 1
+        return self._draws()
+
+    def _step(self, s):
+        rng = self.rng
+        plan = self.plan
+        g = rng.take(NORMAL, None, 3)
+        v = rng.take(UNIFORM)
+        T, t, tp, b = self.T, self.t, self.tp, self.b
+        left = T - t
+        span = T - tp
+        b *= left / span
+        g *= np.sqrt(left * (t - tp) / span)
+        b += g
+        rx = t * self.gap / T + b[0]
+        by = b[1]
+        bz = b[2]
+        f = plan.field(self.level - np.sqrt(rx * rx + by * by + bz * bz))
+        if plan.shift:
+            f -= plan.shift
+        if self.lifted:
+            f += self.lift
+        ok = (f >= -_FIELD_NEG_TOL) & (f <= self.hi)  # False on a NaN field too
+        if np.count_nonzero(ok) < len(ok):
+            j = (~ok).nonzero()[0][0]
+            raise _field_breach(f[j], self.ceiling[j] if self.lifted else self.ceiling)
+        rejected = self.ceiling * v <= f
+        self.rejections += rejected
+        lanes = rejected.nonzero()[0]
+        if lanes.size:
+            self._log(lanes, s)
+            if s + 1 >= plan.max_iterations \
+                    and (self.rejections[lanes] >= plan.max_iterations).any():
+                raise BudgetError(f"no acceptance within {plan.max_iterations} iterations")
+            if self.next_key >= len(self.value) and len(self.key) < _LANE_MIN:
+                for j in lanes:
+                    self._finish_scalar(j)
+            else:
+                self._propose(rejected, s)
+        tp = self.tp = np.where(rejected, 0.0, t)
+        t = self.t = tp + self.mean * rng.take(EXPONENTIAL)
+        accepted = (t > self.T).nonzero()[0]
+        if accepted.size:
+            self._restart(self._accept(accepted, s), s)
+
+    def _propose(self, which, s):
+        """A fresh proposal on each lane ``which`` marks; the caller draws its first arrival."""
+        plan = self.plan
+        if self.k == 1:
+            params = plan.slices[0].params
+        else:
+            part = self.key % self.k
+            params = [p[part] for p in self.slice_params]
+        T = plan.proposal.lanes(self.rng, which, *params)
+        np.copyto(self.T, T, where=which)
+        if self.lifted:
+            lift = plan.lift_mass / T
+            ceiling = plan.ceiling + lift
+            np.copyto(self.lift, lift, where=which)
+            np.copyto(self.ceiling, ceiling, where=which)
+            np.copyto(self.mean, 1.0 / ceiling, where=which)
+            np.copyto(self.hi, ceiling + _FIELD_POS_TOL, where=which)
+        np.copyto(self.b, 0.0, where=which)
+        np.copyto(self.start, s + 1, where=which)
+
+    def _restart(self, which, s):
+        """Propose and draw the first arrival where ``which`` marks, until none accepts outright."""
+        while which is not None:
+            self._propose(which, s)
+            np.copyto(self.tp, 0.0, where=which)
+            np.copyto(self.t, self.mean * self.rng.take(EXPONENTIAL, which), where=which)
+            accepted = (which & (self.t > self.T)).nonzero()[0]
+            which = self._accept(accepted, s) if accepted.size else None
+
+    def _accept(self, lanes, s):
+        """Close the accepted items on the listed lanes; marks the lanes given a new item."""
+        lanes = self._alive(lanes)
+        if not lanes.size:
+            return None
+        self._log(lanes, s)
+        T = self.T[lanes]
+        if self.plan.t0 is not None and (T > self.plan.t0).any():
+            raise ModelError("conditional draw escaped its support (0, t0]")
+        self.value[self.key[lanes]] = T
+        fresh = np.zeros(len(self.key), dtype=bool)
+        for j in lanes.tolist():
+            if self.next_key < len(self.value):
+                key = self.next_key
+                self.next_key += 1
+                self.key[j] = key
+                self.gap[j] = self.slice_gap[key % self.k]
+                self.level[j] = self.slice_level[key % self.k]
+                self.rejections[j] = 0
+                self.rng.attach(j, self._stream(key))
+                fresh[j] = True
+            else:
+                self._kill(j)
+        return fresh if fresh.any() else None
+
+    def _finish_scalar(self, j):
+        """Run lane j's item to its end on the scalar kernel, from its next proposal on."""
+        key = int(self.key[j])
+        T, points = _run_slice(self.plan, self.plan.slices[key % self.k], self.rng.stream(j),
+                               int(self.rejections[j]))
+        self.value[key] = T
+        self.log_keys.append(np.full(len(points), key))
+        self.log_tested.append((np.array(points) - 1) // 5)
+        self._kill(j)
+
+    def _log(self, lanes, s):
+        self.log_keys.append(self.key[lanes])
+        self.log_tested.append(s + 1 - self.start[lanes])
+
+    def _kill(self, j):
+        self.live[j] = False
+        self.dead += 1
+
+    def _alive(self, lanes):
+        return lanes[self.live[lanes]] if self.dead else lanes
+
+    def _compact(self):
+        keep = self.live.nonzero()[0]
+        for name in self.state:
+            setattr(self, name, getattr(self, name)[..., keep])
+        self.rng.keep(keep)
+        self.live = np.ones(len(keep), dtype=bool)
+        self.dead = 0
+
+    def _draws(self):
+        keys = np.concatenate(self.log_keys)
+        if len(self.value) <= 1 << 16:
+            keys = keys.astype(np.uint16)  # a stable sort of 16-bit keys is a radix sort
+        points = (5 * np.concatenate(self.log_tested)[np.argsort(keys, kind="stable")] + 1).tolist()
+        counts = np.bincount(keys, minlength=len(self.value))
+        counts = counts.reshape(-1, self.k).sum(axis=1).tolist()
+        value = self.value.reshape(-1, self.k)
+        total = value[:, 0].copy()
+        for part in range(1, self.k):
+            total += value[:, part]
+        draws = []
+        at = 0
+        for v, c in zip(total.tolist(), counts):
+            draws.append(FptDraw(v, RunStats(c, tuple(points[at:at + c]))))
+            at += c
+        return draws
 
 
 def optimal_split_count(gap, kappa):
@@ -356,8 +624,16 @@ def sample_batch(config, n, stream, start=0):
     The offset lets workers produce disjoint blocks of one deterministic
     sequence: the draws depend only on (stream address, index), never on the
     partitioning.  The config is validated and resolved once per batch.
+    Time-ordered variants run on the lane kernel, which gives the same draws
+    as ``sample`` on each substream; ``stream`` must be a RandomStream.
     """
     plan = _prepare(config)
+    if plan.scan is _thin_time_ordered and plan.ceiling > 0.0 \
+            and n * len(plan.slices) >= _LANE_MIN:
+        try:
+            return _Lanes(plan, n, stream, start).run()
+        except FptsimError:
+            pass  # some draw fails: the scalar path raises the first failure in draw order
     return [_draw(plan, stream.substream(start + i)) for i in range(n)]
 
 

@@ -1,9 +1,12 @@
 """Tests for the rejection samplers and their run statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fptsim import (BoundCertificate, BudgetError, ConfigError, ModelError,
                     RandomStream, SamplerConfig, constant_drift, custom_drift,
@@ -178,6 +181,17 @@ def test_rho_wrapper_inactive_for_bounded_model():
     assert d == sample(frozen, RandomStream(115))
 
 
+def _scalar_batch(cfg, n, base, start=0):
+    """sample_batch's contract spelled out: draw i is sample() on substream start + i."""
+    return [sample(cfg, base.substream(start + i)) for i in range(n)]
+
+
+def _raised(fn, *args):
+    with pytest.raises((BudgetError, ModelError)) as err:
+        fn(*args)
+    return err.value
+
+
 def test_budget_error_carries_partial_stats():
     cfg = SamplerConfig(x=0.0, L=2.0, model=sine_drift(),
                         cert=BoundCertificate(kappa=5.0, domain_hint=-100.0),
@@ -186,6 +200,38 @@ def test_budget_error_carries_partial_stats():
         sample(cfg, RandomStream(116))
     assert err.value.stats.iterations == 1
     assert len(err.value.stats.points_per_iteration) == 1
+
+
+@pytest.mark.parametrize("split_k, max_iterations", [(1, 1), (3, 1), (3, 4)])
+def test_batch_budget_error_is_the_scalar_one(split_k, max_iterations):
+    # the batch raises the error of the first draw, in index order, that
+    # exhausts its budget, with that slice's partial stats
+    cfg = SamplerConfig(x=0.0, L=2.0, model=sine_drift(),
+                        cert=BoundCertificate(kappa=5.0, domain_hint=-100.0),
+                        variant="a1", split_k=split_k, max_iterations=max_iterations)
+    base = RandomStream(116, 1)
+    batch = _raised(sample_batch, cfg, 200, base, 3)
+    single = _raised(_scalar_batch, cfg, 200, base, 3)
+    assert type(batch) is BudgetError
+    assert str(batch) == str(single)
+    assert batch.stats == single.stats
+    assert batch.stats.iterations == max_iterations
+
+
+def test_batch_budget_error_in_the_longest_draw():
+    # a budget only the longest of 40 draws exceeds: that draw is among the
+    # last live ones, so the error comes out of the batch's last iterations
+    cfg = SamplerConfig(x=0.0, L=2.0, model=sine_drift(),
+                        cert=BoundCertificate(kappa=5.0, domain_hint=-100.0),
+                        variant="a1")
+    base = RandomStream(116, 2)
+    longest = max(d.stats.iterations for d in sample_batch(cfg, 40, base))
+    tight = dataclasses.replace(cfg, max_iterations=longest - 1)
+    batch = _raised(sample_batch, tight, 40, base)
+    single = _raised(_scalar_batch, tight, 40, base)
+    assert type(batch) is BudgetError
+    assert batch.stats == single.stats
+    assert batch.stats.iterations == longest - 1
 
 
 def test_runtime_certificate_breach_detected():
@@ -197,6 +243,10 @@ def test_runtime_certificate_breach_detected():
                         variant="a1")
     with pytest.raises(ModelError, match="certificate"):
         sample_batch(cfg, 50, RandomStream(117))
+    batch = _raised(sample_batch, cfg, 50, RandomStream(117))
+    single = _raised(_scalar_batch, cfg, 50, RandomStream(117))
+    assert type(batch) is ModelError
+    assert str(batch) == str(single)
 
 
 def test_total_points_identity_on_every_draw():
@@ -368,6 +418,9 @@ def test_nan_field_is_a_certificate_breach(variant):
                         variant=variant)
     with pytest.raises(ModelError, match="certificate"):
         sample_batch(cfg, 2000, RandomStream(131))
+    batch = _raised(sample_batch, cfg, 2000, RandomStream(131))
+    single = _raised(_scalar_batch, cfg, 2000, RandomStream(131))
+    assert str(batch) == str(single)
 
 
 def test_batch_resolves_config_once(monkeypatch):
@@ -386,3 +439,64 @@ def test_batch_resolves_config_once(monkeypatch):
                         split_k=3, rho=50.0)
     sample_batch(cfg, 20, RandomStream(132))
     assert calls == {"validate_config": 1, "truncate_drift": 1}
+
+
+# The lane kernel behind sample_batch must reproduce the scalar kernel draw
+# for draw: value, iteration count and the points of every iteration.  Sine
+# at L=2 runs ~270 points per draw, more than one 1024-normal block.
+LANE_CONFIGS = {
+    "a1": SamplerConfig(x=0.0, L=2.0, model=SINE, cert=SINE_CERT, variant="a1"),
+    "a1-shift": SamplerConfig(x=0.0, L=2.0, model=SINE, cert=SINE_CERT,
+                              variant="a1-shift"),
+    "a3": LAYOUT_CONFIGS["a3"],
+    "split3": LAYOUT_CONFIGS["split3"],
+    "split20": SamplerConfig(x=0.0, L=2.0, model=SINE, cert=SINE_CERT,
+                             variant="a1", split_k=20),
+    "rho": LAYOUT_CONFIGS["rho"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANE_CONFIGS))
+def test_batch_is_bit_identical_to_single_draws(name):
+    cfg = LANE_CONFIGS[name]
+    base = RandomStream(20261018, 8)
+    n = 1000
+    batch = sample_batch(cfg, n, base, start=17)
+    single = _scalar_batch(cfg, n, base, start=17)
+    assert [d.value for d in batch] == [d.value for d in single]
+    assert [d.stats for d in batch] == [d.stats for d in single]
+    if name == "a1":
+        # normals used: 3 per tested point plus 1 per proposal
+        normals = [3 * (d.stats.total_points - 2 * d.stats.iterations) // 5
+                   + d.stats.iterations for d in batch]
+        assert sum(k > 1024 for k in normals) > 100
+
+
+PARTITION_CONFIGS = {
+    "a1": SamplerConfig(x=0.0, L=1.0, model=SINE, cert=SINE_CERT, variant="a1"),
+    "split20": SamplerConfig(x=0.0, L=1.0, model=SINE, cert=SINE_CERT,
+                             variant="a1", split_k=20),
+}
+PARTITION_N = 300
+_partition_reference = {}
+
+
+def _partition_draws(name):
+    if name not in _partition_reference:
+        _partition_reference[name] = sample_batch(
+            PARTITION_CONFIGS[name], PARTITION_N, RandomStream(20261018, 9), start=11)
+    return _partition_reference[name]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(PARTITION_CONFIGS)),
+       cuts=st.lists(st.integers(0, PARTITION_N), max_size=6))
+def test_batch_partition_invariance(name, cuts):
+    # consecutive calls over any cut of [11, 11 + n) give the one-call draws,
+    # so neither lane width nor queue order reaches the output
+    bounds = [0, *sorted(cuts), PARTITION_N]
+    base = RandomStream(20261018, 9)
+    got = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        got += sample_batch(PARTITION_CONFIGS[name], hi - lo, base, start=11 + lo)
+    assert got == _partition_draws(name)
