@@ -196,16 +196,19 @@ class LaneStreams:
         self.pos = [pos[lanes] for pos in self.pos]
 
     def take(self, kind, which=None, count=1):
-        """The next draw of one kind on every lane, consumed where ``which`` is True.
+        """The next ``count`` draws of one kind on every lane, consumed where ``which`` is True.
 
-        Without ``which`` every lane consumes ``count`` draws; ``count=3``
-        gives them as a (3, lanes) array.  Lanes that do not consume get a
-        value to ignore.
+        Without ``which`` every lane consumes; ``count=3`` gives the draws
+        as a (3, lanes) array.  Lanes that do not consume get values to
+        ignore and stay where they are.
         """
         pos = self.pos[kind]
         flat = self._flat[kind]
         vals = flat[pos] if count == 1 else flat.take(_TRIPLE + pos)
-        nxt = pos + (count if which is None else which)
+        if which is None:
+            nxt = pos + count
+        else:
+            nxt = pos + (which if count == 1 else count * which)
         room = self._room[kind] - count
         if room < 0:
             over = nxt > self.end

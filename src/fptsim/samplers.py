@@ -32,11 +32,10 @@ Roberts 2006).  On top of those sit the variance reducers and extensions:
 
 Which kernel runs what: ``sample`` always runs the scalar kernels, one
 Python loop per Poisson point, and accepts any object with RandomStream's
-draw methods.  ``sample_batch`` runs the height-ordered variants (``a2``,
-``a2-shift``) on the scalar kernel draw by draw, and the time-ordered ones
-(``a1``, ``a1-shift``, ``a3``, split, rho) on the lane kernel: numpy arrays
-that advance many (draw, slice) items by one Poisson point per step.  The
-lane kernel reads the same substreams in the same order with the same
+draw methods.  ``sample_batch`` runs every variant, both scan orders, on
+the lane kernel: numpy arrays that advance many (draw, slice) items by one
+Poisson point per step, with a time-ordered and a height-ordered step.
+The lane kernel reads the same substreams in the same order with the same
 arithmetic, so the determinism contract is one for both: draw i of a batch
 is ``sample`` on substream ``start + i``, bit for bit, whatever the batch
 size or partition.  The lane width is the module constant _LANE_WIDTH, not
@@ -57,7 +56,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bridge import BridgeSkeleton, bisect_insert
+from .bridge import _TIME_EPS, BridgeSkeleton, bisect_insert
 from .drift import (BoundCertificate, DriftModel, GammaField, gamma_fn,
                     truncate_drift)
 from .errors import BudgetError, ConfigError, FptsimError, ModelError
@@ -230,180 +229,39 @@ def _thin_height_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
 
 
 # ---------------------------------------------------------------------------
-# variants as data
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Proposal:
-    """A proposal law: ``params(gap, gamma0, t0)`` gives a slice's parameters,
-    ``draw(stream, *params)`` one proposal, and ``lanes(lanes, which, *params)``
-    one on each lane of a LaneStreams that ``which`` marks, reading each
-    lane's randomness in the order ``draw`` reads a stream's."""
-
-    params: Callable
-    draw: Callable
-    lanes: Callable
-
-
-_BROWNIAN = _Proposal(lambda gap, gamma0, t0: (gap,),
-                      _brownian_fpt_value, _brownian_fpt_lanes)
-_INVERSE_GAUSSIAN = _Proposal(
-    lambda gap, gamma0, t0: (gap / math.sqrt(2.0 * gamma0), gap * gap),
-    _inverse_gaussian_value, _inverse_gaussian_lanes)
-_TRUNCATED = _Proposal(lambda gap, gamma0, t0: (gap, t0),
-                       _truncated_brownian_fpt_value, _truncated_brownian_fpt_lanes)
-
-
-@dataclass(frozen=True)
-class _Variant:
-    """What sets one variant's rejection loop apart from another's.
-
-    ``proposal`` is the proposal law of every slice;
-    ``shifted`` thins gamma - gamma0 under the ceiling kappa - gamma0;
-    ``lifted`` adds m*t0/T to the field and the ceiling (the a3 lift).
-    """
-
-    scan: Callable
-    proposal: Callable
-    shifted: bool = False
-    lifted: bool = False
-
-
-_VARIANTS = {
-    "a1": _Variant(_thin_time_ordered, _BROWNIAN),
-    "a2": _Variant(_thin_height_ordered, _BROWNIAN),
-    "a1-shift": _Variant(_thin_time_ordered, _INVERSE_GAUSSIAN, shifted=True),
-    "a2-shift": _Variant(_thin_height_ordered, _INVERSE_GAUSSIAN, shifted=True),
-    "a3": _Variant(_thin_time_ordered, _TRUNCATED, lifted=True),
-}
-VARIANTS = tuple(_VARIANTS)
-
-
-@dataclass(frozen=True)
-class _Slice:
-    """One sub-level passage: its gap, its target level and its proposal parameters."""
-
-    gap: float
-    level: float
-    params: tuple
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """A validated config resolved to the data the rejection loop reads.
-
-    ``gamma`` is the scalar field of the scalar kernels, ``field`` the same
-    field on numpy arrays for the lane kernel.
-    """
-
-    scan: Callable
-    proposal: _Proposal
-    gamma: Callable
-    field: Callable
-    ceiling: float
-    shift: float
-    lift_mass: float
-    t0: Optional[float]
-    max_iterations: int
-    slices: tuple
-
-
-def _prepare(config):
-    """Validate once, freeze the drift below -rho and plan the split slices."""
-    validate_config(config)
-    variant = _VARIANTS[config.variant]
-    model = config.model if config.rho is None else truncate_drift(config.model, config.rho)
-    cert = config.cert
-    gamma0 = cert.gamma0 if variant.shifted else 0.0
-    k = config.split_k
-    slices = []
-    for i in range(1, k + 1):
-        lo = config.x + (i - 1) * config.gap / k
-        hi = config.x + i * config.gap / k if i < k else config.L
-        slices.append(_Slice(hi - lo, hi, variant.proposal.params(hi - lo, gamma0, config.t0)))
-    return _Plan(scan=variant.scan, proposal=variant.proposal, gamma=gamma_fn(model),
-                 field=GammaField(model).eval_array, ceiling=cert.kappa - gamma0,
-                 shift=gamma0, lift_mass=cert.m * config.t0 if variant.lifted else 0.0,
-                 t0=config.t0, max_iterations=config.max_iterations,
-                 slices=tuple(slices))
-
-
-def _run_slice(plan, part, stream, done=0):
-    """Rejection loop of one slice; returns the accepted T and the N_i list.
-
-    ``done`` iterations of the slice already ran elsewhere (the lane kernel
-    hands a slice over mid-way); they count against the budget.  The
-    returned list and a BudgetError's stats cover the iterations run here.
-    """
-    scan = plan.scan
-    gamma = plan.gamma
-    ceiling = plan.ceiling
-    shift = plan.shift
-    lift_mass = plan.lift_mass
-    gap = part.gap
-    level = part.level
-    propose = plan.proposal.draw
-    params = part.params
-    points = []
-    for _ in range(plan.max_iterations - done):
-        T = propose(stream, *params)
-        lift = lift_mass / T
-        accepted, n = scan(stream, T, gap, level, gamma, ceiling + lift, shift, lift)
-        points.append(n)
-        if accepted:
-            if plan.t0 is not None and T > plan.t0:
-                raise ModelError("conditional draw escaped its support (0, t0]")
-            return T, points
-    raise BudgetError(
-        f"no acceptance within {plan.max_iterations} iterations",
-        stats=RunStats(plan.max_iterations - done, tuple(points)))
-
-
-def _draw(plan, stream):
-    """One draw: the sum of the slices' passages, slice i on substream i.
-
-    An unsplit draw runs its single slice on the caller's stream; stats
-    aggregate uniformly across slices (iterations add up, point lists
-    concatenate).
-    """
-    split = len(plan.slices) > 1
-    total = 0.0
-    points = []
-    for i, part in enumerate(plan.slices, 1):
-        T, part_points = _run_slice(plan, part, stream.substream(i) if split else stream)
-        total += T
-        points += part_points
-    return FptDraw(total, RunStats(len(points), tuple(points)))
-
-
-# ---------------------------------------------------------------------------
-# lane kernel: the time-ordered scan of many draws at once
+# lane kernel: the rejection loops of many draws at once
 # ---------------------------------------------------------------------------
 
 # lanes advanced together (3 buffer rows of 1032 floats each, ~3 MB in all)
 _LANE_WIDTH = 128
 # with fewer live lanes than this a numpy step costs more than scalar scans
 _LANE_MIN = 16
+# a decision within this much of the numpy field (times max(1, ceiling)) is
+# redone on the scalar gamma; numpy's and libm's transcendentals differ by
+# an ulp or so, hundreds of times less
+_RECHECK_TOL = 1e-13
+# knot rows of a height-ordered lane's skeleton at the start; doubled as needed
+_KNOT_ROWS = 16
 
 
 class _Lanes:
-    """The time-ordered rejection loops of a batch, one numpy lane per item.
+    """The rejection loops of a batch, one numpy lane per item.
 
     An item is one slice of one draw, ``key = draw * k + slice``, and reads
     the substream the scalar path gives it.  Every step tests one Poisson
-    point on every lane: bridge update, field, thinning test.  A rejected
-    lane draws its next proposal and first arrival in the same step; a lane
-    whose item is accepted takes the next item in key order.  The arithmetic
-    is the scalar kernel's, operation for operation, so each item yields the
-    scalar draw bit for bit, wherever numpy's field agrees with the scalar
-    ``gamma`` (it can differ by an ulp where a transcendental does, which
-    flips a test only if the uniform falls inside that ulp).  Once the queue
-    is empty and fewer than _LANE_MIN lanes are live, each remaining item
-    finishes on the scalar kernel from its next proposal on.  An item that
-    fails (field breach, budget) raises at once; ``sample_batch`` then
-    reruns the batch on the scalar kernel, which raises the error met first
-    in draw order.
+    point on every lane; a subclass supplies the step of its scan order
+    (``_step``) and the scan state it keeps (``_init_scan``, ``_reset`` on a
+    new proposal, ``_arrive`` for its first point).  A rejected lane draws
+    its next proposal and first arrival in the same step; a lane whose item
+    is accepted takes the next item in key order.  The arithmetic is the
+    scalar kernel's, operation for operation, and where numpy's field lies
+    within _RECHECK_TOL of a thinning or breach decision the lane takes the
+    field from the scalar ``gamma`` instead, so each item yields the scalar
+    draw bit for bit.  Once the queue is empty and fewer than _LANE_MIN
+    lanes are live, each remaining item finishes on the scalar kernel from
+    its next proposal on.  An item that fails (field breach, budget) raises
+    at once; ``sample_batch`` then reruns the batch on the scalar kernel,
+    which raises the error met first in draw order.
     """
 
     def __init__(self, plan, n, stream, start):
@@ -425,22 +283,20 @@ class _Lanes:
         self.gap = self.slice_gap[self.key % k]
         self.level = self.slice_level[self.key % k]
         self.T = np.ones(m)
-        self.t = np.zeros(m)
-        self.tp = np.zeros(m)
-        self.b = np.zeros((3, m))
         self.start = np.zeros(m, dtype=np.int32)   # step of the iteration's first test
         self.rejections = np.zeros(m, dtype=np.intp)
-        self.state = ["key", "gap", "level", "T", "t", "tp", "b", "start", "rejections"]
+        self.state = ["key", "gap", "level", "T", "start", "rejections"]
         if self.lifted:
             self.lift = np.zeros(m)
             self.ceiling = np.ones(m)
-            self.mean = np.ones(m)
             self.hi = np.ones(m)
-            self.state += ["lift", "ceiling", "mean", "hi"]
+            self.tol = np.ones(m)
+            self.state += ["lift", "ceiling", "hi", "tol"]
         else:
             self.ceiling = plan.ceiling
-            self.mean = 1.0 / plan.ceiling
             self.hi = plan.ceiling + _FIELD_POS_TOL
+            self.tol = _RECHECK_TOL * max(1.0, plan.ceiling)
+        self._init_scan(m)
         self.live = np.ones(m, dtype=bool)
         self.dead = 0
 
@@ -462,50 +318,60 @@ class _Lanes:
             step += 1
         return self._draws()
 
-    def _step(self, s):
-        rng = self.rng
+    def _thin(self, y, threshold):
+        """The thinning test ``threshold <= f`` of every lane, f the field at y.
+
+        Raises on a field breach, NaN included.  A lane whose test or breach
+        check lies within ``tol`` of numpy's f takes f from the scalar
+        ``gamma`` first, so every decision is the scalar kernel's.
+        """
         plan = self.plan
-        g = rng.take(NORMAL, None, 3)
-        v = rng.take(UNIFORM)
-        T, t, tp, b = self.T, self.t, self.tp, self.b
-        left = T - t
-        span = T - tp
-        b *= left / span
-        g *= np.sqrt(left * (t - tp) / span)
-        b += g
-        rx = t * self.gap / T + b[0]
-        by = b[1]
-        bz = b[2]
-        f = plan.field(self.level - np.sqrt(rx * rx + by * by + bz * bz))
+        f = plan.field(y)
         if plan.shift:
             f -= plan.shift
         if self.lifted:
             f += self.lift
-        ok = (f >= -_FIELD_NEG_TOL) & (f <= self.hi)  # False on a NaN field too
-        if np.count_nonzero(ok) < len(ok):
-            j = (~ok).nonzero()[0][0]
-            raise _field_breach(f[j], self.ceiling[j] if self.lifted else self.ceiling)
-        rejected = self.ceiling * v <= f
+        margin = np.minimum(np.abs(threshold - f),
+                            np.minimum(f + _FIELD_NEG_TOL, self.hi - f))
+        clear = margin > self.tol  # False on a NaN field too
+        if np.count_nonzero(clear) < len(clear):
+            self._recheck(f, y, (~clear).nonzero()[0])
+        return threshold <= f
+
+    def _recheck(self, f, y, lanes):
+        """f on the listed lanes as the scalar kernel computes it; raises on a breach."""
+        plan = self.plan
+        for j in lanes.tolist():
+            lift = float(self.lift[j]) if self.lifted else 0.0
+            ceiling = float(self.ceiling[j]) if self.lifted else self.ceiling
+            fj = plan.gamma(float(y[j])) - plan.shift + lift
+            if not -_FIELD_NEG_TOL <= fj <= ceiling + _FIELD_POS_TOL:
+                raise _field_breach(fj, ceiling)
+            f[j] = fj
+
+    def _reject(self, rejected, s):
+        """End the iteration on each lane ``rejected`` marks.
+
+        Returns the mask of lanes given a fresh proposal, whose first
+        arrival the caller draws, or None when there are none.
+        """
         self.rejections += rejected
         lanes = rejected.nonzero()[0]
-        if lanes.size:
-            self._log(lanes, s)
-            if s + 1 >= plan.max_iterations \
-                    and (self.rejections[lanes] >= plan.max_iterations).any():
-                raise BudgetError(f"no acceptance within {plan.max_iterations} iterations")
-            if self.next_key >= len(self.value) and len(self.key) < _LANE_MIN:
-                for j in lanes:
-                    self._finish_scalar(j)
-            else:
-                self._propose(rejected, s)
-        tp = self.tp = np.where(rejected, 0.0, t)
-        t = self.t = tp + self.mean * rng.take(EXPONENTIAL)
-        accepted = (t > self.T).nonzero()[0]
-        if accepted.size:
-            self._restart(self._accept(accepted, s), s)
+        if not lanes.size:
+            return None
+        self._log(lanes, s)
+        limit = self.plan.max_iterations
+        if s + 1 >= limit and (self.rejections[lanes] >= limit).any():
+            raise BudgetError(f"no acceptance within {limit} iterations")
+        if self.next_key >= len(self.value) and len(self.key) < _LANE_MIN:
+            for j in lanes:
+                self._finish_scalar(j)
+            return None
+        self._propose(rejected, s)
+        return rejected
 
     def _propose(self, which, s):
-        """A fresh proposal on each lane ``which`` marks; the caller draws its first arrival."""
+        """A fresh proposal on each lane ``which`` marks; ``_arrive`` draws its first arrival."""
         plan = self.plan
         if self.k == 1:
             params = plan.slices[0].params
@@ -519,18 +385,16 @@ class _Lanes:
             ceiling = plan.ceiling + lift
             np.copyto(self.lift, lift, where=which)
             np.copyto(self.ceiling, ceiling, where=which)
-            np.copyto(self.mean, 1.0 / ceiling, where=which)
             np.copyto(self.hi, ceiling + _FIELD_POS_TOL, where=which)
-        np.copyto(self.b, 0.0, where=which)
+            np.copyto(self.tol, _RECHECK_TOL * np.maximum(1.0, ceiling), where=which)
         np.copyto(self.start, s + 1, where=which)
+        self._reset(which)
 
     def _restart(self, which, s):
         """Propose and draw the first arrival where ``which`` marks, until none accepts outright."""
         while which is not None:
             self._propose(which, s)
-            np.copyto(self.tp, 0.0, where=which)
-            np.copyto(self.t, self.mean * self.rng.take(EXPONENTIAL, which), where=which)
-            accepted = (which & (self.t > self.T)).nonzero()[0]
+            accepted = (which & self._arrive(which)).nonzero()[0]
             which = self._accept(accepted, s) if accepted.size else None
 
     def _accept(self, lanes, s):
@@ -606,6 +470,300 @@ class _Lanes:
         return draws
 
 
+class _TimeLanes(_Lanes):
+    """The time-ordered step, ``_thin_time_ordered`` on lanes: the bridge
+    advances from the last point's time ``tp`` to the next one's ``t``."""
+
+    def _init_scan(self, m):
+        self.t = np.zeros(m)
+        self.tp = np.zeros(m)
+        self.b = np.zeros((3, m))
+        self.state += ["t", "tp", "b"]
+        if self.lifted:
+            self.mean = np.ones(m)
+            self.state.append("mean")
+        else:
+            self.mean = 1.0 / self.plan.ceiling
+
+    def _reset(self, which):
+        np.copyto(self.b, 0.0, where=which)
+        if self.lifted:
+            np.copyto(self.mean, 1.0 / self.ceiling, where=which)
+
+    def _arrive(self, which):
+        np.copyto(self.tp, 0.0, where=which)
+        np.copyto(self.t, self.mean * self.rng.take(EXPONENTIAL, which), where=which)
+        return self.t > self.T
+
+    def _step(self, s):
+        rng = self.rng
+        g = rng.take(NORMAL, None, 3)
+        v = rng.take(UNIFORM)
+        T, t, tp, b = self.T, self.t, self.tp, self.b
+        left = T - t
+        span = T - tp
+        b *= left / span
+        g *= np.sqrt(left * (t - tp) / span)
+        b += g
+        rx = t * self.gap / T + b[0]
+        by = b[1]
+        bz = b[2]
+        rejected = self._thin(self.level - np.sqrt(rx * rx + by * by + bz * bz),
+                              self.ceiling * v)
+        fresh = self._reject(rejected, s)
+        # a fresh proposal's first arrival is this step's exponential
+        self.tp = t if fresh is None else np.where(fresh, 0.0, t)
+        t = self.t = self.tp + self.mean * rng.take(EXPONENTIAL)
+        accepted = (t > self.T).nonzero()[0]
+        if accepted.size:
+            self._restart(self._accept(accepted, s), s)
+
+
+class _HeightLanes(_Lanes):
+    """The height-ordered step, ``_thin_height_ordered`` and ``bisect_insert``
+    on lanes: each point's time is drawn uniformly and the lane's bridge
+    skeleton is refined there.
+
+    The skeleton is a knot table of rows by lanes: ``knot_time`` (+inf from
+    row ``count`` on) and ``knot_value`` (3, rows, lanes), in insertion
+    order.  Rows 0 and 1 are the pins at 0 and T, whose values stay 0, so a
+    new proposal resets only the times from row 1 on and the count.  The
+    table doubles when a lane fills it.
+    """
+
+    def _init_scan(self, m):
+        self.height = np.zeros(m)
+        self.mean = np.ones(m)
+        self.knot_time = np.full((_KNOT_ROWS, m), np.inf)
+        self.knot_time[0] = 0.0
+        self.knot_value = np.zeros((3, _KNOT_ROWS, m))
+        self.count = np.full(m, 2, dtype=np.intp)
+        self.state += ["height", "mean", "knot_time", "knot_value", "count"]
+
+    def _reset(self, which):
+        np.copyto(self.mean, 1.0 / self.T, where=which)
+        np.copyto(self.knot_time[1], self.T, where=which)
+        np.copyto(self.knot_time[2:], np.inf, where=which)
+        np.copyto(self.count, 2, where=which)
+
+    def _arrive(self, which):
+        np.copyto(self.height, self.mean * self.rng.take(EXPONENTIAL, which), where=which)
+        return self.height > self.ceiling
+
+    def _step(self, s):
+        rng = self.rng
+        T = self.T
+        count = self.count
+        top = int(count.max())
+        if top == len(self.knot_time):
+            self.knot_time = np.concatenate((self.knot_time, np.full_like(self.knot_time, np.inf)))
+            self.knot_value = np.concatenate(
+                (self.knot_value, np.zeros_like(self.knot_value)), axis=1)
+        times = self.knot_time
+        lane = np.arange(len(T))
+        u = T * rng.take(UNIFORM)
+        # bisect_left's neighbours: the last knot below u, the first at or
+        # above it; rows from the largest count on are padding and never either
+        known = times[:top]
+        below = known < u
+        left = np.where(below, known, -np.inf).argmax(axis=0)
+        right = np.where(below, np.inf, known).argmin(axis=0)
+        t0 = times[left, lane]
+        t1 = times[right, lane]
+        v0 = self.knot_value[:, left, lane]
+        v1 = self.knot_value[:, right, lane]
+        d0 = u - t0
+        d1 = t1 - u
+        span = t1 - t0
+        new = np.minimum(d0, d1) > _TIME_EPS
+        knot = u
+        if np.count_nonzero(new) == len(new):
+            g = rng.take(NORMAL, None, 3)
+        else:
+            # a knot within _TIME_EPS, the left one first, gives its value and
+            # takes no Gaussian; u == 0 has no knot below and finds the pin at 0
+            g = rng.take(NORMAL, new, 3)
+            knot = np.where(new, u, np.inf)
+        value = v0 + (v1 - v0) * (d0 / span) + np.sqrt(d1 * d0 / span) * g
+        if knot is not u:
+            value = np.where(d0 <= _TIME_EPS, v0, np.where(d1 <= _TIME_EPS, v1, value))
+        times[count, lane] = knot
+        self.knot_value[:, count, lane] = value
+        count += new
+        climb = self.mean * rng.take(EXPONENTIAL)
+        rx = u * self.gap / T + value[0]
+        by = value[1]
+        bz = value[2]
+        rejected = self._thin(self.level - np.sqrt(rx * rx + by * by + bz * bz), self.height)
+        self.height += climb
+        fresh = self._reject(rejected, s)
+        if fresh is not None:
+            self._arrive(fresh)
+        accepted = (self.height > self.ceiling).nonzero()[0]
+        if accepted.size:
+            self._restart(self._accept(accepted, s), s)
+
+
+# ---------------------------------------------------------------------------
+# variants as data
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Proposal:
+    """A proposal law: ``params(gap, gamma0, t0)`` gives a slice's parameters,
+    ``draw(stream, *params)`` one proposal, and ``lanes(lanes, which, *params)``
+    one on each lane of a LaneStreams that ``which`` marks, reading each
+    lane's randomness in the order ``draw`` reads a stream's."""
+
+    params: Callable
+    draw: Callable
+    lanes: Callable
+
+
+_BROWNIAN = _Proposal(lambda gap, gamma0, t0: (gap,),
+                      _brownian_fpt_value, _brownian_fpt_lanes)
+_INVERSE_GAUSSIAN = _Proposal(
+    lambda gap, gamma0, t0: (gap / math.sqrt(2.0 * gamma0), gap * gap),
+    _inverse_gaussian_value, _inverse_gaussian_lanes)
+_TRUNCATED = _Proposal(lambda gap, gamma0, t0: (gap, t0),
+                       _truncated_brownian_fpt_value, _truncated_brownian_fpt_lanes)
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """A scan order: ``thin`` is its scalar kernel, ``lanes`` the lane kernel running its step."""
+
+    thin: Callable
+    lanes: type
+
+
+_TIME_ORDERED = _Scan(_thin_time_ordered, _TimeLanes)
+_HEIGHT_ORDERED = _Scan(_thin_height_ordered, _HeightLanes)
+
+
+@dataclass(frozen=True)
+class _Variant:
+    """What sets one variant's rejection loop apart from another's.
+
+    ``proposal`` is the proposal law of every slice;
+    ``shifted`` thins gamma - gamma0 under the ceiling kappa - gamma0;
+    ``lifted`` adds m*t0/T to the field and the ceiling (the a3 lift).
+    """
+
+    scan: _Scan
+    proposal: _Proposal
+    shifted: bool = False
+    lifted: bool = False
+
+
+_VARIANTS = {
+    "a1": _Variant(_TIME_ORDERED, _BROWNIAN),
+    "a2": _Variant(_HEIGHT_ORDERED, _BROWNIAN),
+    "a1-shift": _Variant(_TIME_ORDERED, _INVERSE_GAUSSIAN, shifted=True),
+    "a2-shift": _Variant(_HEIGHT_ORDERED, _INVERSE_GAUSSIAN, shifted=True),
+    "a3": _Variant(_TIME_ORDERED, _TRUNCATED, lifted=True),
+}
+VARIANTS = tuple(_VARIANTS)
+
+
+@dataclass(frozen=True)
+class _Slice:
+    """One sub-level passage: its gap, its target level and its proposal parameters."""
+
+    gap: float
+    level: float
+    params: tuple
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A validated config resolved to the data the rejection loop reads.
+
+    ``gamma`` is the scalar field of the scalar kernels, ``field`` the same
+    field on numpy arrays for the lane kernel.
+    """
+
+    scan: _Scan
+    proposal: _Proposal
+    gamma: Callable
+    field: Callable
+    ceiling: float
+    shift: float
+    lift_mass: float
+    t0: Optional[float]
+    max_iterations: int
+    slices: tuple
+
+
+def _prepare(config):
+    """Validate once, freeze the drift below -rho and plan the split slices."""
+    validate_config(config)
+    variant = _VARIANTS[config.variant]
+    model = config.model if config.rho is None else truncate_drift(config.model, config.rho)
+    cert = config.cert
+    gamma0 = cert.gamma0 if variant.shifted else 0.0
+    k = config.split_k
+    slices = []
+    for i in range(1, k + 1):
+        lo = config.x + (i - 1) * config.gap / k
+        hi = config.x + i * config.gap / k if i < k else config.L
+        slices.append(_Slice(hi - lo, hi, variant.proposal.params(hi - lo, gamma0, config.t0)))
+    return _Plan(scan=variant.scan, proposal=variant.proposal, gamma=gamma_fn(model),
+                 field=GammaField(model).eval_array, ceiling=cert.kappa - gamma0,
+                 shift=gamma0, lift_mass=cert.m * config.t0 if variant.lifted else 0.0,
+                 t0=config.t0, max_iterations=config.max_iterations,
+                 slices=tuple(slices))
+
+
+def _run_slice(plan, part, stream, done=0):
+    """Rejection loop of one slice; returns the accepted T and the N_i list.
+
+    ``done`` iterations of the slice already ran elsewhere (the lane kernel
+    hands a slice over mid-way); they count against the budget.  The
+    returned list and a BudgetError's stats cover the iterations run here.
+    """
+    scan = plan.scan.thin
+    gamma = plan.gamma
+    ceiling = plan.ceiling
+    shift = plan.shift
+    lift_mass = plan.lift_mass
+    gap = part.gap
+    level = part.level
+    propose = plan.proposal.draw
+    params = part.params
+    points = []
+    for _ in range(plan.max_iterations - done):
+        T = propose(stream, *params)
+        lift = lift_mass / T
+        accepted, n = scan(stream, T, gap, level, gamma, ceiling + lift, shift, lift)
+        points.append(n)
+        if accepted:
+            if plan.t0 is not None and T > plan.t0:
+                raise ModelError("conditional draw escaped its support (0, t0]")
+            return T, points
+    raise BudgetError(
+        f"no acceptance within {plan.max_iterations} iterations",
+        stats=RunStats(plan.max_iterations - done, tuple(points)))
+
+
+def _draw(plan, stream):
+    """One draw: the sum of the slices' passages, slice i on substream i.
+
+    An unsplit draw runs its single slice on the caller's stream; stats
+    aggregate uniformly across slices (iterations add up, point lists
+    concatenate).
+    """
+    split = len(plan.slices) > 1
+    total = 0.0
+    points = []
+    for i, part in enumerate(plan.slices, 1):
+        T, part_points = _run_slice(plan, part, stream.substream(i) if split else stream)
+        total += T
+        points += part_points
+    return FptDraw(total, RunStats(len(points), tuple(points)))
+
+
 def optimal_split_count(gap, kappa):
     """Slice count floor(gap*sqrt(2*kappa)) + 1 that tames the iteration growth."""
     if not (gap > 0.0 and kappa > 0.0):
@@ -624,14 +782,13 @@ def sample_batch(config, n, stream, start=0):
     The offset lets workers produce disjoint blocks of one deterministic
     sequence: the draws depend only on (stream address, index), never on the
     partitioning.  The config is validated and resolved once per batch.
-    Time-ordered variants run on the lane kernel, which gives the same draws
-    as ``sample`` on each substream; ``stream`` must be a RandomStream.
+    The draws run on the lane kernel, which gives the same draws as
+    ``sample`` on each substream; ``stream`` must be a RandomStream.
     """
     plan = _prepare(config)
-    if plan.scan is _thin_time_ordered and plan.ceiling > 0.0 \
-            and n * len(plan.slices) >= _LANE_MIN:
+    if plan.ceiling > 0.0 and n * len(plan.slices) >= _LANE_MIN:
         try:
-            return _Lanes(plan, n, stream, start).run()
+            return plan.scan.lanes(plan, n, stream, start).run()
         except FptsimError:
             pass  # some draw fails: the scalar path raises the first failure in draw order
     return [_draw(plan, stream.substream(start + i)) for i in range(n)]

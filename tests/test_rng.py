@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from fptsim import (FptsimError, RandomStream, draw_brownian_fpt,
                     draw_inverse_gaussian, draw_truncated_brownian_fpt)
+from fptsim.rng import NORMAL, LaneStreams
 from fptsim.harness import brownian_fpt_cdf, ks_statistic, truncated_brownian_fpt_cdf, two_sample_ks
 
 
@@ -165,3 +166,32 @@ class TestTruncatedBrownianFpt:
         vals = [draw_truncated_brownian_fpt(s, 2.0, 0.5).value for _ in range(10**4)]
         assert all(0.0 < v <= 0.5 for v in vals)
         assert ks_statistic(vals, lambda t: truncated_brownian_fpt_cdf(t, 2.0, 0.5)) < 0.02
+
+
+def test_lane_streams_masked_triple_read():
+    # each marked lane reads what normal3 gives its stream, across refills
+    # too; an unmarked lane stays where it is
+    streams = [RandomStream(45, 1).substream(i) for i in range(5)]
+    twins = [RandomStream(45, 1).substream(i) for i in range(5)]
+    lanes = LaneStreams(streams)
+    pick = np.random.default_rng(46)
+    # single reads put the lanes at different offsets from the block end
+    for count in range(5):
+        which = np.arange(5) < count
+        got = lanes.take(NORMAL, which)
+        for j in which.nonzero()[0]:
+            assert got[j] == twins[j].normal()
+    straddled = 0
+    for _ in range(800):
+        which = pick.random(5) < 0.7
+        before = lanes.pos[NORMAL].copy()
+        got = lanes.take(NORMAL, which, 3)
+        assert got.shape == (3, 5)
+        for j in range(5):
+            if which[j]:
+                left = len(twins[j]._nbuf) - twins[j]._ni
+                straddled += 0 < left < 3  # the triple runs past the block's end
+                assert tuple(got[:, j]) == twins[j].normal3()
+            else:
+                assert lanes.pos[NORMAL][j] == before[j]
+    assert straddled >= 3

@@ -202,13 +202,18 @@ def test_budget_error_carries_partial_stats():
     assert len(err.value.stats.points_per_iteration) == 1
 
 
-@pytest.mark.parametrize("split_k, max_iterations", [(1, 1), (3, 1), (3, 4)])
-def test_batch_budget_error_is_the_scalar_one(split_k, max_iterations):
+# (variant, split_k, max_iterations); the ids name the variant unless it is a1
+BUDGET_CASES = [pytest.param(variant, k, i, id=f"{k}-{i}" if variant == "a1" else f"{variant}-{k}-{i}")
+                for variant in ("a1", "a2") for k, i in [(1, 1), (3, 1), (3, 4)]]
+
+
+@pytest.mark.parametrize("variant, split_k, max_iterations", BUDGET_CASES)
+def test_batch_budget_error_is_the_scalar_one(variant, split_k, max_iterations):
     # the batch raises the error of the first draw, in index order, that
     # exhausts its budget, with that slice's partial stats
     cfg = SamplerConfig(x=0.0, L=2.0, model=sine_drift(),
                         cert=BoundCertificate(kappa=5.0, domain_hint=-100.0),
-                        variant="a1", split_k=split_k, max_iterations=max_iterations)
+                        variant=variant, split_k=split_k, max_iterations=max_iterations)
     base = RandomStream(116, 1)
     batch = _raised(sample_batch, cfg, 200, base, 3)
     single = _raised(_scalar_batch, cfg, 200, base, 3)
@@ -218,12 +223,13 @@ def test_batch_budget_error_is_the_scalar_one(split_k, max_iterations):
     assert batch.stats.iterations == max_iterations
 
 
-def test_batch_budget_error_in_the_longest_draw():
+@pytest.mark.parametrize("variant", ["a1", "a2"])
+def test_batch_budget_error_in_the_longest_draw(variant):
     # a budget only the longest of 40 draws exceeds: that draw is among the
     # last live ones, so the error comes out of the batch's last iterations
     cfg = SamplerConfig(x=0.0, L=2.0, model=sine_drift(),
                         cert=BoundCertificate(kappa=5.0, domain_hint=-100.0),
-                        variant="a1")
+                        variant=variant)
     base = RandomStream(116, 2)
     longest = max(d.stats.iterations for d in sample_batch(cfg, 40, base))
     tight = dataclasses.replace(cfg, max_iterations=longest - 1)
@@ -453,6 +459,11 @@ LANE_CONFIGS = {
     "split20": SamplerConfig(x=0.0, L=2.0, model=SINE, cert=SINE_CERT,
                              variant="a1", split_k=20),
     "rho": LAYOUT_CONFIGS["rho"],
+    "a2": SamplerConfig(x=0.0, L=2.0, model=SINE, cert=SINE_CERT, variant="a2"),
+    "a2-shift": SamplerConfig(x=0.0, L=2.0, model=SINE, cert=SINE_CERT,
+                              variant="a2-shift"),
+    "a2-split3": dataclasses.replace(LAYOUT_CONFIGS["split3"], variant="a2"),
+    "a2-rho": dataclasses.replace(LAYOUT_CONFIGS["rho"], variant="a2"),
 }
 
 
@@ -465,8 +476,9 @@ def test_batch_is_bit_identical_to_single_draws(name):
     single = _scalar_batch(cfg, n, base, start=17)
     assert [d.value for d in batch] == [d.value for d in single]
     assert [d.stats for d in batch] == [d.stats for d in single]
-    if name == "a1":
-        # normals used: 3 per tested point plus 1 per proposal
+    if name in ("a1", "a2"):
+        # normals used: 3 per tested point (a2: per knot it inserts, one per
+        # point unless two fall within 1e-15) plus 1 per proposal
         normals = [3 * (d.stats.total_points - 2 * d.stats.iterations) // 5
                    + d.stats.iterations for d in batch]
         assert sum(k > 1024 for k in normals) > 100
@@ -474,6 +486,7 @@ def test_batch_is_bit_identical_to_single_draws(name):
 
 PARTITION_CONFIGS = {
     "a1": SamplerConfig(x=0.0, L=1.0, model=SINE, cert=SINE_CERT, variant="a1"),
+    "a2": SamplerConfig(x=0.0, L=1.0, model=SINE, cert=SINE_CERT, variant="a2"),
     "split20": SamplerConfig(x=0.0, L=1.0, model=SINE, cert=SINE_CERT,
                              variant="a1", split_k=20),
 }
@@ -488,7 +501,7 @@ def _partition_draws(name):
     return _partition_reference[name]
 
 
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(sorted(PARTITION_CONFIGS)),
        cuts=st.lists(st.integers(0, PARTITION_N), max_size=6))
 def test_batch_partition_invariance(name, cuts):
@@ -500,3 +513,31 @@ def test_batch_partition_invariance(name, cuts):
     for lo, hi in zip(bounds, bounds[1:]):
         got += sample_batch(PARTITION_CONFIGS[name], hi - lo, base, start=11 + lo)
     assert got == _partition_draws(name)
+
+
+@pytest.mark.parametrize("variant", ["a1", "a2"])
+def test_lane_decides_as_the_scalar_gamma_does(variant):
+    # numpy's arctan is an ulp off libm's at some points, so neg-arctan's
+    # field on lanes and its scalar gamma can differ; a threshold between the
+    # two must be decided as the scalar kernel decides it
+    import fptsim.samplers as samplers
+    from fptsim.drift import GammaField, gamma_fn
+    model = neg_arctan_drift()
+    ys = np.linspace(-6.0, 6.0, 20001)
+    vector = GammaField(model).eval_array(ys)
+    gamma = gamma_fn(model)
+    scalar = np.array([gamma(float(y)) for y in ys])
+    differ = ((vector != scalar) & (scalar > 0.0)).nonzero()[0]
+    if not differ.size:
+        pytest.skip("numpy's and libm's arctan agree on this build")
+    cfg = SamplerConfig(x=0.0, L=1.0, model=model,
+                        cert=BoundCertificate(kappa=math.pi ** 2 / 8, domain_hint=-100.0),
+                        variant=variant)
+    plan = samplers._prepare(cfg)
+    lanes = plan.scan.lanes(plan, 1, RandomStream(133), 0)
+    for j in differ:
+        y = np.array([ys[j]])
+        threshold = max(vector[j], scalar[j])
+        assert (threshold <= vector[j]) != (threshold <= scalar[j])
+        rejected = lanes._thin(y, np.array([threshold]))
+        assert rejected.tolist() == [threshold <= scalar[j]]
