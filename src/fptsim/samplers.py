@@ -553,6 +553,29 @@ class _HeightLanes(_Lanes):
     def _step(self, s):
         rng = self.rng
         T = self.T
+        u = T * rng.take(UNIFORM)
+        value = self._insert(u)
+        climb = self.mean * rng.take(EXPONENTIAL)
+        rx = u * self.gap / T + value[0]
+        by = value[1]
+        bz = value[2]
+        rejected = self._thin(self.level - np.sqrt(rx * rx + by * by + bz * bz), self.height)
+        self.height += climb
+        fresh = self._reject(rejected, s)
+        if fresh is not None:
+            self._arrive(fresh)
+        accepted = (self.height > self.ceiling).nonzero()[0]
+        if accepted.size:
+            self._restart(self._accept(accepted, s), s)
+
+    def _insert(self, u):
+        """``bisect_insert`` on every lane: the bridge value at time u, as (3, lanes).
+
+        A lane whose u lies within _TIME_EPS of a knot, the left one checked
+        first, gets that knot's value and takes no Gaussian; u == 0 finds no
+        knot below it and takes the pin at 0.  Every other lane draws the
+        value from its neighbours and appends it as a knot.
+        """
         count = self.count
         top = int(count.max())
         if top == len(self.knot_time):
@@ -560,8 +583,7 @@ class _HeightLanes(_Lanes):
             self.knot_value = np.concatenate(
                 (self.knot_value, np.zeros_like(self.knot_value)), axis=1)
         times = self.knot_time
-        lane = np.arange(len(T))
-        u = T * rng.take(UNIFORM)
+        lane = np.arange(len(u))
         # bisect_left's neighbours: the last knot below u, the first at or
         # above it; rows from the largest count on are padding and never either
         known = times[:top]
@@ -576,32 +598,19 @@ class _HeightLanes(_Lanes):
         d1 = t1 - u
         span = t1 - t0
         new = np.minimum(d0, d1) > _TIME_EPS
-        knot = u
-        if np.count_nonzero(new) == len(new):
-            g = rng.take(NORMAL, None, 3)
-        else:
-            # a knot within _TIME_EPS, the left one first, gives its value and
-            # takes no Gaussian; u == 0 has no knot below and finds the pin at 0
-            g = rng.take(NORMAL, new, 3)
-            knot = np.where(new, u, np.inf)
+        every = np.count_nonzero(new) == len(new)
+        if not every:
+            span = np.where(new, span, 1.0)  # u == 0 has t0 == t1 == 0
+        g = self.rng.take(NORMAL, None if every else new, 3)
         value = v0 + (v1 - v0) * (d0 / span) + np.sqrt(d1 * d0 / span) * g
-        if knot is not u:
+        knot = u
+        if not every:
             value = np.where(d0 <= _TIME_EPS, v0, np.where(d1 <= _TIME_EPS, v1, value))
+            knot = np.where(new, u, np.inf)
         times[count, lane] = knot
         self.knot_value[:, count, lane] = value
         count += new
-        climb = self.mean * rng.take(EXPONENTIAL)
-        rx = u * self.gap / T + value[0]
-        by = value[1]
-        bz = value[2]
-        rejected = self._thin(self.level - np.sqrt(rx * rx + by * by + bz * bz), self.height)
-        self.height += climb
-        fresh = self._reject(rejected, s)
-        if fresh is not None:
-            self._arrive(fresh)
-        accepted = (self.height > self.ceiling).nonzero()[0]
-        if accepted.size:
-            self._restart(self._accept(accepted, s), s)
+        return value
 
 
 # ---------------------------------------------------------------------------

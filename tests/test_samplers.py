@@ -541,3 +541,38 @@ def test_lane_decides_as_the_scalar_gamma_does(variant):
         assert (threshold <= vector[j]) != (threshold <= scalar[j])
         rejected = lanes._thin(y, np.array([threshold]))
         assert rejected.tolist() == [threshold <= scalar[j]]
+
+
+@pytest.mark.filterwarnings("error")  # u == 0 must not divide 0 by 0
+def test_lane_knot_insert_is_bisect_insert():
+    # the height-ordered lanes' knot table against bisect_insert, through
+    # every branch: a new knot, a knot within 1e-15 on the left (checked
+    # first) or on the right, u == 0 (the pin at 0) and the table doubling
+    import fptsim.samplers as samplers
+    from fptsim.bridge import BridgeSkeleton, bisect_insert
+    from fptsim.rng import _brownian_fpt_value
+    plan = samplers._prepare(LANE_CONFIGS["a2"])
+    base = RandomStream(134)
+    lanes = plan.scan.lanes(plan, 2, base, 0)
+    lanes._propose(np.ones(2, dtype=bool), -1)
+    twins = [base.substream(j) for j in range(2)]
+    skels = []
+    for j, twin in enumerate(twins):
+        assert _brownian_fpt_value(twin, 2.0) == lanes.T[j]
+        skels.append(BridgeSkeleton(float(lanes.T[j]), 2.0))
+    T = lanes.T
+    a = T / 1024
+    steps = [T / 2, [T[0] / 4, 3 * T[1] / 4], [T[0] / 4 + 5e-16, T[1] / 2 - 5e-16],
+             [0.0 * T[0], 0.6 * T[1]], a, a + 1.5e-15, a + 0.75e-15]
+    steps += [T * f for f in np.random.default_rng(135).random((20, 2))]
+    for u in steps:
+        u = np.array(u, dtype=float)
+        value = lanes._insert(u)
+        for j in range(2):
+            want = bisect_insert(skels[j], u[j], twins[j]) if u[j] > 0.0 else skels[j].values[0]
+            assert tuple(value[:, j]) == want
+    assert len(lanes.knot_time) > samplers._KNOT_ROWS
+    for j in range(2):
+        order = np.argsort(lanes.knot_time[:lanes.count[j], j])
+        assert lanes.knot_time[order, j].tolist() == skels[j].times
+        assert [tuple(v) for v in lanes.knot_value[:, order, j].T] == skels[j].values
