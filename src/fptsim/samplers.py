@@ -238,7 +238,8 @@ _LANE_WIDTH = 128
 _LANE_MIN = 16
 # a decision within this much of the numpy field (times max(1, ceiling)) is
 # redone on the scalar gamma; numpy's and libm's transcendentals differ by
-# an ulp or so, hundreds of times less
+# an ulp or so, hundreds of times less.  It stays below the breach pads, so
+# a field of exactly 0 or exactly the ceiling is not redone at every point
 _RECHECK_TOL = 1e-13
 # knot rows of a height-ordered lane's skeleton at the start; doubled as needed
 _KNOT_ROWS = 16
