@@ -35,10 +35,6 @@ class SequentialBridgeState:
         self.by = 0.0
         self.bz = 0.0
 
-    @property
-    def current_value(self):
-        return (self.bx, self.by, self.bz)
-
 
 def sequential_advance(state, new_time, stream):
     """Advance the bridge to new_time conditionally on its state and the pin at T.
@@ -85,14 +81,6 @@ class BridgeSkeleton:
     def __len__(self):
         return len(self.times)
 
-    def bessel_norm_at(self, t, value):
-        return bessel_norm(self.drift_gap, self.horizon, t, value)
-
-    def dump_rows(self):
-        """Rows (t, bx, by, bz, R_t) for the debug CSV dump."""
-        return [(t, v[0], v[1], v[2], self.bessel_norm_at(t, v))
-                for t, v in zip(self.times, self.values)]
-
 
 def bisect_insert(skel, u, stream):
     """Draw the bridge value at interior time u by conditional bisection.
@@ -136,5 +124,6 @@ def dump_skeleton_csv(skel, path):
     """Write the skeleton knots as CSV rows (t, bx, by, bz, R_t)."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("t,beta_x,beta_y,beta_z,R_t\n")
-        for row in skel.dump_rows():
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for t, v in zip(skel.times, skel.values):
+            row = (t, *v, bessel_norm(skel.drift_gap, skel.horizon, t, v))
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

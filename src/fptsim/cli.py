@@ -21,9 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 
-from .drift import (BoundCertificate, GammaField, certify_bounds,
-                    default_domain_hint, model_from_spec, scan_gamma_range,
-                    truncate_drift)
+from .drift import (BoundCertificate, GammaField, _certify_scan, _scan_grid,
+                    default_domain_hint, model_from_spec, truncate_drift)
 from .errors import BudgetError, ConfigError, FptsimError
 from .harness import (SampleSet, delta_compare, histogram_export, ig_cdf,
                       iteration_identity_check, ks_statistic)
@@ -41,6 +40,13 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text):
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
 
 
@@ -63,7 +69,8 @@ def _add_common(p):
     p.add_argument("--k", default=None, help="slice count (int) or sweep range lo..hi")
     p.add_argument("--scan-from", type=float, default=None,
                    help="left end of the certification grid (default -1000*(1+|L|))")
-    p.add_argument("--grid-step", type=float, default=1e-3, help="certification grid step")
+    p.add_argument("--grid-step", type=_positive_float, default=1e-3,
+                   help="certification grid step (> 0)")
     p.add_argument("--max-iterations", type=int, default=10**8)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="output CSV path")
@@ -84,40 +91,38 @@ def _parse_k(text):
     return int(text), None
 
 
-def _resolve_claim(args, model, level):
-    scan_from = args.scan_from if args.scan_from is not None else default_domain_hint(level)
-    need_scan = args.kappa is None or (
-        args.variant.endswith("-shift") and args.gamma0 is None) or (
-        args.variant == "a3" and args.m is None)
-    gmin = gmax = None
-    if need_scan:
-        gmin, gmax = scan_gamma_range(model, level, lo=scan_from, grid_step=args.grid_step)
-    kappa = args.kappa if args.kappa is not None else gmax + _CLAIM_MARGIN + 1e-9 * abs(gmax)
+def _resolve_claim(args, scan):
+    """The certificate to judge: the given bounds, the rest derived from the grid pass."""
+    kappa = args.kappa if args.kappa is not None else (
+        scan.gmax + _CLAIM_MARGIN + 1e-9 * abs(scan.gmax))
     gamma0 = 0.0
     m = 0.0
     if args.variant.endswith("-shift"):
         if args.gamma0 is not None:
             gamma0 = args.gamma0
-        elif gmin is not None and gmin > 2.0 * _CLAIM_MARGIN:
-            gamma0 = gmin - _CLAIM_MARGIN
+        elif scan.gmin > 2.0 * _CLAIM_MARGIN:
+            gamma0 = scan.gmin - _CLAIM_MARGIN
         else:
             raise ConfigError("shift variants need gamma0 > 0; none given and the scan "
                               "found no positive floor")
     elif args.gamma0 is not None:
         gamma0 = args.gamma0
     if args.variant == "a3":
-        m = args.m if args.m is not None else max(0.0, -(gmin or 0.0)) + _CLAIM_MARGIN
+        m = args.m if args.m is not None else max(0.0, -scan.gmin) + _CLAIM_MARGIN
     elif args.m is not None and args.m != 0.0:
         raise ConfigError("--m only applies to variant a3")
-    return BoundCertificate(kappa=kappa, gamma0=gamma0, m=m, domain_hint=scan_from)
+    return BoundCertificate(kappa=kappa, gamma0=gamma0, m=m, domain_hint=scan.lo)
 
 
 def _resolve(args, split_k=1):
     model = model_from_spec(args.model)
     effective = truncate_drift(model, args.rho) if args.rho is not None else model
-    cert = _resolve_claim(args, effective, args.level)
-    report = certify_bounds(GammaField(effective), cert,
-                            grid_step=args.grid_step, level=args.level)
+    gamma = GammaField(effective)
+    scan_from = args.scan_from if args.scan_from is not None else default_domain_hint(args.level)
+    # one grid pass both derives the missing bounds and certifies the claim
+    scan = _scan_grid(gamma, scan_from, args.level, args.grid_step)
+    cert = _resolve_claim(args, scan)
+    report = _certify_scan(gamma, cert, scan)
     if not report.passed:
         raise ConfigError("bound certificate failed:\n" + report.text())
     if args.verbose:

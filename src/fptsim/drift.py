@@ -27,8 +27,8 @@ from .errors import ConfigError, ModelError, NumericError
 
 _GAMMA_CLAMP = 1e-12          # floating-noise clamp when a certificate says gamma >= 0
 _CERT_TOL = 1e-9              # slack allowed before a scan point counts as a violation
-_SIMPSON_TOL = 1e-10
-_SIMPSON_MAX_DEPTH = 60
+_QUAD_TOL = 1e-10             # absolute tolerance of the beta quadrature
+_GRID_CHUNK = 1 << 19         # certification grid points evaluated per numpy call
 
 
 # ---------------------------------------------------------------------------
@@ -279,45 +279,20 @@ def gamma_fn(model):
     return gamma
 
 
-def _adaptive_simpson(f, a, b, tol=_SIMPSON_TOL):
-    """Adaptive Simpson quadrature with an absolute tolerance and a depth cap."""
-    if a == b:
-        return 0.0
-    if a > b:
-        return -_adaptive_simpson(f, b, a, tol)
-
-    def _simpson(fa, fm, fb, h):
-        return h * (fa + 4.0 * fm + fb) / 6.0
-
-    def _rec(lo, mid, hi, flo, fmid, fhi, whole, tol, depth):
-        if depth > _SIMPSON_MAX_DEPTH:
-            raise NumericError(
-                f"adaptive quadrature did not converge on [{lo}, {hi}] "
-                f"after {_SIMPSON_MAX_DEPTH} subdivision levels")
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm = float(f(lm))
-        frm = float(f(rm))
-        left = _simpson(flo, flm, fmid, mid - lo)
-        right = _simpson(fmid, frm, fhi, hi - mid)
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        half = 0.5 * tol
-        return (_rec(lo, lm, mid, flo, flm, fmid, left, half, depth + 1)
-                + _rec(mid, rm, hi, fmid, frm, fhi, right, half, depth + 1))
-
-    fa = float(f(a))
-    fm = float(f(0.5 * (a + b)))
-    fb = float(f(b))
-    whole = _simpson(fa, fm, fb, b - a)
-    return _rec(a, 0.5 * (a + b), b, fa, fm, fb, whole, tol, 0)
+def _integrate(f, a, b):
+    """int_a^b f(u) du by scipy ``quad`` to an absolute 1e-10; NumericError if it fails."""
+    value, _, _, *trouble = quad(f, a, b, epsabs=_QUAD_TOL, epsrel=0.0, full_output=1)
+    if trouble:
+        raise NumericError(f"quadrature did not converge on [{a}, {b}]: "
+                           f"{trouble[0].splitlines()[0]}")
+    return value
 
 
 def eval_beta(model, y):
     """beta(y) = int_0^y b(u) du, closed form when the model carries one."""
     if model.beta_closed is not None:
         return float(model.beta_closed(y))
-    return _adaptive_simpson(lambda u: float(model.b(u)), 0.0, float(y))
+    return _integrate(lambda u: float(model.b(u)), 0.0, float(y))
 
 
 def eval_scale_p(model, y):
@@ -515,66 +490,74 @@ def truncated_ou_kappa(alpha, rho, beta):
     return 0.5 * (alpha * rho + beta + alpha / math.e) ** 2 + alpha / (2.0 * math.e ** 2)
 
 
-def certify_bounds(gamma, claim, grid_step=1e-3, level=None):
-    """Scan gamma on [domain_hint, level] against the claimed bounds.
+@dataclass(frozen=True)
+class _GridScan:
+    """What one pass over the grid lo, lo + step, ..., hi saw of gamma."""
 
-    Runs a vectorized grid scan plus a refinement pass around the worst local
-    extrema.  Failures are reported, not raised.
-    """
+    lo: float
+    hi: float
+    step: float
+    gmin: float
+    gmin_y: float             # first grid point where gmin occurs
+    gmax: float
+    gmax_y: float             # first grid point where gmax occurs
+    extrema: list             # (gamma, y) of each turning point of the sampled curve
+
+
+def _scan_grid(gamma, lo, hi, grid_step):
+    """Evaluate the field on the certification grid in chunks, so memory stays bounded."""
     if not grid_step > 0.0:
         raise ConfigError(f"grid_step must be positive, got {grid_step}")
-    if level is None:
-        raise ConfigError("certify_bounds needs the target level to bound the scan")
-    model = gamma.source
-    lo = float(claim.domain_hint)
-    hi = float(level)
+    lo = float(lo)
+    hi = float(hi)
     if lo >= hi:
         raise ConfigError(f"domain_hint {lo} must lie below the level {hi}")
-    lower = claim.gamma0 if claim.m == 0.0 else -claim.m
-
     n = int(math.ceil((hi - lo) / grid_step)) + 1
-    worst = -math.inf
-    worst_y = lo
-    chunk = 1 << 19
-    prev_tail_y = None
-    prev_tail_g = None
+    gmin, gmax = math.inf, -math.inf
+    gmin_y = gmax_y = lo
+    tail_y = tail_g = np.empty(0)
     extrema = []
-
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n))
+    for start in range(0, n, _GRID_CHUNK):
+        idx = np.arange(start, min(start + _GRID_CHUNK, n))
         ys = np.minimum(lo + idx * grid_step, hi)
         gs = gamma.eval_array(ys)
         if not np.all(np.isfinite(gs)):
             bad = ys[~np.isfinite(gs)][0]
             raise ModelError(f"gamma not finite at y={bad}")
-        viol = np.maximum(gs - claim.kappa, lower - gs)
-        k = int(np.argmax(viol))
-        if viol[k] > worst:
-            worst = float(viol[k])
-            worst_y = float(ys[k])
-        # local extrema of the sampled curve, for the refinement pass
-        if prev_tail_y is not None:
-            ys_ext = np.concatenate((prev_tail_y, ys))
-            gs_ext = np.concatenate((prev_tail_g, gs))
-        else:
-            ys_ext, gs_ext = ys, gs
+        k = int(np.argmin(gs))
+        if gs[k] < gmin:
+            gmin, gmin_y = float(gs[k]), float(ys[k])
+        k = int(np.argmax(gs))
+        if gs[k] > gmax:
+            gmax, gmax_y = float(gs[k]), float(ys[k])
+        # carry the last two points over so turning points at a chunk seam count
+        ys_ext = np.concatenate((tail_y, ys))
+        gs_ext = np.concatenate((tail_g, gs))
         d = np.diff(gs_ext)
         turn = np.where(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0] + 1
-        for t in turn:
-            extrema.append((float(gs_ext[t]), float(ys_ext[t])))
-        prev_tail_y = ys_ext[-2:]
-        prev_tail_g = gs_ext[-2:]
+        extrema.extend(zip(gs_ext[turn].tolist(), ys_ext[turn].tolist()))
+        tail_y = ys_ext[-2:]
+        tail_g = gs_ext[-2:]
+    return _GridScan(lo, hi, grid_step, gmin, gmin_y, gmax, gmax_y, extrema)
 
-    # polish the most binding extrema with a bounded scalar optimizer
+
+def _certify_scan(gamma, claim, scan):
+    """Judge the claimed bounds on a grid pass, polishing the most binding extrema."""
+    lower = claim.gamma0 if claim.m == 0.0 else -claim.m
+    # the worst grid violation, located at the first grid point that attains it
+    candidates = ((scan.gmax - claim.kappa, scan.gmax_y), (lower - scan.gmin, scan.gmin_y))
+    worst = max(v for v, _ in candidates)
+    worst_y = min(y for v, y in candidates if v == worst)
+
     def refine(y0, sign):
-        a = max(lo, y0 - grid_step)
-        b = min(hi, y0 + grid_step)
+        a = max(scan.lo, y0 - scan.step)
+        b = min(scan.hi, y0 + scan.step)
         res = optimize.minimize_scalar(lambda y: sign * gamma.eval(y), bounds=(a, b),
                                        method="bounded", options={"xatol": 1e-12})
         return float(res.x), sign * float(res.fun)
 
-    maxima = sorted(extrema, key=lambda e: -e[0])[:32]
-    minima = sorted(extrema, key=lambda e: e[0])[:32]
+    maxima = sorted(scan.extrema, key=lambda e: -e[0])[:32]
+    minima = sorted(scan.extrema, key=lambda e: e[0])[:32]
     for _, y0 in maxima:
         y_ref, g_ref = refine(y0, -1.0)
         if g_ref - claim.kappa > worst:
@@ -584,6 +567,7 @@ def certify_bounds(gamma, claim, grid_step=1e-3, level=None):
         if lower - g_ref > worst:
             worst, worst_y = lower - g_ref, y_ref
 
+    model = gamma.source
     analytic = None
     if model.kind == "truncated" and model.inner is not None and model.inner.kind == "ou":
         analytic = truncated_ou_kappa(model.params["alpha"], model.params["rho"],
@@ -592,7 +576,7 @@ def certify_bounds(gamma, claim, grid_step=1e-3, level=None):
     return CertificateReport(
         model_label=model.label(),
         claim=claim,
-        level=hi,
+        level=scan.hi,
         passed=bool(worst <= _CERT_TOL),
         worst_violation=worst,
         location=worst_y,
@@ -600,24 +584,23 @@ def certify_bounds(gamma, claim, grid_step=1e-3, level=None):
     )
 
 
+def certify_bounds(gamma, claim, grid_step=1e-3, level=None):
+    """Scan gamma on [domain_hint, level] against the claimed bounds.
+
+    Runs a vectorized grid scan plus a refinement pass around the worst local
+    extrema.  Failures are reported, not raised.
+    """
+    if level is None:
+        raise ConfigError("certify_bounds needs the target level to bound the scan")
+    return _certify_scan(gamma, claim, _scan_grid(gamma, claim.domain_hint, level, grid_step))
+
+
 def scan_gamma_range(model, level, lo=None, grid_step=1e-3):
     """Min/max of gamma on a scan grid; used to auto-derive certificate claims."""
     if lo is None:
         lo = default_domain_hint(level)
-    gamma = GammaField(model)
-    n = int(math.ceil((level - lo) / grid_step)) + 1
-    gmin, gmax = math.inf, -math.inf
-    chunk = 1 << 19
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n))
-        ys = np.minimum(lo + idx * grid_step, level)
-        gs = gamma.eval_array(ys)
-        if not np.all(np.isfinite(gs)):
-            bad = ys[~np.isfinite(gs)][0]
-            raise ModelError(f"gamma not finite at y={bad}")
-        gmin = min(gmin, float(gs.min()))
-        gmax = max(gmax, float(gs.max()))
-    return gmin, gmax
+    scan = _scan_grid(GammaField(model), lo, level, grid_step)
+    return scan.gmin, scan.gmax
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +635,7 @@ def _log_abs_p_neg(model, depth):
         betas = np.empty(npts)
         betas[-1] = 0.0
         for i in range(npts - 2, -1, -1):
-            seg = _adaptive_simpson(lambda u: float(model.b(u)), ys[i], ys[i + 1], 1e-10)
+            seg = _integrate(lambda u: float(model.b(u)), ys[i], ys[i + 1])
             betas[i] = betas[i + 1] - seg
     neg = -betas
     m = float(neg.max())

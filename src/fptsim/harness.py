@@ -19,7 +19,7 @@ from .bridge import BridgeSkeleton, bisect_insert
 from .drift import eval_beta, eval_scale_p, gamma_fn
 from .errors import BudgetError, ConfigError, FptsimError, NumericError
 from .rng import _brownian_fpt_value
-from .samplers import validate_config
+from .samplers import _FIELD_NEG_TOL, _FIELD_POS_TOL, _field_breach, validate_config
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +172,8 @@ def iteration_identity_check(samples, model, x, L, gamma0=0.0, kappa=None):
     if kappa is None:
         bound = math.inf
     else:
-        expo = (L - x) * math.sqrt(2.0 * max(kappa - gamma0, 0.0))
-        if gamma0 > 0.0:
-            # shifted runs: the ceiling drops to kappa - gamma0
-            bound = math.exp(expo)
-        else:
-            bound = math.exp((L - x) * math.sqrt(2.0 * kappa))
+        # shifted runs: the ceiling drops to kappa - gamma0
+        bound = math.exp((L - x) * math.sqrt(2.0 * max(kappa - gamma0, 0.0)))
     return IterationReport(mean, target, se, z, bound, mean <= bound + 3.0 * se, n)
 
 
@@ -274,6 +270,33 @@ class _PointFeed:
         return k < len(self.times)
 
 
+def _coupled_scan(feed, field_at, image):
+    """One scan over the shared points; returns (accepted, variates_consumed).
+
+    The time-ordered scan tests the points (t_k, h_k), the height-ordered one
+    their images (h_k T/kappa, t_k kappa/T).  Variate accounting mirrors the
+    native engines: 1 for the initial exponential and a 5-scalar bundle per
+    tested point.  A field outside the certified [0, kappa] raises the
+    engines' breach error.
+    """
+    T = feed.T
+    kappa = feed.kappa
+    lo = -_FIELD_NEG_TOL
+    hi = kappa + _FIELD_POS_TOL
+    k = 0
+    while feed.has(k):
+        time, height = feed.times[k], feed.heights[k]
+        if image:
+            time, height = height * T / kappa, time * kappa / T
+        f = field_at(time)
+        if not lo <= f <= hi:  # written so that a NaN field is a breach too
+            raise _field_breach(f, kappa)
+        if height <= f:
+            return False, 1 + 5 * (k + 1)
+        k += 1
+    return True, 1 + 5 * len(feed.times)
+
+
 def _coupled_totals(config, stream):
     """One replicate: total variate counts of both scans on shared randomness.
 
@@ -320,31 +343,14 @@ def _coupled_totals(config, stream):
             r = math.sqrt(rx * rx + value[1] ** 2 + value[2] ** 2)
             return gamma(level - r)
 
-        # variate accounting mirrors the native engines: either scan pays 1
-        # for its initial exponential and a 5-scalar bundle per tested point
         if not done1:
             i1 += 1
-            hit = 0
-            k = 0
-            while feed.has(k):
-                if feed.heights[k] <= field_at(feed.times[k]):
-                    hit = k + 1
-                    break
-                k += 1
-            n1 += 1 + 5 * (hit if hit else len(feed.times))
-            done1 = hit == 0
+            done1, cost = _coupled_scan(feed, field_at, image=False)
+            n1 += cost
         if not done2:
             i2 += 1
-            hit = 0
-            k = 0
-            while feed.has(k):
-                # image point: time h_k T/kappa, height t_k kappa/T
-                if feed.times[k] * kappa / T <= field_at(feed.heights[k] * T / kappa):
-                    hit = k + 1
-                    break
-                k += 1
-            n2 += 1 + 5 * (hit if hit else len(feed.times))
-            done2 = hit == 0
+            done2, cost = _coupled_scan(feed, field_at, image=True)
+            n2 += cost
     return i1 + n1, i2 + n2
 
 

@@ -144,6 +144,34 @@ def test_split_scan_has_interior_minimum(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["sample", "validate", "bench", "split-scan", "compare"])
+def test_nonpositive_grid_step_exits_2(tmp_path, monkeypatch, capsys, command):
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, monkeypatch, [command, *BASE, "--grid-step", "0"])
+    assert err.value.code == 2
+    assert "--grid-step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", [["--kappa", "0.5"], []], ids=["kappa", "derived"])
+def test_sample_scans_the_grid_once(tmp_path, monkeypatch, kappa):
+    # deriving the bounds and certifying them share one pass over the grid
+    import fptsim.cli as cli
+    import fptsim.drift as drift
+    calls = []
+    real = drift._scan_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(drift, "_scan_grid", counted)
+    monkeypatch.setattr(cli, "_scan_grid", counted)
+    argv = ["sample", "--model", "constant:mu=1", "--level", "2", "--scan-from", "-50",
+            *kappa, "--n", "3", "--out", "s.csv"]
+    assert _run(tmp_path, monkeypatch, argv) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["sample", "validate", "bench", "split-scan", "compare"])
 def test_nonpositive_n_exits_2(tmp_path, monkeypatch, capsys, command):
     with pytest.raises(SystemExit) as err:
         _run(tmp_path, monkeypatch, [command, *BASE, "--n", "0"])

@@ -89,6 +89,17 @@ def test_beta_fallback_quadrature_matches_closed_form():
         assert eval_beta(bare, y) == pytest.approx(2 * y + 1 - math.cos(y), abs=1e-8)
 
 
+def test_beta_quadrature_raises_when_it_does_not_converge():
+    # int_0^2 dy/y diverges; an unchecked quadrature returns a finite number
+    def b(y):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.asarray(y, dtype=float)
+
+    model = custom_drift(b, lambda y: -b(y) ** 2)
+    with pytest.raises(NumericError, match="converge"):
+        eval_beta(model, 2.0)
+
+
 def test_beta_closed_forms_match_quadrature_on_grid():
     for model in CATALOG:
         if model.beta_closed is None:

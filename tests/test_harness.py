@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from fptsim import (BoundCertificate, RandomStream, SampleSet, SamplerConfig,
-                    constant_drift, delta_compare, em_fpt_oracle,
+                    constant_drift, custom_drift, delta_compare, em_fpt_oracle,
                     arctan_shift_drift, ig_cdf, ig_pdf,
                     iteration_identity_check, iteration_identity_target,
                     ks_statistic, ou_drift, rho_distance_bound, sample_batch,
@@ -194,6 +194,39 @@ def test_delta_comparator_wide_level_with_clamped_field():
     report = delta_compare(cfg, 2000, RandomStream(68))
     assert -203.6 < report.mean_delta < -135.8
     assert -0.77 < report.ratio < -0.57
+
+
+def _nan_below_drift():
+    # b is NaN below y = -0.5, as in test_nan_field_is_a_certificate_breach
+    def b(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y < -0.5, np.nan, 1.0)
+
+    def b_prime(y):
+        return 0.0 * np.asarray(y, dtype=float)
+
+    return custom_drift(b, b_prime)
+
+
+BREACH_CASES = {
+    # sine's field reaches about 4.5 near L=2, above the claimed ceiling 3
+    "kappa3": (SamplerConfig(x=0.0, L=2.0, model=sine_drift(),
+                             cert=BoundCertificate(kappa=3.0, domain_hint=-100.0)),
+               50, 5),
+    "nan": (SamplerConfig(x=0.0, L=1.0, model=_nan_below_drift(),
+                          cert=BoundCertificate(kappa=0.5, domain_hint=-100.0)),
+            200, 131),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BREACH_CASES))
+def test_delta_compare_raises_on_certificate_breach(name):
+    from fptsim.errors import ModelError
+    cfg, n, seed = BREACH_CASES[name]
+    with pytest.raises(ModelError, match="certificate does not hold"):
+        sample_batch(cfg, n, RandomStream(seed))
+    with pytest.raises(ModelError, match="certificate does not hold"):
+        delta_compare(cfg, n, RandomStream(seed))
 
 
 def test_delta_compare_rejects_nonplain_configs():
