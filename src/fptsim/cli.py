@@ -8,6 +8,10 @@ bench       report mean iterations / N_sigma against the exact identities
 split-scan  sweep the slice count k and write (k, mean_total_points, stderr)
 compare     coupled cost comparison of the two thinning mechanizations
 
+Each subcommand takes only the flags it reads (see its --help), spelled in full:
+--k and --workers go to sample and bench, a --k lo..hi sweep to split-scan,
+--hist/--bins to sample alone, and validate sets its own model and bounds.
+
 Exit codes: 0 ok, 1 validation failure, 2 usage/configuration error, 3 budget
 exhausted.  All floats are printed with 17 significant digits; a fixed seed
 makes every output byte-identical across reruns and worker counts.
@@ -24,8 +28,8 @@ from functools import partial
 from .drift import (BoundCertificate, GammaField, _certify_scan, _scan_grid,
                     default_domain_hint, model_from_spec, truncate_drift)
 from .errors import BudgetError, ConfigError, FptsimError
-from .harness import (SampleSet, delta_compare, histogram_export, ig_cdf,
-                      iteration_identity_check, ks_statistic)
+from .harness import (delta_compare, histogram_export, ig_cdf, iteration_identity_check,
+                      ks_statistic)
 from .rng import RandomStream
 from .samplers import VARIANTS, SamplerConfig, sample_batch, validate_config
 
@@ -50,53 +54,66 @@ def _positive_float(text):
     return value
 
 
-def _add_common(p):
+def _k_sweep(text):
+    """The slice counts split-scan sweeps: ``lo..hi`` or a single count."""
+    lo, dots, hi = text.partition("..")
+    lo, hi = int(lo), int(hi if dots else lo)
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"bad slice range {text!r}")
+    return range(lo, hi + 1)
+
+
+def _run_flags(p):
+    """The flags every subcommand reads: replicates, streams and the certification grid."""
+    p.add_argument("--n", type=_positive_int, default=10000,
+                   help="number of draws/replicates (>= 1)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--streams", type=int, default=0, help="base stream id")
+    p.add_argument("--scan-from", type=float, default=None,
+                   help="left end of the certification grid (default -1000*(1+|L|))")
+    p.add_argument("--grid-step", type=_positive_float, default=1e-3,
+                   help="certification grid step (> 0)")
+    p.add_argument("--max-iterations", type=int, default=10**8)
+    p.add_argument("--verbose", action="store_true")
+
+
+def _config_flags(p):
+    """The run's drift, level, variant, bounds and output file (all but validate)."""
     p.add_argument("--model", required=True,
                    help="drift spec, e.g. constant:mu=1 | sine | arctan-shift | "
                         "neg-arctan | ou:alpha=0.3,beta=1")
     p.add_argument("--x", type=float, default=0.0, help="starting point (default 0)")
     p.add_argument("--level", type=float, required=True, help="target level L > x")
     p.add_argument("--variant", default="a1", choices=VARIANTS)
-    p.add_argument("--n", type=_positive_int, default=10000,
-                   help="number of draws/replicates (>= 1)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, default=0, help="base stream id")
     p.add_argument("--kappa", type=float, default=None, help="gamma upper bound override")
     p.add_argument("--gamma0", type=float, default=None, help="gamma lower bound (shift variants)")
     p.add_argument("--m", type=float, default=None, help="allowed gamma negativity (a3)")
     p.add_argument("--t0", type=float, default=None, help="conditioning horizon (a3)")
     p.add_argument("--rho", type=float, default=None, help="drift truncation depth")
-    p.add_argument("--k", default=None, help="slice count (int) or sweep range lo..hi")
-    p.add_argument("--scan-from", type=float, default=None,
-                   help="left end of the certification grid (default -1000*(1+|L|))")
-    p.add_argument("--grid-step", type=_positive_float, default=1e-3,
-                   help="certification grid step (> 0)")
-    p.add_argument("--max-iterations", type=int, default=10**8)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="output CSV path")
-    p.add_argument("--bins", type=int, default=60, help="histogram bins for --hist")
+
+
+def _batch_flags(p):
+    """Slice count and process count of a command that runs one batch (sample, bench)."""
+    p.add_argument("--k", type=_positive_int, default=1, help="slice count (default 1)")
+    p.add_argument("--workers", type=int, default=1)
+
+
+def _sweep_flags(p):
+    p.add_argument("--k", type=_k_sweep, default="1..20",
+                   help="slice counts to sweep: lo..hi or one int (default 1..20)")
+
+
+def _hist_flags(p):
     p.add_argument("--hist", default=None, help="also write a density histogram CSV here")
-    p.add_argument("--verbose", action="store_true")
-
-
-def _parse_k(text):
-    if text is None:
-        return 1, None
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        lo, hi = int(lo), int(hi)
-        if not 1 <= lo <= hi:
-            raise ConfigError(f"bad slice range {text!r}")
-        return lo, hi
-    return int(text), None
+    p.add_argument("--bins", type=int, default=60, help="histogram bins for --hist")
 
 
 def _resolve_claim(args, scan):
     """The certificate to judge: the given bounds, the rest derived from the grid pass."""
     kappa = args.kappa if args.kappa is not None else (
         scan.gmax + _CLAIM_MARGIN + 1e-9 * abs(scan.gmax))
-    gamma0 = 0.0
-    m = 0.0
+    gamma0 = m = 0.0
     if args.variant.endswith("-shift"):
         if args.gamma0 is not None:
             gamma0 = args.gamma0
@@ -173,10 +190,7 @@ def _run_batch(args, config):
 
 
 def _cmd_sample(args):
-    split_k, sweep = _parse_k(args.k)
-    if sweep is not None:
-        raise ConfigError("a k range only applies to split-scan")
-    config = _resolve(args, split_k=split_k)
+    config = _resolve(args, split_k=args.k)
     rows = _run_batch(args, config)
     out = args.out or "samples.csv"
     with open(out, "w", encoding="ascii", newline="") as fh:
@@ -184,15 +198,13 @@ def _cmd_sample(args):
         writer.writerow(["index", "value", "iterations", "total_points"])
         for idx, value, iters, pts in rows:
             writer.writerow([idx, _fmt(value), iters, pts])
-    values = [r[1] for r in rows]
-    iters = [r[2] for r in rows]
-    pts = [r[3] for r in rows]
+    _, values, iters, pts = zip(*rows)
     print(f"wrote {len(rows)} draws to {out}")
     print(f"mean value {sum(values)/len(values):.6g}, "
           f"mean iterations {sum(iters)/len(iters):.6g}, "
           f"mean total points {sum(pts)/len(pts):.6g}")
     if args.hist:
-        histogram_export(SampleSet(values, [], fingerprint=args.model), args.bins, args.hist)
+        histogram_export(values, args.bins, args.hist)
         print(f"wrote histogram to {args.hist}")
     return 0
 
@@ -200,26 +212,17 @@ def _cmd_sample(args):
 def _cmd_validate(args):
     """Closed-form exactness suite on the drifted Brownian benchmark."""
     failures = 0
-    n = args.n
     threshold = 0.02
     gap = 2.0
-    suites = [
-        ("a1", {"variant": "a1", "kappa": 0.5}),
-        ("a2", {"variant": "a2", "kappa": 0.5}),
-        ("a1-shift", {"variant": "a1-shift", "kappa": 0.5, "gamma0": 0.5}),
-        ("a1 split k=3", {"variant": "a1", "kappa": 0.5, "k": "3"}),
-    ]
-    for label, overrides in suites:
-        sub = argparse.Namespace(**{**vars(args), "model": "constant:mu=1", "x": 0.0,
-                                    "level": 2.0, "t0": None, "rho": None,
-                                    "m": None, "gamma0": overrides.get("gamma0"),
-                                    "kappa": overrides.get("kappa"),
-                                    "variant": overrides["variant"],
-                                    "k": overrides.get("k")})
-        split_k, _ = _parse_k(sub.k)
+    # label, variant, gamma0, split_k; every suite is unit drift from 0 to 2 at kappa 0.5
+    suites = [("a1", "a1", None, 1), ("a2", "a2", None, 1),
+              ("a1-shift", "a1-shift", 0.5, 1), ("a1 split k=3", "a1", None, 3)]
+    for label, variant, gamma0, split_k in suites:
+        sub = argparse.Namespace(**vars(args), model="constant:mu=1", x=0.0, level=2.0,
+                                 variant=variant, kappa=0.5, gamma0=gamma0, m=None,
+                                 t0=None, rho=None)
         config = _resolve(sub, split_k=split_k)
-        base = RandomStream(args.seed, args.streams)
-        draws = sample_batch(config, n, base)
+        draws = sample_batch(config, args.n, RandomStream(args.seed, args.streams))
         ks = ks_statistic([d.value for d in draws], lambda t: ig_cdf(t, gap, 1.0))
         ok = ks < threshold
         failures += 0 if ok else 1
@@ -229,14 +232,10 @@ def _cmd_validate(args):
 
 
 def _cmd_bench(args):
-    split_k, sweep = _parse_k(args.k)
-    if sweep is not None:
-        raise ConfigError("a k range only applies to split-scan")
-    config = _resolve(args, split_k=split_k)
+    config = _resolve(args, split_k=args.k)
     rows = _run_batch(args, config)
-    iters = [r[2] for r in rows]
-    mean_iters = sum(iters) / len(rows)
-    mean_pts = sum(r[3] for r in rows) / len(rows)
+    _, _, iters, pts = zip(*rows)
+    mean_iters, mean_pts = sum(iters) / len(rows), sum(pts) / len(rows)
     # the per-slice identity does not aggregate to one exponent under splitting,
     # so the identity line is only meaningful for unsplit runs
     effective = (truncate_drift(config.model, config.rho)
@@ -244,7 +243,7 @@ def _cmd_bench(args):
     report = iteration_identity_check(iters, effective, args.x, args.level,
                                       gamma0=config.cert.gamma0,
                                       kappa=config.cert.kappa)
-    if split_k == 1:
+    if args.k == 1:
         print(report.text())
     print(f"mean iterations {mean_iters:.6g}, mean total points (N_sigma) {mean_pts:.6g}")
     if args.out:
@@ -259,13 +258,10 @@ def _cmd_bench(args):
 
 
 def _cmd_split_scan(args):
-    lo, hi = _parse_k(args.k or "1..20")
-    if hi is None:
-        hi = lo
     out = args.out or "scan.csv"
     config = _resolve(args)
     rows = []
-    for k in range(lo, hi + 1):
+    for k in args.k:
         base = RandomStream(args.seed, args.streams + k)
         draws = sample_batch(replace(config, split_k=k), args.n, base)
         pts = [d.stats.total_points for d in draws]
@@ -287,8 +283,7 @@ def _cmd_split_scan(args):
 
 def _cmd_compare(args):
     config = _resolve(args)
-    base = RandomStream(args.seed, args.streams)
-    report = delta_compare(config, args.n, base)
+    report = delta_compare(config, args.n, RandomStream(args.seed, args.streams))
     out = args.out or "delta.csv"
     with open(out, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
@@ -304,27 +299,32 @@ def _cmd_compare(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="fptsim",
+        prog="fptsim", allow_abbrev=False,
         description="Exact sampling of diffusion first-passage times")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in [("sample", _cmd_sample), ("validate", _cmd_validate),
-                     ("bench", _cmd_bench), ("split-scan", _cmd_split_scan),
-                     ("compare", _cmd_compare)]:
-        p = sub.add_parser(name)
-        _add_common(p)
+    # each subcommand registers only the flags it reads, and none is abbreviated,
+    # so a flag that one subcommand lacks is not read as a longer one (--k as --kappa)
+    for name, fn, groups in [
+            ("sample", _cmd_sample, (_config_flags, _run_flags, _batch_flags, _hist_flags)),
+            ("validate", _cmd_validate, (_run_flags,)),
+            ("bench", _cmd_bench, (_config_flags, _run_flags, _batch_flags)),
+            ("split-scan", _cmd_split_scan, (_config_flags, _run_flags, _sweep_flags)),
+            ("compare", _cmd_compare, (_config_flags, _run_flags))]:
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(fn=fn)
+        for add in groups:
+            add(p)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, FptsimError) as exc:
+    except FptsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,6 @@ from scipy.integrate import quad
 
 from .errors import ConfigError, ModelError, NumericError
 
-_GAMMA_CLAMP = 1e-12          # floating-noise clamp when a certificate says gamma >= 0
 _CERT_TOL = 1e-9              # slack allowed before a scan point counts as a violation
 _QUAD_TOL = 1e-10             # absolute tolerance of the beta quadrature
 _GRID_CHUNK = 1 << 19         # certification grid points evaluated per numpy call
@@ -253,16 +252,13 @@ def model_from_spec(spec):
 # ---------------------------------------------------------------------------
 
 
-def eval_gamma(model, y, nonnegative=False):
-    """(b^2 + b')/2 at y, clamping [-1e-12, 0) to 0 when gamma >= 0 is certified."""
+def eval_gamma(model, y):
+    """(b^2 + b')/2 at y; ModelError if the drift is not finite there."""
     bv = float(model.b(y))
     bp = float(model.b_prime(y))
     if not (math.isfinite(bv) and math.isfinite(bp)):
         raise ModelError(f"drift evaluation not finite at y={y} (b={bv}, b'={bp})")
-    g = (bv * bv + bp) / 2.0
-    if nonnegative and -_GAMMA_CLAMP <= g < 0.0:
-        return 0.0
-    return g
+    return (bv * bv + bp) / 2.0
 
 
 def gamma_fn(model):
@@ -279,9 +275,10 @@ def gamma_fn(model):
     return gamma
 
 
-def _integrate(f, a, b):
-    """int_a^b f(u) du by scipy ``quad`` to an absolute 1e-10; NumericError if it fails."""
-    value, _, _, *trouble = quad(f, a, b, epsabs=_QUAD_TOL, epsrel=0.0, full_output=1)
+def _integrate(f, a, b, epsabs=_QUAD_TOL, epsrel=0.0, limit=50):
+    """int_a^b f(u) du by scipy ``quad``; NumericError if it reports non-convergence."""
+    value, _, _, *trouble = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
+                                 full_output=1)
     if trouble:
         raise NumericError(f"quadrature did not converge on [{a}, {b}]: "
                            f"{trouble[0].splitlines()[0]}")
@@ -305,7 +302,7 @@ def eval_scale_p(model, y):
         return math.exp(-eval_beta(model, u))
 
     try:
-        value, _ = quad(integrand, 0.0, y, epsabs=1e-12, epsrel=1e-10, limit=400)
+        value = _integrate(integrand, 0.0, y, epsabs=1e-12, epsrel=1e-10, limit=400)
     except OverflowError as exc:
         raise NumericError(
             f"exp(-beta) overflowed while integrating to y={y}; try a smaller |y|") from exc
@@ -341,15 +338,13 @@ class ScaleFunction:
     def v(self, y):
         # v(y) = int_0^y 2 p'(s) int_0^s dz/p'(z) ds  with p'(y) = exp(-beta(y))
         def inner(s):
-            val, _ = quad(lambda z: math.exp(eval_beta(self.source, z)), 0.0, s,
-                          epsabs=1e-10, epsrel=1e-8, limit=200)
-            return val
+            return _integrate(lambda z: math.exp(eval_beta(self.source, z)), 0.0, s,
+                              epsabs=1e-10, epsrel=1e-8, limit=200)
 
         def integrand(s):
             return 2.0 * math.exp(-eval_beta(self.source, s)) * inner(s)
 
-        value, _ = quad(integrand, 0.0, float(y), epsabs=1e-10, epsrel=1e-8, limit=200)
-        return value
+        return _integrate(integrand, 0.0, float(y), epsabs=1e-10, epsrel=1e-8, limit=200)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +380,9 @@ def lamperti_drift(b, sigma, sigma_prime, x_anchor):
         y = float(y)
         if y == x_anchor:
             return 0.0
+        # raw quad, not _integrate: the bracket search below may probe eta
+        # where the integral diverges (a sigma that vanishes at a finite
+        # point) and only compares the returned value with its target
         value, _ = quad(lambda u: 1.0 / check_sigma(u), x_anchor, y,
                         epsabs=1e-12, epsrel=1e-10, limit=400)
         return value
@@ -393,16 +391,19 @@ def lamperti_drift(b, sigma, sigma_prime, x_anchor):
         z = float(z)
         if z == 0.0:
             return x_anchor
-        # eta is strictly increasing; expand a bracket around the anchor
+        # eta is strictly increasing with eta(anchor) = 0, so the root lies on
+        # z's side of the anchor; widen only that side, since sigma need not be
+        # positive on the other (geometric BM: sigma(0) = 0)
+        side = 1.0 if z > 0.0 else -1.0
         step = 1.0
-        lo, hi = x_anchor - step, x_anchor + step
         for _ in range(200):
-            if eta(lo) <= z <= eta(hi):
+            far = x_anchor + side * step
+            if side * (eta(far) - z) >= 0.0:
                 break
             step *= 2.0
-            lo, hi = x_anchor - step, x_anchor + step
         else:
             raise NumericError(f"could not bracket eta^-1({z})")
+        lo, hi = sorted((x_anchor, far))
         return optimize.brentq(lambda w: eta(w) - z, lo, hi, xtol=1e-10, rtol=1e-12)
 
     def b0(z):
@@ -584,14 +585,12 @@ def _certify_scan(gamma, claim, scan):
     )
 
 
-def certify_bounds(gamma, claim, grid_step=1e-3, level=None):
+def certify_bounds(gamma, claim, grid_step=1e-3, *, level):
     """Scan gamma on [domain_hint, level] against the claimed bounds.
 
     Runs a vectorized grid scan plus a refinement pass around the worst local
     extrema.  Failures are reported, not raised.
     """
-    if level is None:
-        raise ConfigError("certify_bounds needs the target level to bound the scan")
     return _certify_scan(gamma, claim, _scan_grid(gamma, claim.domain_hint, level, grid_step))
 
 

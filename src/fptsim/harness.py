@@ -52,9 +52,6 @@ class SampleSet:
     def iterations(self):
         return np.array([s.iterations for s in self.stats], dtype=float)
 
-    def total_points(self):
-        return np.array([s.total_points for s in self.stats], dtype=float)
-
 
 # ---------------------------------------------------------------------------
 # closed-form references

@@ -1,10 +1,11 @@
 """Tests for the command-line front end: subcommands, CSV schemas, exit codes."""
 
 import csv
+import re
 
 import pytest
 
-from fptsim.cli import main
+from fptsim.cli import build_parser, main
 
 
 def _run(tmp_path, monkeypatch, argv):
@@ -122,9 +123,7 @@ def test_shift_without_floor_exits_2(tmp_path, monkeypatch):
 
 @pytest.mark.slow
 def test_validate_suite_passes(tmp_path, monkeypatch):
-    assert _run(tmp_path, monkeypatch,
-                ["validate", "--model", "constant:mu=1", "--level", "2",
-                 "--seed", "11"]) == 0
+    assert _run(tmp_path, monkeypatch, ["validate", "--seed", "11"]) == 0
 
 
 @pytest.mark.slow
@@ -177,3 +176,55 @@ def test_nonpositive_n_exits_2(tmp_path, monkeypatch, capsys, command):
         _run(tmp_path, monkeypatch, [command, *BASE, "--n", "0"])
     assert err.value.code == 2
     assert "--n" in capsys.readouterr().err
+
+
+RUN_FLAGS = ["--n", "--seed", "--streams", "--scan-from", "--grid-step",
+             "--max-iterations", "--verbose"]
+CONFIG_FLAGS = ["--model", "--x", "--level", "--variant", "--kappa", "--gamma0", "--m",
+                "--t0", "--rho", "--out"]
+FLAGS_READ = {
+    "sample": CONFIG_FLAGS + RUN_FLAGS + ["--k", "--workers", "--hist", "--bins"],
+    "bench": CONFIG_FLAGS + RUN_FLAGS + ["--k", "--workers"],
+    "split-scan": CONFIG_FLAGS + RUN_FLAGS + ["--k"],
+    "compare": CONFIG_FLAGS + RUN_FLAGS,
+    "validate": RUN_FLAGS,
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS_READ))
+def test_help_lists_exactly_the_flags_read(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args([command, "--help"])
+    assert err.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)) - {"--help"}
+    assert listed == set(FLAGS_READ[command])
+
+
+# a valid value for every flag some subcommand does not read
+DROPPED = {"--model": "constant:mu=1", "--x": "0", "--level": "2", "--variant": "a1",
+           "--kappa": "0.5", "--gamma0": "0.5", "--m": "0.1", "--t0": "1", "--rho": "3",
+           "--k": "3", "--workers": "2", "--out": "o.csv", "--hist": "h.csv", "--bins": "12"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command in sorted(FLAGS_READ) for flag in DROPPED
+    if flag not in FLAGS_READ[command]])
+def test_subcommand_rejects_flags_it_does_not_read(capsys, command, flag):
+    # validate fixes its own model and bounds; the other commands need theirs
+    base = [] if command == "validate" else ["--model", "sine", "--level", "2"]
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args([command, *base, flag, DROPPED[flag]])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag} {DROPPED[flag]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--model", "sine", "--level", "2", "--k", "20"],  # not --kappa 20
+    ["sample", *BASE, "--lev", "3"],                             # not --level 3
+    ["sample", *BASE, "--max-iter", "5"],                        # not --max-iterations 5
+], ids=["k-kappa", "lev-level", "max-iter"])
+def test_flags_are_spelled_in_full(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args(argv)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err

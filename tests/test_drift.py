@@ -41,10 +41,10 @@ def test_gamma_sine_bounded_between_zero_and_five():
 
 
 def test_gamma_clamp_only_with_nonnegative_claim():
+    # gamma is returned as computed: a value just below 0 is not clamped to 0
     wobble = custom_drift(lambda y: 0.0 * np.asarray(y, dtype=float),
                           lambda y: -1e-12 + 0.0 * np.asarray(y, dtype=float))
     assert eval_gamma(wobble, 1.0) == -5e-13
-    assert eval_gamma(wobble, 1.0, nonnegative=True) == 0.0
 
 
 def test_gamma_nonfinite_drift_raises_naming_point():
@@ -148,6 +148,17 @@ def test_scale_p_overflow_reports_numeric_error():
         eval_scale_p(constant_drift(1.0), -1000.0)
 
 
+def test_scale_integrals_raise_when_quad_does_not_converge():
+    # exp(-beta(u)) = |u - 1|^-1.5 is not integrable across u = 1; unchecked,
+    # quad returned p(1.7) = -4.39 for this positive, divergent integral
+    model = custom_drift(lambda y: 1.5 / (y - 1.0), lambda y: -1.5 / (y - 1.0) ** 2,
+                         beta_closed=lambda y: 1.5 * np.log(np.abs(y - 1.0)))
+    with pytest.raises(NumericError, match="did not converge"):
+        eval_scale_p(model, 1.7)
+    with pytest.raises(NumericError, match="did not converge"):
+        ScaleFunction(model).v(1.7)
+
+
 # ---------------------------------------------------------------------------
 # derivative consistency and Lamperti reduction
 # ---------------------------------------------------------------------------
@@ -183,6 +194,19 @@ def test_lamperti_quadratic_sigma_at_anchor():
     model = lamperti_drift(lambda y: 0.0, lambda y: 1.0 + y * y,
                            lambda y: 2.0 * y, x_anchor=0.0)
     assert float(model.b(0.0)) == pytest.approx(0.0, abs=1e-10)
+
+
+# eta(0) diverges here; the bracket search's quad warns and its value only bounds z
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("z", [-5.0, -1.0, 0.5, 2.0, 4.0])
+def test_lamperti_inverse_brackets_only_the_root_side(z):
+    # geometric BM, dX = 0.3 X dt + X dB: eta(y) = log y, so eta^-1(z) = e^z and
+    # the unit drift is 0.3 - 1/2; sigma(0) = 0 lies left of the anchor 1
+    gbm = lamperti_drift(lambda y: 0.3 * y, lambda y: y, lambda y: 1.0, x_anchor=1.0)
+    assert float(gbm.b(z)) == pytest.approx(-0.2, abs=1e-10)
+    # with b(y) = y^2 the unit drift is e^z - 1/2, which pins the inverse itself
+    square = lamperti_drift(lambda y: y * y, lambda y: y, lambda y: 1.0, x_anchor=1.0)
+    assert float(square.b(z)) == pytest.approx(math.exp(z) - 0.5, abs=1e-9)
 
 
 def test_lamperti_rejects_nonpositive_sigma():
