@@ -2,10 +2,11 @@
 
 All randomness flows through :class:`RandomStream`, a thin wrapper around a
 counter-based Philox bit generator.  A stream is addressed by a ``(seed,
-stream_id)`` pair (plus an optional substream path): equal addresses replay
-bitwise-identical draw sequences, distinct addresses give statistically
-independent sequences.  Replicas, split slices and helper processes therefore
-never share mutable generator state; they derive their own substreams.
+stream_id)`` pair (plus an optional substream path), which ``_derive_key``
+mixes into a Philox key: equal addresses replay bitwise-identical draw
+sequences, distinct addresses give statistically independent sequences.
+Replicas, split slices and helper processes therefore never share mutable
+generator state; they derive their own substreams.
 
 Scalar draws are served from internal buffers refilled in blocks, which keeps
 the per-draw cost low enough for the samplers' inner loops while preserving
@@ -13,6 +14,14 @@ determinism (the refill pattern depends only on the call sequence).
 :class:`LaneStreams` holds the same buffers for many streams side by side so
 that a vectorized sampler can read them in bulk; ``_block`` makes the refill
 blocks of both, so a lane sees exactly the values its stream would give.
+
+A stream's sequence is that of ``Philox(key=key)`` from counter 0, but no
+Philox is built per stream: building one costs about ten times as much as
+re-keying one through its state, most of it seeding from OS entropy that
+the key then overrides.  Streams and lane rows take a generator from a
+process-wide idle pool at their first refill, re-key it, and give it back
+when they are done; each generator has one owner at a time, so concurrent
+threads never share one.
 """
 
 import math
@@ -35,9 +44,15 @@ _TRIPLE = np.arange(3)[:, None]
 # attempts cap for the truncated-proposal rejection loop; unreachable in practice
 _TRUNC_ATTEMPT_CAP = 10**6
 
+# generators no stream or lane row holds (list.pop and list.append are atomic)
+_IDLE = []
+
 
 def _splitmix64(x):
-    """One SplitMix64 step; used to derive well-mixed Philox keys."""
+    """One SplitMix64 step; used to derive well-mixed Philox keys.
+
+    Works on a Python int and, word for word, on a uint64 array.
+    """
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -46,11 +61,48 @@ def _splitmix64(x):
 
 
 def _derive_key(seed, stream_id, path):
-    """Mix (seed, stream_id, *path) into a 2-word Philox key."""
+    """Mix (seed, stream_id, *path) into a 2-word Philox key.
+
+    A path word may be a uint64 array; the key words are then arrays too,
+    one key per element.
+    """
     s = _splitmix64(seed & _MASK64)
     for w in (stream_id, *path):
         s = _splitmix64(s ^ ((w & _MASK64) * 0xD1B54A32D192ED03 & _MASK64))
     return [_splitmix64(s), _splitmix64(s ^ 0xA5A5A5A5A5A5A5A5)]
+
+
+def _pooled():
+    """An idle generator, in whatever state, or a new one when none is idle."""
+    try:
+        return _IDLE.pop()
+    except IndexError:
+        return np.random.Generator(np.random.Philox(0))
+
+
+def _keyed(key, gen=None):
+    """``gen``, or else a pooled generator, where ``Philox(key=key)`` starts.
+
+    ``key`` is a ``_derive_key`` list.  Philox takes such a list through
+    ``np.asarray``, which turns a pair with one word on each side of 2**63
+    into float64, rounding both words to 53 bits; the pooled generator is
+    keyed with the words so converted, so it gives the same values.
+    """
+    if gen is None:
+        gen = _pooled()
+    with np.errstate(invalid="ignore"):  # a word rounded up to 2**64, as in Philox
+        words = np.asarray(key).astype(np.uint64).tolist()
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": (0, 0, 0, 0), "key": words},
+                               "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
+def _release(gen):
+    """Give a generator back to the pool; None is ignored."""
+    if gen is not None:
+        _IDLE.append(gen)
 
 
 def _block(gen, kind, out=None):
@@ -86,15 +138,15 @@ class RandomStream:
     substream per worker/replicate instead via :meth:`substream`.
     """
 
-    __slots__ = ("seed", "stream_id", "_path", "_gen",
+    __slots__ = ("_own", "seed", "stream_id", "_path", "_key",
                  "_nbuf", "_ni", "_ebuf", "_ei", "_ubuf", "_ui")
 
     def __init__(self, seed, stream_id=0, _path=()):
+        self._own = None  # the pooled generator, from the first refill on
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._path = tuple(int(p) for p in _path)
-        key = _derive_key(self.seed, self.stream_id, self._path)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._key = _derive_key(self.seed, self.stream_id, self._path)
         self._nbuf = []
         self._ni = 0
         self._ebuf = []
@@ -102,9 +154,28 @@ class RandomStream:
         self._ubuf = []
         self._ui = 0
 
+    def __del__(self):
+        _release(self._own)
+
+    @property
+    def _gen(self):
+        """The stream's generator, taken from the pool at its first use."""
+        if self._own is None:
+            self._own = _keyed(self._key)
+        return self._own
+
     def substream(self, *path):
         """Derive an independent stream addressed by (seed, stream_id, *path)."""
         return RandomStream(self.seed, self.stream_id, self._path + path)
+
+    def substream_keys(self, *words):
+        """The key of ``substream(*path)`` for every path the integer arrays ``words`` broadcast to.
+
+        The keys come in the arrays' C order; one numpy pass derives them all.
+        """
+        words = [np.asarray(w, dtype=np.int64).astype(np.uint64) for w in words]
+        k0, k1 = _derive_key(self.seed, self.stream_id, (*self._path, *words))
+        return [list(key) for key in zip(k0.ravel().tolist(), k1.ravel().tolist())]
 
     # -- raw scalar draws ----------------------------------------------------
 
@@ -160,32 +231,38 @@ class RandomStream:
 class LaneStreams:
     """The scalar buffers of many RandomStreams side by side, read in bulk.
 
-    Each lane reads one attached stream whose NORMAL, EXPONENTIAL and
-    UNIFORM buffers sit in a row of the matching array; the lane's place in
+    Each lane reads the stream of one key (see ``RandomStream.substream_keys``),
+    whose NORMAL, EXPONENTIAL and UNIFORM buffers sit in a row of the
+    matching array, drawn by the row's pooled generator; the lane's place in
     each is a flat index into it.  A read that runs past a row's end refills
-    the row from that stream's generator at the very draw where
-    RandomStream's lazy refill would happen, so a lane sees exactly the
-    values its stream would give scalar by scalar.  Lanes can be dropped
-    (:meth:`keep`); rows are never moved.
+    the row from that generator at the very draw where RandomStream's lazy
+    refill would happen, so a lane sees exactly the values its stream would
+    give scalar by scalar.  Lanes can be dropped (:meth:`keep`); rows are
+    never moved.
     """
 
-    def __init__(self, streams):
+    def __init__(self, keys):
         # the slack past each block is read, and its value ignored, by lanes
         # that do not consume; ones keep such reads finite and nonzero
-        self._rows = np.ones((3, len(streams), _ROW))
+        self._rows = np.ones((3, len(keys), _ROW))
         self._flat = [rows.reshape(-1) for rows in self._rows]
-        self._streams = list(streams)
+        self._gens = [_keyed(key) for key in keys]
         # a row's end is where its block stops; a fresh stream starts there,
         # so its first read of each kind refills like RandomStream's does
-        self.end = np.arange(len(streams)) * _ROW + _BUFLEN
+        self.end = np.arange(len(keys)) * _ROW + _BUFLEN
         self.pos = [self.end.copy() for _ in _BLOCK_DRAWS]
         # per kind, a lower bound on the draws every lane has left in its block
         self._room = [0, 0, 0]
 
-    def attach(self, lane, stream):
-        """Let a lane read a fresh stream from its row on."""
+    def __del__(self):
+        for gen in self._gens:
+            _release(gen)
+
+    def attach(self, lane, key):
+        """Let a lane read the stream of a fresh key from its row on."""
         end = self.end[lane]
-        self._streams[end // _ROW] = stream
+        r = end // _ROW
+        self._gens[r] = _keyed(key, self._gens[r])
         for pos in self.pos:
             pos[lane] = end
         self._room = [0, 0, 0]
@@ -225,17 +302,21 @@ class LaneStreams:
         row = self._rows[kind, end // _ROW]
         left = end - at
         head = row[at - end + _BUFLEN:_BUFLEN].copy()
-        _block(self._streams[end // _ROW]._gen, kind, row[:_BUFLEN])
+        _block(self._gens[end // _ROW], kind, row[:_BUFLEN])
         if count == 1:
             vals[j] = row[0]
         else:
             vals[:, j] = np.concatenate((head, row[:count - left]))
         return end - _BUFLEN + count - left
 
-    def stream(self, lane):
-        """The lane's RandomStream, its buffers set to where the lane stands."""
+    def stream(self, lane, stream):
+        """Set ``stream``, the fresh stream of the lane's key, to where the lane stands.
+
+        The stream gets its own generator in the state of the lane's.
+        """
         end = int(self.end[lane])
-        stream = self._streams[end // _ROW]
+        stream._own = _pooled()
+        stream._own.bit_generator.state = self._gens[end // _ROW].bit_generator.state
         bufs = [self._rows[kind, end // _ROW, :_BUFLEN].tolist() for kind in range(3)]
         at = [int(pos[lane]) - end + _BUFLEN for pos in self.pos]
         stream._nbuf, stream._ebuf, stream._ubuf = bufs

@@ -38,7 +38,8 @@ Poisson point per step, with a time-ordered and a height-ordered step.
 The lane kernel reads the same substreams in the same order with the same
 arithmetic, so the determinism contract is one for both: draw i of a batch
 is ``sample`` on substream ``start + i``, bit for bit, whatever the batch
-size or partition.  The lane width is the module constant _LANE_WIDTH, not
+size or partition, whichever pooled generator (see ``rng``) a stream or
+lane happens to draw with, and whatever other thread samples meanwhile.  The lane width is the module constant _LANE_WIDTH, not
 an option; batches too small to fill _LANE_MIN lanes, and the last few
 items of a batch, run on the scalar kernel, which stays the reference the
 lane kernel is tested against.
@@ -249,7 +250,8 @@ class _Lanes:
     """The rejection loops of a batch, one numpy lane per item.
 
     An item is one slice of one draw, ``key = draw * k + slice``, and reads
-    the substream the scalar path gives it.  Every step tests one Poisson
+    the substream the scalar path gives it, whose Philox key is derived up
+    front with every other item's.  Every step tests one Poisson
     point on every lane; a subclass supplies the step of its scan order
     (``_step``) and the scan state it keeps (``_init_scan``, ``_reset`` on a
     new proposal, ``_arrive`` for its first point).  A rejected lane draws
@@ -278,9 +280,13 @@ class _Lanes:
         self.slice_params = [np.array(p) for p in zip(*(part.params for part in plan.slices))]
         self.slice_gap = np.array([part.gap for part in plan.slices])
         self.slice_level = np.array([part.level for part in plan.slices])
+        # the key of every item's substream, in item order
+        draws = start + np.arange(n)
+        self.stream_keys = stream.substream_keys(draws) if k == 1 else \
+            stream.substream_keys(draws[:, None], np.arange(1, k + 1))
         self.key = np.arange(self.next_key, dtype=np.int32)
         m = len(self.key)
-        self.rng = LaneStreams([self._stream(key) for key in range(m)])
+        self.rng = LaneStreams(self.stream_keys[:m])
         self.gap = self.slice_gap[self.key % k]
         self.level = self.slice_level[self.key % k]
         self.T = np.ones(m)
@@ -417,7 +423,7 @@ class _Lanes:
                 self.gap[j] = self.slice_gap[key % self.k]
                 self.level[j] = self.slice_level[key % self.k]
                 self.rejections[j] = 0
-                self.rng.attach(j, self._stream(key))
+                self.rng.attach(j, self.stream_keys[key])
                 fresh[j] = True
             else:
                 self._kill(j)
@@ -426,8 +432,8 @@ class _Lanes:
     def _finish_scalar(self, j):
         """Run lane j's item to its end on the scalar kernel, from its next proposal on."""
         key = int(self.key[j])
-        T, points = _run_slice(self.plan, self.plan.slices[key % self.k], self.rng.stream(j),
-                               int(self.rejections[j]))
+        T, points = _run_slice(self.plan, self.plan.slices[key % self.k],
+                               self.rng.stream(j, self._stream(key)), int(self.rejections[j]))
         self.value[key] = T
         self.log_keys.append(np.full(len(points), key))
         self.log_tested.append((np.array(points) - 1) // 5)

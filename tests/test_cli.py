@@ -89,6 +89,30 @@ def test_bench_runs_and_reports(tmp_path, monkeypatch, capsys):
     assert rows[0][0] == "n"
 
 
+def test_split_bench_writes_no_identity(tmp_path, monkeypatch, capsys):
+    # the iteration identity holds for unsplit runs only: a split run leaves
+    # its three cells empty rather than report a z-score against a wrong target
+    code = _run(tmp_path, monkeypatch,
+                ["bench", *BASE, "--variant", "a1", "--k", "3", "--n", "200", "--seed", "2",
+                 "--out", "bench.csv"])
+    assert code == 0
+    assert "identity" not in capsys.readouterr().out
+    header, row = _rows(tmp_path / "bench.csv")
+    cells = dict(zip(header, row))
+    assert [cells[c] for c in ("identity_target", "z_score", "upper_bound")] == ["", "", ""]
+    assert float(cells["mean_iterations"]) > 0 and float(cells["mean_total_points"]) > 0
+
+
+def test_validate_threshold_scales_with_n(tmp_path, monkeypatch, capsys):
+    # at n = 200 an exact sampler's KS distance is ~0.06, far above the 0.02
+    # that suits the default n = 10000; the threshold is 2/sqrt(n)
+    code = _run(tmp_path, monkeypatch,
+                ["validate", "--n", "200", "--seed", "1", "--scan-from", "-50"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("PASS, threshold 0.1414)") == 4
+
+
 def test_invalid_combination_exits_2(tmp_path, monkeypatch):
     code = _run(tmp_path, monkeypatch,
                 ["sample", "--model", "sine", "--level", "2", "--kappa", "5",

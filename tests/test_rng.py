@@ -9,8 +9,10 @@ from scipy.integrate import quad
 
 from fptsim import (FptsimError, RandomStream, draw_brownian_fpt,
                     draw_inverse_gaussian, draw_truncated_brownian_fpt)
-from fptsim.rng import NORMAL, LaneStreams
+from fptsim.rng import NORMAL, LaneStreams, _keyed
 from fptsim.harness import brownian_fpt_cdf, ks_statistic, truncated_brownian_fpt_cdf, two_sample_ks
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def test_bitwise_reproducibility():
@@ -40,6 +42,79 @@ def test_substream_is_reproducible():
     a = RandomStream(5, 2).substream(13, 4)
     b = RandomStream(5, 2).substream(13, 4)
     assert [a.uniform() for _ in range(100)] == [b.uniform() for _ in range(100)]
+
+
+# the first two normals, exponentials and uniforms, as float hex, of
+# substreams 5, 6 and 7 of stream (20261018, 7), whose key words lie below
+# 2**63, at or above it, and one on each side; a change here changes every
+# realized sample
+PINNED_STREAMS = {
+    5: (["0x1.9047505b8a63dp-2", "-0x1.f8aa3fb2bf25bp-1"],
+        ["0x1.0ed78b092d03ap+1", "0x1.107fac12858b2p-2"],
+        ["0x1.c51f521a3a300p-5", "0x1.ef38a53d03a87p-1"]),
+    6: (["-0x1.a4253fe5f6a73p-1", "-0x1.30c1830c1c11bp+1"],
+        ["0x1.b4c9a03f86cc3p-1", "0x1.b6767b3863314p+1"],
+        ["0x1.f9f4312728350p-5", "0x1.fa614c26d42c6p-1"]),
+    7: (["0x1.1a3619c5beaa4p-3", "-0x1.d6b13ca4d1d55p+0"],
+        ["0x1.3b901f02b8266p-1", "0x1.14026264121a7p-1"],
+        ["0x1.20dcacfe686fcp-3", "0x1.ee09a1e154280p-2"]),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(PINNED_STREAMS))
+def test_stream_values_are_pinned(sub):
+    s = RandomStream(20261018, 7).substream(sub)
+    normals, exponentials, uniforms = PINNED_STREAMS[sub]
+    assert [s.normal().hex() for _ in range(2)] == normals
+    assert [s.exponential(1.0).hex() for _ in range(2)] == exponentials
+    assert [s.uniform().hex() for _ in range(2)] == uniforms
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")  # words near 2**64
+@pytest.mark.parametrize("key", [[1, 2], [2**63, 2**64 - 1], [2**63 - 1, 2**63],
+                                 [2**64 - 1, 5], [3, 2**64 - 2**10], [2**64 - 2**11 - 1, 2**62]])
+def test_pooled_generator_runs_the_philox_of_the_key(key):
+    # a pooled generator keyed through its state gives what a Philox built
+    # from the key list gives, numpy's rounding of a key with one word on
+    # each side of 2**63 included
+    pooled = _keyed(key)
+    pooled.random(7)  # a pooled generator starts over when re-keyed
+    pooled = _keyed(key, pooled)
+    fresh = np.random.Generator(np.random.Philox(key=key))
+    assert pooled.standard_normal(40).tolist() == fresh.standard_normal(40).tolist()
+    assert pooled.random(40).tolist() == fresh.random(40).tolist()
+
+
+# a step on a few streams that come and go: read one kind, or drop the stream
+STEPS = st.tuples(st.integers(0, 3),
+                  st.sampled_from(["normal", "normal3", "exponential", "uniform", "normals", "drop"]))
+
+
+def _read(stream, what):
+    if what == "normal3":
+        return list(stream.normal3())
+    if what == "normals":
+        return stream.normals(5).tolist()
+    return [stream.normal() if what == "normal" else getattr(stream, what)(1.0)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(steps=st.lists(STEPS, max_size=120))
+def test_pooled_streams_read_their_own_philox(steps):
+    # streams that take and give back pooled generators, in any interleaving,
+    # each read what a stream on a Philox built for its own key reads
+    live, twins, made = {}, {}, [0] * 4
+    for i, what in steps:
+        if what == "drop":
+            live.pop(i, None)
+            continue
+        if i not in live:
+            made[i] += 1
+            live[i] = RandomStream(49, i).substream(made[i])
+            twins[i] = RandomStream(49, i).substream(made[i])
+            twins[i]._own = np.random.Generator(np.random.Philox(key=twins[i]._key))
+        for _ in range(300):  # enough reads to cross a refill now and then
+            assert _read(live[i], what) == _read(twins[i], what)
 
 
 def test_exponential_mean_convention():
@@ -171,9 +246,8 @@ class TestTruncatedBrownianFpt:
 def test_lane_streams_masked_triple_read():
     # each marked lane reads what normal3 gives its stream, across refills
     # too; an unmarked lane stays where it is
-    streams = [RandomStream(45, 1).substream(i) for i in range(5)]
     twins = [RandomStream(45, 1).substream(i) for i in range(5)]
-    lanes = LaneStreams(streams)
+    lanes = LaneStreams(RandomStream(45, 1).substream_keys(np.arange(5)))
     pick = np.random.default_rng(46)
     # single reads put the lanes at different offsets from the block end
     for count in range(5):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -482,6 +484,42 @@ def test_batch_is_bit_identical_to_single_draws(name):
         normals = [3 * (d.stats.total_points - 2 * d.stats.iterations) // 5
                    + d.stats.iterations for d in batch]
         assert sum(k > 1024 for k in normals) > 100
+
+
+def test_concurrent_batches_draw_what_serial_ones_do():
+    # batches in two threads take their generators from one pool, never the
+    # same one at once: each gives what it gives alone
+    jobs = [(LANE_CONFIGS[name], 20261018, 10 + i)
+            for i, name in enumerate(["a1", "split20", "a2", "a3"])]
+
+    def run(cfg, seed, stream_id):
+        return sample_batch(cfg, 60, RandomStream(seed, stream_id), start=3)
+
+    serial = [run(*job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so their refills interleave
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            threaded = [f.result() for f in [pool.submit(run, *job) for job in jobs]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_repeated_batch_builds_no_generator(monkeypatch):
+    # generators are pooled: a second batch re-keys the first one's
+    cfg = LANE_CONFIGS["split20"]
+    sample_batch(cfg, 30, RandomStream(136))
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    sample_batch(cfg, 30, RandomStream(136))
+    assert built == []
 
 
 PARTITION_CONFIGS = {
