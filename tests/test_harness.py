@@ -229,6 +229,45 @@ def test_delta_compare_raises_on_certificate_breach(name):
         delta_compare(cfg, n, RandomStream(seed))
 
 
+def _clamped_arctan_config():
+    # the clamped field of test_delta_comparator_wide_level_with_clamped_field
+    model = arctan_shift_drift()
+    base_gamma = model.gamma_scalar
+    clamped = dataclasses.replace(model,
+                                  gamma_scalar=lambda y: max(0.0, base_gamma(y)))
+    kappa = 0.5 * (1.0 + math.pi / 2.0) ** 2
+    return SamplerConfig(x=0.0, L=2.0, model=clamped,
+                         cert=BoundCertificate(kappa=kappa, domain_hint=-100.0))
+
+
+_SINE_COMPARE = SamplerConfig(x=0.0, L=2.0, model=sine_drift(),
+                              cert=BoundCertificate(kappa=5.0, domain_hint=-100.0))
+COMPARE_CONFIGS = {
+    "sine-a1": (_SINE_COMPARE, 400),
+    "sine-a2": (dataclasses.replace(_SINE_COMPARE, variant="a2"), 300),
+    "clamped-arctan": (_clamped_arctan_config(), 300),
+}
+# (mean_delta, std_delta, mean_n1, mean_n2).hex() of delta_compare on stream
+# (20261018, 11); any change here changes the comparator's realized draws
+PINNED_COMPARE = {
+    "sine-a1": ["-0x1.edf0a3d70a3d7p+7", "0x1.b7ab61956ec7ep+10",
+                "0x1.bf44ccccccccdp+10", "0x1.8186b851eb852p+10"],
+    "sine-a2": ["-0x1.0c75c28f5c28fp+8", "0x1.bbae5e6dc42a6p+10",
+                "0x1.bc3e147ae147bp+10", "0x1.7920a3d70a3d7p+10"],
+    "clamped-arctan": ["-0x1.51947ae147ae1p+7", "0x1.a245b23bc08f5p+7",
+                       "0x1.ff2aaaaaaaaabp+7", "0x1.5b2c5f92c5f93p+6"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COMPARE))
+def test_compare_output_is_pinned(name):
+    cfg, n = COMPARE_CONFIGS[name]
+    report = delta_compare(cfg, n, RandomStream(20261018, 11))
+    got = [v.hex() for v in (report.mean_delta, report.std_delta,
+                             report.mean_n1, report.mean_n2)]
+    assert got == PINNED_COMPARE[name]
+
+
 def test_delta_compare_rejects_nonplain_configs():
     from fptsim.errors import ConfigError
     cfg = SamplerConfig(x=0.0, L=2.0, model=sine_drift(),
