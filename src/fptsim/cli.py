@@ -96,7 +96,7 @@ def _config_flags(p):
 def _batch_flags(p):
     """Slice count and process count of a command that runs one batch (sample, bench)."""
     p.add_argument("--k", type=_positive_int, default=1, help="slice count (default 1)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
 
 def _sweep_flags(p):
@@ -106,7 +106,7 @@ def _sweep_flags(p):
 
 def _hist_flags(p):
     p.add_argument("--hist", default=None, help="also write a density histogram CSV here")
-    p.add_argument("--bins", type=int, default=60, help="histogram bins for --hist")
+    p.add_argument("--bins", type=_positive_int, default=60, help="histogram bins for --hist")
 
 
 def _resolve_claim(args, scan):

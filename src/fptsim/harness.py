@@ -16,10 +16,9 @@ import numpy as np
 from scipy import stats as sstats
 
 from .bridge import BridgeSkeleton, bisect_insert
-from .drift import eval_beta, eval_scale_p, gamma_fn
+from .drift import eval_beta, eval_scale_p
 from .errors import BudgetError, ConfigError, FptsimError, NumericError
-from .rng import _brownian_fpt_value
-from .samplers import _FIELD_NEG_TOL, _FIELD_POS_TOL, _field_breach, validate_config
+from .samplers import _point_field, _prepare
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +238,22 @@ class DeltaReport:
 
 
 class _PointFeed:
-    """Lazily materialized Poisson points on [0, T] x [0, kappa], index order.
+    """Lazily materialized Poisson points on [0, T] x [0, kappa], index order,
+    and the iteration's bridge skeleton that both scans refine.
 
     Each scan walks the points by index and stops at its first hit, so only
     the prefix either scan actually visits is ever generated; the heavy tail
     of the proposal T never forces a full enumeration of the rectangle.
     """
 
-    __slots__ = ("stream", "T", "kappa", "mean", "times", "heights", "next_t", "done")
+    __slots__ = ("stream", "T", "kappa", "mean", "skel", "times", "heights", "next_t", "done")
 
-    def __init__(self, stream, T, kappa):
+    def __init__(self, stream, T, kappa, gap):
         self.stream = stream
         self.T = T
         self.kappa = kappa
         self.mean = 1.0 / kappa
+        self.skel = BridgeSkeleton(T, gap)
         self.times = []
         self.heights = []
         self.next_t = stream.exponential(self.mean)
@@ -267,7 +268,7 @@ class _PointFeed:
         return k < len(self.times)
 
 
-def _coupled_scan(feed, field_at, image):
+def _coupled_scan(feed, gamma, level, image):
     """One scan over the shared points; returns (accepted, variates_consumed).
 
     The time-ordered scan tests the points (t_k, h_k), the height-ordered one
@@ -278,23 +279,24 @@ def _coupled_scan(feed, field_at, image):
     """
     T = feed.T
     kappa = feed.kappa
-    lo = -_FIELD_NEG_TOL
-    hi = kappa + _FIELD_POS_TOL
+    skel = feed.skel
+    gap = skel.drift_gap
+    stream = feed.stream
     k = 0
     while feed.has(k):
         time, height = feed.times[k], feed.heights[k]
         if image:
             time, height = height * T / kappa, time * kappa / T
-        f = field_at(time)
-        if not lo <= f <= hi:  # written so that a NaN field is a breach too
-            raise _field_breach(f, kappa)
-        if height <= f:
+        value = bisect_insert(skel, time, stream) if time > 0.0 else skel.values[0]
+        rx = time * gap / T + value[0]
+        r = math.sqrt(rx * rx + value[1] * value[1] + value[2] * value[2])
+        if height <= _point_field(gamma, level - r, 0.0, 0.0, kappa):
             return False, 1 + 5 * (k + 1)
         k += 1
     return True, 1 + 5 * len(feed.times)
 
 
-def _coupled_totals(config, stream):
+def _coupled_totals(plan, stream):
     """One replicate: total variate counts of both scans on shared randomness.
 
     Per iteration both mechanizations consume the same realization: the
@@ -306,60 +308,39 @@ def _coupled_totals(config, stream):
     shared skeleton so the runs stay tightly coupled; each run keeps its own
     acceptance decision, preserving its marginal law.
     """
-    gap = config.gap
-    level = config.L
-    kappa = config.cert.kappa
-    gamma = gamma_fn(config.model)
+    if plan.ceiling <= 0.0:
+        return 1, 1  # empty thinning domain: both scans accept the first proposal
+    part = plan.slices[0]
     done1 = done2 = False
     n1 = n2 = 0
     i1 = i2 = 0
-    it = 0
-    while not (done1 and done2):
-        it += 1
-        if it > config.max_iterations:
-            raise BudgetError(f"coupled comparator exceeded {config.max_iterations} iterations")
-        T = _brownian_fpt_value(stream, gap)
-        if kappa <= 0.0:
-            # empty thinning domain: both scans accept outright, zero variates
-            if not done1:
-                i1 += 1
-                done1 = True
-            if not done2:
-                i2 += 1
-                done2 = True
-            break
-        feed = _PointFeed(stream, T, kappa)
-        skel = BridgeSkeleton(T, gap)
-
-        def field_at(time):
-            if time <= 0.0:
-                value = (0.0, 0.0, 0.0)
-            else:
-                value = bisect_insert(skel, time, stream)
-            rx = time * gap / T + value[0]
-            r = math.sqrt(rx * rx + value[1] ** 2 + value[2] ** 2)
-            return gamma(level - r)
-
+    for _ in range(plan.max_iterations):
+        T = plan.proposal.draw(stream, *part.params)
+        feed = _PointFeed(stream, T, plan.ceiling, part.gap)
         if not done1:
             i1 += 1
-            done1, cost = _coupled_scan(feed, field_at, image=False)
+            done1, cost = _coupled_scan(feed, plan.gamma, part.level, image=False)
             n1 += cost
         if not done2:
             i2 += 1
-            done2, cost = _coupled_scan(feed, field_at, image=True)
+            done2, cost = _coupled_scan(feed, plan.gamma, part.level, image=True)
             n2 += cost
-    return i1 + n1, i2 + n2
+        if done1 and done2:
+            return i1 + n1, i2 + n2
+    raise BudgetError(f"coupled comparator exceeded {plan.max_iterations} iterations")
 
 
 def delta_compare(config, n, stream):
     """Replicated cost difference N2 - N1 between the two thinning mechanizations."""
-    validate_config(config)
+    if n < 1:
+        raise ConfigError(f"delta_compare needs n >= 1 replicates, got {n}")
+    plan = _prepare(config)
     if config.variant not in ("a1", "a2") or config.split_k != 1 or config.rho is not None:
         raise ConfigError("delta_compare runs on the plain a1/a2 configuration")
     totals1 = np.empty(n)
     totals2 = np.empty(n)
     for rep in range(n):
-        totals1[rep], totals2[rep] = _coupled_totals(config, stream.substream(rep))
+        totals1[rep], totals2[rep] = _coupled_totals(plan, stream.substream(rep))
     deltas = totals2 - totals1
     mean = float(deltas.mean())
     std = float(deltas.std(ddof=1)) if n > 1 else 0.0

@@ -116,15 +116,9 @@ def _block(gen, kind, out=None):
 
 @dataclass
 class ProposalDraw:
-    """A candidate first-passage time and the law it was drawn from.
-
-    ``params`` records the gap L - x plus the variant-specific parameter
-    (gamma0 for the inverse-Gaussian proposal, t0 for the truncated one).
-    """
+    """A candidate first-passage time."""
 
     value: float
-    law_tag: str
-    params: tuple
 
     def __post_init__(self):
         if not self.value > 0.0:
@@ -355,7 +349,7 @@ def draw_brownian_fpt(stream, gap):
     """First-passage time of standard Brownian motion through a level gap > 0 away."""
     if not gap > 0.0:
         raise FptsimError(f"gap must be positive, got {gap}")
-    return ProposalDraw(_brownian_fpt_value(stream, gap), "brownian-fpt", (gap,))
+    return ProposalDraw(_brownian_fpt_value(stream, gap))
 
 
 def _inverse_gaussian_value(stream, mu, lam):
@@ -385,7 +379,7 @@ def draw_inverse_gaussian(stream, mu, lam):
     """Inverse-Gaussian IG(mu, lam) variate via the Michael-Schucany-Haas generator."""
     if not (mu > 0.0 and lam > 0.0):
         raise FptsimError(f"IG parameters must be positive, got mu={mu}, lambda={lam}")
-    return ProposalDraw(_inverse_gaussian_value(stream, mu, lam), "inverse-gaussian", (mu, lam))
+    return ProposalDraw(_inverse_gaussian_value(stream, mu, lam))
 
 
 def _truncated_brownian_fpt_value(stream, gap, t0):
@@ -441,5 +435,4 @@ def draw_truncated_brownian_fpt(stream, gap, t0):
     """Brownian first-passage time conditioned on occurring before t0."""
     if not (gap > 0.0 and t0 > 0.0):
         raise FptsimError(f"gap and t0 must be positive, got gap={gap}, t0={t0}")
-    return ProposalDraw(_truncated_brownian_fpt_value(stream, gap, t0),
-                        "truncated-brownian-fpt", (gap, t0))
+    return ProposalDraw(_truncated_brownian_fpt_value(stream, gap, t0))

@@ -52,7 +52,7 @@ once each through the iteration count, and the headline cost figure is
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,7 +81,7 @@ class RunStats:
 
     iterations: int
     points_per_iteration: tuple
-    total_points: int = 0
+    total_points: int = field(init=False)
 
     def __post_init__(self):
         if self.iterations < 1 or len(self.points_per_iteration) != self.iterations:
@@ -154,10 +154,19 @@ def validate_config(config):
 # ---------------------------------------------------------------------------
 
 
-def _field_breach(value, ceiling):
-    return ModelError(
-        f"thinning field {value:.6g} escapes [0, {ceiling:.6g}]; "
-        "the bound certificate does not hold along the sampled path")
+def _point_field(gamma, y, shift, lift, ceiling):
+    """The thinning field f = gamma(y) - shift + lift at one Poisson point.
+
+    Every scalar thinning test reads its field from here.  A field outside
+    [0, ceiling], up to the breach pads, means the bound certificate does not
+    hold along the sampled path and raises; a NaN field does too.
+    """
+    f = gamma(y) - shift + lift
+    if not -_FIELD_NEG_TOL <= f <= ceiling + _FIELD_POS_TOL:  # False on NaN too
+        raise ModelError(
+            f"thinning field {f:.6g} escapes [0, {ceiling:.6g}]; "
+            "the bound certificate does not hold along the sampled path")
+    return f
 
 
 def _thin_time_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
@@ -175,8 +184,6 @@ def _thin_time_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
     bx = by = bz = 0.0
     t = stream.exponential(mean)
     n = 1
-    lo = -_FIELD_NEG_TOL
-    hi = ceiling + _FIELD_POS_TOL
     while t <= T:
         n += 5
         g1, g2, g3 = stream.normal3()
@@ -188,10 +195,7 @@ def _thin_time_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
         bz = a * bz + s * g3
         rx = t * gap / T + bx
         r = math.sqrt(rx * rx + by * by + bz * bz)
-        f = gamma(level - r) - shift + lift
-        if not lo <= f <= hi:  # written so that a NaN field is a breach too
-            raise _field_breach(f, ceiling)
-        if ceiling * v <= f:
+        if ceiling * v <= _point_field(gamma, level - r, shift, lift, ceiling):
             return False, n
         t_prev = t
         t += stream.exponential(mean)
@@ -211,8 +215,6 @@ def _thin_height_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
     mean = 1.0 / T
     height = stream.exponential(mean)
     n = 1
-    lo = -_FIELD_NEG_TOL
-    hi = ceiling + _FIELD_POS_TOL
     while height <= ceiling:
         n += 5
         u = stream.uniform(T)
@@ -220,10 +222,7 @@ def _thin_height_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
         e_next = stream.exponential(mean)
         rx = u * gap / T + value[0]
         r = math.sqrt(rx * rx + value[1] * value[1] + value[2] * value[2])
-        f = gamma(level - r) - shift + lift
-        if not lo <= f <= hi:  # written so that a NaN field is a breach too
-            raise _field_breach(f, ceiling)
-        if height <= f:
+        if height <= _point_field(gamma, level - r, shift, lift, ceiling):
             return False, n
         height += e_next
     return True, n
@@ -296,12 +295,10 @@ class _Lanes:
         if self.lifted:
             self.lift = np.zeros(m)
             self.ceiling = np.ones(m)
-            self.hi = np.ones(m)
             self.tol = np.ones(m)
-            self.state += ["lift", "ceiling", "hi", "tol"]
+            self.state += ["lift", "ceiling", "tol"]
         else:
             self.ceiling = plan.ceiling
-            self.hi = plan.ceiling + _FIELD_POS_TOL
             self.tol = _RECHECK_TOL * max(1.0, plan.ceiling)
         self._init_scan(m)
         self.live = np.ones(m, dtype=bool)
@@ -339,11 +336,19 @@ class _Lanes:
         if self.lifted:
             f += self.lift
         margin = np.minimum(np.abs(threshold - f),
-                            np.minimum(f + _FIELD_NEG_TOL, self.hi - f))
+                            np.minimum(f + _FIELD_NEG_TOL, self.ceiling + _FIELD_POS_TOL - f))
         clear = margin > self.tol  # False on a NaN field too
         if np.count_nonzero(clear) < len(clear):
             self._recheck(f, y, (~clear).nonzero()[0])
         return threshold <= f
+
+    def _thin_at(self, t, value, threshold):
+        """``_thin`` at the bridge point (t, value) of every lane, value (3, lanes):
+        the Bessel functional there, then the field at level minus it."""
+        rx = t * self.gap / self.T + value[0]
+        by = value[1]
+        bz = value[2]
+        return self._thin(self.level - np.sqrt(rx * rx + by * by + bz * bz), threshold)
 
     def _recheck(self, f, y, lanes):
         """f on the listed lanes as the scalar kernel computes it; raises on a breach."""
@@ -351,10 +356,7 @@ class _Lanes:
         for j in lanes.tolist():
             lift = float(self.lift[j]) if self.lifted else 0.0
             ceiling = float(self.ceiling[j]) if self.lifted else self.ceiling
-            fj = plan.gamma(float(y[j])) - plan.shift + lift
-            if not -_FIELD_NEG_TOL <= fj <= ceiling + _FIELD_POS_TOL:
-                raise _field_breach(fj, ceiling)
-            f[j] = fj
+            f[j] = _point_field(plan.gamma, float(y[j]), plan.shift, lift, ceiling)
 
     def _reject(self, rejected, s):
         """End the iteration on each lane ``rejected`` marks.
@@ -392,7 +394,6 @@ class _Lanes:
             ceiling = plan.ceiling + lift
             np.copyto(self.lift, lift, where=which)
             np.copyto(self.ceiling, ceiling, where=which)
-            np.copyto(self.hi, ceiling + _FIELD_POS_TOL, where=which)
             np.copyto(self.tol, _RECHECK_TOL * np.maximum(1.0, ceiling), where=which)
         np.copyto(self.start, s + 1, where=which)
         self._reset(which)
@@ -512,11 +513,7 @@ class _TimeLanes(_Lanes):
         b *= left / span
         g *= np.sqrt(left * (t - tp) / span)
         b += g
-        rx = t * self.gap / T + b[0]
-        by = b[1]
-        bz = b[2]
-        rejected = self._thin(self.level - np.sqrt(rx * rx + by * by + bz * bz),
-                              self.ceiling * v)
+        rejected = self._thin_at(t, b, self.ceiling * v)
         fresh = self._reject(rejected, s)
         # a fresh proposal's first arrival is this step's exponential
         self.tp = t if fresh is None else np.where(fresh, 0.0, t)
@@ -559,14 +556,10 @@ class _HeightLanes(_Lanes):
 
     def _step(self, s):
         rng = self.rng
-        T = self.T
-        u = T * rng.take(UNIFORM)
+        u = self.T * rng.take(UNIFORM)
         value = self._insert(u)
         climb = self.mean * rng.take(EXPONENTIAL)
-        rx = u * self.gap / T + value[0]
-        by = value[1]
-        bz = value[2]
-        rejected = self._thin(self.level - np.sqrt(rx * rx + by * by + bz * bz), self.height)
+        rejected = self._thin_at(u, value, self.height)
         self.height += climb
         fresh = self._reject(rejected, s)
         if fresh is not None:
@@ -801,6 +794,8 @@ def sample_batch(config, n, stream, start=0):
     The draws run on the lane kernel, which gives the same draws as
     ``sample`` on each substream; ``stream`` must be a RandomStream.
     """
+    if n < 0:
+        raise ConfigError(f"sample_batch needs n >= 0, got {n}")
     plan = _prepare(config)
     if plan.ceiling > 0.0 and n * len(plan.slices) >= _LANE_MIN:
         try:

@@ -202,6 +202,17 @@ def test_nonpositive_n_exits_2(tmp_path, monkeypatch, capsys, command):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--bins", "0"), ("--workers", "-3")])
+def test_nonpositive_bins_and_workers_exit_2(tmp_path, monkeypatch, capsys, flag, value):
+    # argparse rejects the value before a draw is made or a file written
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, monkeypatch,
+             ["sample", *BASE, "--n", "2000", "--hist", "h.csv", flag, value])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 RUN_FLAGS = ["--n", "--seed", "--streams", "--scan-from", "--grid-step",
              "--max-iterations", "--verbose"]
 CONFIG_FLAGS = ["--model", "--x", "--level", "--variant", "--kappa", "--gamma0", "--m",

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from fptsim import (BoundCertificate, RandomStream, SampleSet, SamplerConfig,
                     iteration_identity_check, iteration_identity_target,
                     ks_statistic, ou_drift, rho_distance_bound, sample_batch,
                     sine_drift, two_sample_ks, xi_normalization)
-from fptsim.harness import (brownian_fpt_cdf, geometric_iteration_gof,
+from fptsim.errors import ConfigError
+from fptsim.harness import (_PointFeed, brownian_fpt_cdf, geometric_iteration_gof,
                             histogram_export)
 from fptsim.samplers import poisson_time_points
 from scipy import stats as sstats
@@ -138,11 +140,23 @@ def test_delta_zero_for_empty_field():
     assert report.std_delta == 0.0
 
 
-def test_delta_comparator_point_counts_are_poisson():
+def _feed_times(stream, T, kappa):
+    # every point of the comparator's feed, enumerated as the scans walk it
+    feed = _PointFeed(stream, T, kappa, 1.0)
+    k = 0
+    while feed.has(k):
+        k += 1
+    assert all(0.0 <= h < kappa for h in feed.heights)
+    return feed.times
+
+
+@pytest.mark.parametrize("points", [poisson_time_points, _feed_times],
+                         ids=["poisson_time_points", "point_feed"])
+def test_delta_comparator_point_counts_are_poisson(points):
     # the time marginal feeding both scans is a rate-kappa Poisson stream
     T, kappa = 3.0, 5.0
     s = RandomStream(64)
-    counts = np.array([len(poisson_time_points(s, T, kappa)) for _ in range(3000)])
+    counts = np.array([len(points(s, T, kappa)) for _ in range(3000)])
     lam = kappa * T
     ks = np.arange(0, counts.max() + 1)
     pmf = sstats.poisson.pmf(ks, lam)
@@ -179,19 +193,21 @@ def test_delta_comparator_marginals_match_native_costs():
     assert report.mean_delta < 0
 
 
-def test_delta_comparator_wide_level_with_clamped_field():
-    # characterization: widening the level to 2 while clamping the field at
-    # zero (it dips negative near the level) produces the strong cost
-    # asymmetry between the two scans: mean about -170, ratio about -0.67
+def _clamped_arctan_config():
     model = arctan_shift_drift()
     base_gamma = model.gamma_scalar
     clamped = dataclasses.replace(model,
                                   gamma_scalar=lambda y: max(0.0, base_gamma(y)))
     kappa = 0.5 * (1.0 + math.pi / 2.0) ** 2
-    cfg = SamplerConfig(x=0.0, L=2.0, model=clamped,
-                        cert=BoundCertificate(kappa=kappa, domain_hint=-100.0),
-                        variant="a1")
-    report = delta_compare(cfg, 2000, RandomStream(68))
+    return SamplerConfig(x=0.0, L=2.0, model=clamped,
+                         cert=BoundCertificate(kappa=kappa, domain_hint=-100.0))
+
+
+def test_delta_comparator_wide_level_with_clamped_field():
+    # characterization: widening the level to 2 while clamping the field at
+    # zero (it dips negative near the level) produces the strong cost
+    # asymmetry between the two scans: mean about -170, ratio about -0.67
+    report = delta_compare(_clamped_arctan_config(), 2000, RandomStream(68))
     assert -203.6 < report.mean_delta < -135.8
     assert -0.77 < report.ratio < -0.57
 
@@ -229,17 +245,6 @@ def test_delta_compare_raises_on_certificate_breach(name):
         delta_compare(cfg, n, RandomStream(seed))
 
 
-def _clamped_arctan_config():
-    # the clamped field of test_delta_comparator_wide_level_with_clamped_field
-    model = arctan_shift_drift()
-    base_gamma = model.gamma_scalar
-    clamped = dataclasses.replace(model,
-                                  gamma_scalar=lambda y: max(0.0, base_gamma(y)))
-    kappa = 0.5 * (1.0 + math.pi / 2.0) ** 2
-    return SamplerConfig(x=0.0, L=2.0, model=clamped,
-                         cert=BoundCertificate(kappa=kappa, domain_hint=-100.0))
-
-
 _SINE_COMPARE = SamplerConfig(x=0.0, L=2.0, model=sine_drift(),
                               cert=BoundCertificate(kappa=5.0, domain_hint=-100.0))
 COMPARE_CONFIGS = {
@@ -268,8 +273,15 @@ def test_compare_output_is_pinned(name):
     assert got == PINNED_COMPARE[name]
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_delta_compare_needs_a_replicate(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="n >= 1"):
+            delta_compare(_SINE_COMPARE, n, RandomStream(1))
+
+
 def test_delta_compare_rejects_nonplain_configs():
-    from fptsim.errors import ConfigError
     cfg = SamplerConfig(x=0.0, L=2.0, model=sine_drift(),
                         cert=BoundCertificate(kappa=5.0, gamma0=0.25),
                         variant="a1-shift")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fptsim import (BoundCertificate, BudgetError, ConfigError, ModelError,
-                    RandomStream, SamplerConfig, constant_drift, custom_drift,
+                    RandomStream, RunStats, SamplerConfig, constant_drift, custom_drift,
                     ig_cdf, neg_arctan_drift, optimal_split_count, ou_drift,
                     sample, sample_batch, sine_drift, truncate_drift,
                     truncated_ou_kappa)
@@ -255,6 +255,19 @@ def test_runtime_certificate_breach_detected():
     single = _raised(_scalar_batch, cfg, 50, RandomStream(117))
     assert type(batch) is ModelError
     assert str(batch) == str(single)
+
+
+def test_total_points_is_derived_not_given():
+    assert RunStats(2, (5, 6)).total_points == 13
+    with pytest.raises(TypeError):
+        RunStats(2, (5, 6), total_points=999)
+
+
+def test_negative_batch_size_is_a_config_error():
+    cfg = SamplerConfig(x=0.0, L=2.0, model=UNIT, cert=CERT_HALF)
+    assert sample_batch(cfg, 0, RandomStream(1)) == []
+    with pytest.raises(ConfigError, match="n >= 0"):
+        sample_batch(cfg, -3, RandomStream(1))
 
 
 def test_total_points_identity_on_every_draw():
