@@ -93,23 +93,30 @@ def bisect_insert(skel, u, stream):
     T = skel.horizon
     if not 0.0 < u < T:
         raise ValueError(f"insertion time must lie strictly inside (0, {T}), got {u}")
-    i = bisect.bisect_left(skel.times, u)
-    for j in (i - 1, i):
-        if 0 <= j < len(skel.times) and abs(skel.times[j] - u) <= _TIME_EPS:
-            return skel.values[j]
-    t0 = skel.times[i - 1]
-    t1 = skel.times[i]
-    v0 = skel.values[i - 1]
-    v1 = skel.values[i]
+    times = skel.times
+    values = skel.values
+    # the knots at 0 and T bound u, so t0 < u <= t1
+    i = bisect.bisect_left(times, u)
+    t0 = times[i - 1]
+    t1 = times[i]
+    if u - t0 <= _TIME_EPS:
+        return values[i - 1]
+    if t1 - u <= _TIME_EPS:
+        return values[i]
+    value = bridge_between(t0, values[i - 1], t1, values[i], u, stream)
+    times.insert(i, u)
+    values.insert(i, value)
+    return value
+
+
+def bridge_between(t0, v0, t1, v1, u, stream):
+    """The bridge value at u, t0 < u < t1, given its values v0 at t0 and v1 at t1."""
     w = (u - t0) / (t1 - t0)
     s = math.sqrt((t1 - u) * (u - t0) / (t1 - t0))
     g1, g2, g3 = stream.normal3()
-    value = (v0[0] + (v1[0] - v0[0]) * w + s * g1,
-             v0[1] + (v1[1] - v0[1]) * w + s * g2,
-             v0[2] + (v1[2] - v0[2]) * w + s * g3)
-    skel.times.insert(i, u)
-    skel.values.insert(i, value)
-    return value
+    return (v0[0] + (v1[0] - v0[0]) * w + s * g1,
+            v0[1] + (v1[1] - v0[1]) * w + s * g2,
+            v0[2] + (v1[2] - v0[2]) * w + s * g3)
 
 
 def bessel_norm(drift_gap, horizon, t, beta_t):

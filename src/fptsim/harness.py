@@ -6,6 +6,12 @@ Brownian motion, exact Kolmogorov-Smirnov distances, the iteration-count
 identities, a coupled comparator for the two thinning mechanizations, and an
 Euler-Maruyama oracle with the Brownian-bridge crossing correction for models
 without a closed form.
+
+The comparator is the one heavy user here, so it has a lane kernel like
+``sample_batch``'s (``_CoupledLanes``): from _LANE_MIN replicates on,
+``delta_compare`` runs them as numpy lanes, which need a ``RandomStream``,
+and every replicate's totals are the scalar ``_coupled_totals`` on its
+substream, bit for bit.
 """
 
 import csv
@@ -15,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sstats
 
-from .bridge import BridgeSkeleton, bisect_insert
+from .bridge import _TIME_EPS, BridgeSkeleton, bisect_insert, bridge_between
 from .drift import eval_beta, eval_scale_p
 from .errors import BudgetError, ConfigError, FptsimError, NumericError
-from .samplers import _point_field, _prepare
+from .rng import EXPONENTIAL, NORMAL, UNIFORM
+from .samplers import _LANE_MIN, _Lanes, _bessel, _point_field, _prepare, _run_batch
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +71,14 @@ def ig_pdf(t, gap, mu_drift):
     return out if out.ndim else float(out)
 
 def ig_cdf(t, gap, mu_drift):
-    """Matching CDF via the standard two-Gaussian-CDF composition for IG laws."""
+    """Matching CDF via the standard two-Gaussian-CDF composition for IG laws.
+
+    At ``mu_drift == 0`` this is its limit, the driftless ``brownian_fpt_cdf``.
+    A drift away from the level (``mu_drift < 0``) gives the defective CDF of a
+    passage that may never happen: its mass is ``exp(2 * mu_drift * gap)``.
+    """
+    if mu_drift == 0.0:
+        return brownian_fpt_cdf(t, gap)
     t = np.asarray(t, dtype=float)
     mu = gap / mu_drift          # IG mean
     lam = gap * gap              # IG shape
@@ -259,6 +273,24 @@ class _PointFeed:
         self.next_t = stream.exponential(self.mean)
         self.done = self.next_t > T
 
+    @classmethod
+    def after_first(cls, stream, T, kappa, gap, t0, h0, t1, knots):
+        """The feed whose first point (t0, h0) and next arrival t1 are drawn,
+        with the skeleton's knots ``knots``, (time, value) in time order."""
+        feed = cls.__new__(cls)
+        feed.stream = stream
+        feed.T = T
+        feed.kappa = kappa
+        feed.mean = 1.0 / kappa
+        feed.skel = BridgeSkeleton(T, gap)
+        feed.skel.times[1:1] = [t for t, _ in knots]
+        feed.skel.values[1:1] = [v for _, v in knots]
+        feed.times = [t0]
+        feed.heights = [h0]
+        feed.next_t = t1
+        feed.done = t1 > T
+        return feed
+
     def has(self, k):
         while not self.done and len(self.times) <= k:
             self.times.append(self.next_t)
@@ -282,9 +314,11 @@ def _coupled_scan(feed, gamma, level, image):
     skel = feed.skel
     gap = skel.drift_gap
     stream = feed.stream
+    times = feed.times
+    heights = feed.heights
     k = 0
-    while feed.has(k):
-        time, height = feed.times[k], feed.heights[k]
+    while k < len(times) or feed.has(k):
+        time, height = times[k], heights[k]
         if image:
             time, height = height * T / kappa, time * kappa / T
         value = bisect_insert(skel, time, stream) if time > 0.0 else skel.values[0]
@@ -296,8 +330,11 @@ def _coupled_scan(feed, gamma, level, image):
     return True, 1 + 5 * len(feed.times)
 
 
-def _coupled_totals(plan, stream):
-    """One replicate: total variate counts of both scans on shared randomness.
+_ORIGIN = (0.0, 0.0, 0.0)  # the bridge at its pins
+
+
+def _coupled_iteration(plan, stream, done1, done2):
+    """One iteration of both scans on shared randomness.
 
     Per iteration both mechanizations consume the same realization: the
     time-ordered scan reads the points (t_k, h_k) natively; the height-ordered
@@ -306,41 +343,297 @@ def _coupled_totals(plan, stream):
     image of the k-th point in time order is the k-th point in height order,
     so both scans walk the same index sequence).  Bridge values come from one
     shared skeleton so the runs stay tightly coupled; each run keeps its own
-    acceptance decision, preserving its marginal law.
+    acceptance decision, preserving its marginal law.  A scan that has
+    accepted before does not run.  Returns both acceptances and what the
+    iteration costs each scan: its proposal and its variates.
+
+    Most iterations are short: every scan left ends at the first point, the
+    time-ordered scan testing it between the pins at 0 and T, the
+    height-ordered one its image, in the skeleton that holds the first point
+    if that scan ran.  Those tests run here directly; where the iteration is
+    not short, the scans go on as ``_coupled_scan`` runs them, on a feed and
+    skeleton that hold what is drawn so far (a point tested already is
+    tested again without a draw).
+    """
+    part = plan.slices[0]
+    kappa = plan.ceiling
+    gap = part.gap
+    level = part.level
+    gamma = plan.gamma
+    T = plan.proposal.draw(stream, *part.params)
+    mean = 1.0 / kappa
+    t0 = stream.exponential(mean)
+    if t0 > T:  # an empty feed: each scan left accepts
+        return True, True, 0 if done1 else 2, 0 if done2 else 2
+    h0 = stream.uniform(kappa)
+    t1 = t0 + stream.exponential(mean)
+    last = t1 > T  # the first point is the feed's last
+    knots = []
+    cost1 = cost2 = 0
+    scan1 = not done1
+    if scan1 and _TIME_EPS < t0 and T - t0 > _TIME_EPS:
+        value = bridge_between(0.0, _ORIGIN, T, _ORIGIN, t0, stream)
+        knots.append((t0, value))
+        rx = t0 * gap / T + value[0]
+        r = math.sqrt(rx * rx + value[1] * value[1] + value[2] * value[2])
+        if h0 <= _point_field(gamma, level - r, 0.0, 0.0, kappa):
+            scan1, cost1 = False, 7
+        elif last:
+            scan1, cost1, done1 = False, 7, True
+    scan2 = not done2 and not scan1
+    if scan2:
+        u = h0 * T / kappa
+        tl, vl, tr, vr = 0.0, _ORIGIN, T, _ORIGIN
+        if knots:
+            if u > t0:
+                tl, vl = knots[0]
+            else:
+                tr, vr = knots[0]
+        if tl < u < tr and u - tl > _TIME_EPS and tr - u > _TIME_EPS:
+            value = bridge_between(tl, vl, tr, vr, u, stream)
+            knots.insert(1 if knots and u > t0 else 0, (u, value))
+            rx = u * gap / T + value[0]
+            r = math.sqrt(rx * rx + value[1] * value[1] + value[2] * value[2])
+            if t0 * kappa / T <= _point_field(gamma, level - r, 0.0, 0.0, kappa):
+                scan2, cost2 = False, 7
+            elif last:
+                scan2, cost2, done2 = False, 7, True
+    if scan1 or scan2:
+        feed = _PointFeed.after_first(stream, T, kappa, gap, t0, h0, t1, knots)
+        if scan1:
+            done1, cost1 = _coupled_scan(feed, gamma, level, image=False)
+            cost1 += 1
+        if not done2 and not cost2:
+            done2, cost2 = _coupled_scan(feed, gamma, level, image=True)
+            cost2 += 1
+    return done1, done2, cost1, cost2
+
+
+def _coupled_totals(plan, stream, resume=(False, False, 0, 0, 0)):
+    """One replicate: the total cost of each scan, iterations on shared randomness.
+
+    ``resume`` is ``(done1, done2, total1, total2, iterations)`` after the
+    iterations that already ran elsewhere (the lane comparator hands a
+    replicate over between iterations); they count against the budget.
     """
     if plan.ceiling <= 0.0:
         return 1, 1  # empty thinning domain: both scans accept the first proposal
-    part = plan.slices[0]
-    done1 = done2 = False
-    n1 = n2 = 0
-    i1 = i2 = 0
-    for _ in range(plan.max_iterations):
-        T = plan.proposal.draw(stream, *part.params)
-        feed = _PointFeed(stream, T, plan.ceiling, part.gap)
-        if not done1:
-            i1 += 1
-            done1, cost = _coupled_scan(feed, plan.gamma, part.level, image=False)
-            n1 += cost
-        if not done2:
-            i2 += 1
-            done2, cost = _coupled_scan(feed, plan.gamma, part.level, image=True)
-            n2 += cost
+    done1, done2, total1, total2, ran = resume
+    for _ in range(plan.max_iterations - ran):
+        done1, done2, cost1, cost2 = _coupled_iteration(plan, stream, done1, done2)
+        total1 += cost1
+        total2 += cost2
         if done1 and done2:
-            return i1 + n1, i2 + n2
+            return total1, total2
     raise BudgetError(f"coupled comparator exceeded {plan.max_iterations} iterations")
 
 
+# iterations a lane runs ahead in one step
+_AHEAD = 12
+_STEP = np.arange(_AHEAD)[:, None]
+# places ahead, per iteration run ahead, of its draws past the proposal: three
+# Gaussian triples, three exponentials and two uniforms
+_NORMALS = np.arange(1, 10)[:, None, None]
+_CLIMBS = np.arange(3)[:, None, None] + 2 * _STEP
+_UNIFORMS = np.arange(2)[:, None, None] + _STEP
+# the scan that tests each of the four points an iteration run ahead may test
+_SCAN_OF_POINT = np.array([0, 1, 0, 1])
+
+
+class _CoupledLanes(_Lanes):
+    """``_coupled_totals`` on lanes, one replicate per lane.
+
+    A lane waits between iterations.  Most iterations are short: each scan
+    that runs ends at the first point, the time-ordered scan testing it and
+    the height-ordered one its image, or (less often) the time-ordered scan
+    ends at the second point.  A short iteration reads a fixed number of
+    draws of each kind, so each step runs the next _AHEAD iterations of
+    every lane at once, on draws it peeks at (``LaneStreams.peek``),
+    supposing each is short with one point.  It keeps the leading ones that
+    are, and then the first that is short with two points, has an empty
+    feed or accepts a scan; no draw past them is taken.  An iteration that
+    is not short runs on the scalar ``_coupled_iteration``, on the lane's
+    own draws (``LaneStreams.lane``), as does one whose draws cross the end
+    of a block.  The field tests go through ``_thin`` and its scalar
+    recheck, so each lane yields ``_coupled_totals`` on its replicate's
+    substream, bit for bit.
+
+    ``done`` and ``total`` hold each scan's acceptance and running total,
+    row 0 for the time-ordered scan.  A lane whose replicate is done takes
+    the next one, and the engine's hand-off runs the last few replicates on
+    ``_coupled_totals`` from their next iteration on.
+    """
+
+    def __init__(self, plan, n, stream, start):
+        super().__init__(plan, n, stream, start)
+        self.value = np.empty((n, 2))  # the two totals of each replicate, not a draw
+
+    def _init_scan(self, m):
+        self.done = np.zeros((2, m), dtype=bool)
+        self.total = np.zeros((2, m), dtype=np.intp)
+        self.state += ["done", "total"]
+
+    def _restart(self, which, s):
+        pass  # a fresh replicate waits for the next step like any other lane
+
+    def _step(self, s):
+        if self.next_key >= len(self.value) and len(self.key) < _LANE_MIN:
+            for j in range(len(self.key)):
+                self._finish_scalar(j)
+            return
+        rng = self.rng
+        kappa = self.ceiling
+        mean = 1.0 / kappa
+        gap = self.gap
+        left = ~self.done  # the scans still to accept
+        left1, left2 = left
+        # normals per short iteration: the proposal and a triple per scan
+        stride = 1 + 3 * left.sum(axis=0)
+        # the iterations whose draws, a second point's included, lie in the blocks
+        fit = np.minimum(np.minimum((rng.left(NORMAL) - 3) // stride,
+                                    (rng.left(EXPONENTIAL) - 1) // 2), rng.left(UNIFORM) - 1)
+        ok = _STEP < fit
+        proposal = _STEP * stride  # (iterations, lanes): each proposal's normal
+        g = rng.peek(NORMAL, proposal)
+        n = rng.peek(NORMAL, proposal + _NORMALS)
+        e = rng.peek(EXPONENTIAL, _CLIMBS)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g2 = g * g
+            T = (gap * gap) / g2
+            t0 = mean * e[0]
+            t1 = t0 + mean * e[1]
+            h0, h1 = kappa * rng.peek(UNIFORM, _UNIFORMS)
+            fine = ok & (t0 <= T) & (g2 > 0.0)
+            # the time-ordered scan's first point, between the pins at 0 and T
+            b1 = T - t0
+            value1 = np.sqrt(b1 * t0 / T) * n[0:3] + 0.0
+            # its second point, between the first and T
+            a2 = t1 - t0
+            b2 = T - t1
+            span = T - t0
+            value2 = value1 + (0.0 - value1) * (a2 / span) + np.sqrt(b2 * a2 / span) * n[3:6]
+            # the image of the first point, after the first point if its scan ran
+            u = h0 * T / kappa
+            lo = left1 & (u > t0)
+            hi = left1 ^ lo
+            tl = np.where(lo, t0, 0.0)
+            tr = np.where(hi, t0, T)
+            vl = np.where(lo, value1, 0.0)
+            vr = np.where(hi, value1, 0.0)
+            a3 = u - tl
+            b3 = tr - u
+            value3 = vl + (vr - vl) * (a3 / (tr - tl)) \
+                + np.sqrt(b3 * a3 / (tr - tl)) * np.where(left1, n[3:6], n[0:3])
+            # the image of the first point after the first two points
+            far = u > t1
+            tl = np.where(far, t1, tl)
+            tr = np.where(hi | far, tr, t1)
+            vl = np.where(far, value2, vl)
+            vr = np.where(hi | far, vr, value2)
+            a4 = u - tl
+            b4 = tr - u
+            value4 = vl + (vr - vl) * (a4 / (tr - tl)) + np.sqrt(b4 * a4 / (tr - tl)) * n[6:9]
+            # a point within 1e-15 of a knot draws no bridge value: not short
+            tested = np.stack((np.minimum(t0, b1), np.minimum(a3, b3),
+                               np.minimum(a2, b2), np.minimum(a4, b4))) > _TIME_EPS
+            tested[1] &= tested[0] | ~left1
+            tested[2] &= tested[0]
+            tested[3] &= tested[2]
+            tested &= left[_SCAN_OF_POINT, None] & fine
+            drift = np.stack((t0, u, t1, u)) * gap / T
+            y = self.level - _bessel(drift, np.stack((value1, value3, value2, value4), axis=1))
+            image = t0 * kappa / T
+            hit = self._thin(y, np.stack((h0, image, h1, image)), tested)
+        out1 = t1 > T
+        out2 = t1 + mean * e[2] > T
+        # short: the scans left end at the first point and its image, or (two)
+        # the time-ordered one at the second point and the other at the image
+        end1 = tested[0] & (hit[0] | out1)
+        end2 = tested[1] & (hit[1] | out1)
+        short = (end1 | ~left1) & (end2 | ~left2)
+        # with two points in the feed, the image scan ends at its first on a hit only
+        two = tested[2] & ~hit[0] & ~out1 & (hit[2] | out2) & (tested[3] & hit[3] | ~left2)
+        passed = np.stack((end1 & out1 & ~hit[0], end2 & out1 & ~hit[1]))
+        stop = short & passed.any(axis=0)
+        # iterations kept: the leading short ones, and then one that is two
+        # points long, has an empty feed or accepts a scan
+        kept = np.logical_and.accumulate(short & ~stop, axis=0).sum(axis=0)
+        last = _STEP == kept
+        ends = (stop & last).any(axis=0)
+        twos = (two & last).any(axis=0)
+        void = (ok & (t0 > T) & last).any(axis=0)
+        full = kept + ends
+        self.total += left * (7 * full + 2 * void)
+        self.total[0] += 12 * twos
+        self.total[1] += 7 * (twos & left2)
+        self.done |= left & (void | (passed & last).any(axis=1))
+        self.done[0] |= (two & out2 & ~hit[2] & last).any(axis=0)
+        self.rejections += full + twos + void
+        rng.skip(NORMAL, full * stride + twos * (stride + 3) + void)
+        rng.skip(EXPONENTIAL, 2 * full + 3 * twos + void)
+        rng.skip(UNIFORM, full + 2 * twos)
+        ends |= twos | void
+        # the iteration after those kept, where it is not short or its draws
+        # cross the end of a block, runs on the scalar kernel
+        finished = self.done[0] & self.done[1]
+        lanes = (~finished & ~ends & (kept < _AHEAD)).nonzero()[0]
+        if lanes.size:
+            ran = []
+            for j, done in zip(lanes.tolist(), self.done[:, lanes].T.tolist()):
+                stream = rng.lane(j)
+                ran.append(_coupled_iteration(self.plan, stream, *done))
+                stream.commit()
+            done1, done2, cost1, cost2 = zip(*ran)
+            self.done[:, lanes] = done1, done2
+            self.total[:, lanes] += cost1, cost2
+            self.rejections[lanes] += 1
+            finished[lanes] = self.done[0, lanes] & self.done[1, lanes]
+        self.rejections -= finished  # the last iteration of a replicate is no rejection
+        limit = self.plan.max_iterations
+        if (self.rejections >= limit).any():
+            raise BudgetError(f"no acceptance within {limit} iterations")
+        lanes = finished.nonzero()[0]
+        if lanes.size:
+            self._accept(lanes, s)
+
+    def _close(self, lanes, s):
+        self.value[self.key[lanes]] = self.total[:, lanes].T
+        self.total[:, lanes] = 0
+        self.done[:, lanes] = False
+
+    def _finish_scalar(self, j):
+        key = int(self.key[j])
+        done1, done2 = self.done[:, j].tolist()
+        total1, total2 = self.total[:, j].tolist()
+        resume = (done1, done2, total1, total2, int(self.rejections[j]))
+        self.value[key] = _coupled_totals(self.plan, self.rng.stream(j, self._stream(key)), resume)
+        self._kill(j)
+
+    def _result(self):
+        return self.value
+
+
+def _delta_totals(plan, n, stream):
+    """Both scans' totals of replicates 0..n-1, replicate rep on ``stream.substream(rep)``."""
+    return np.asarray(_run_batch(_CoupledLanes, _coupled_totals, plan, n, stream, 0),
+                      dtype=float)
+
+
 def delta_compare(config, n, stream):
-    """Replicated cost difference N2 - N1 between the two thinning mechanizations."""
+    """Replicated cost difference N2 - N1 between the two thinning mechanizations.
+
+    Replicate rep runs on ``stream.substream(rep)``.  From _LANE_MIN
+    replicates on they run on the lane kernel, which, as ``sample_batch``'s
+    does, needs ``stream`` to be a RandomStream and gives the scalar totals.
+    """
     if n < 1:
         raise ConfigError(f"delta_compare needs n >= 1 replicates, got {n}")
     plan = _prepare(config)
     if config.variant not in ("a1", "a2") or config.split_k != 1 or config.rho is not None:
         raise ConfigError("delta_compare runs on the plain a1/a2 configuration")
-    totals1 = np.empty(n)
-    totals2 = np.empty(n)
-    for rep in range(n):
-        totals1[rep], totals2[rep] = _coupled_totals(plan, stream.substream(rep))
+    totals = _delta_totals(plan, n, stream)
+    totals1 = np.ascontiguousarray(totals[:, 0])
+    totals2 = np.ascontiguousarray(totals[:, 1])
     deltas = totals2 - totals1
     mean = float(deltas.mean())
     std = float(deltas.std(ddof=1)) if n > 1 else 0.0

@@ -291,6 +291,28 @@ class LaneStreams:
         self.pos[kind] = nxt
         return vals
 
+    def left(self, kind):
+        """The draws of one kind each lane has left in its block."""
+        return self.end - self.pos[kind]
+
+    def peek(self, kind, ahead):
+        """The draws ``ahead`` places on from each lane's place, without consuming them.
+
+        ``ahead`` broadcasts against the lanes (last axis).  Only draws within
+        a lane's block (see :meth:`left`) are its stream's; others are junk.
+        """
+        return self._flat[kind].take(self.pos[kind] + ahead, mode="clip")
+
+    def skip(self, kind, count):
+        """Consume ``count`` draws of one kind on each lane, never past a
+        lane's block: draws :meth:`peek` showed."""
+        self.pos[kind] += count
+        self._room[kind] = 0
+
+    def lane(self, lane):
+        """A stream that draws on one lane, as the lane's own stream does (see :class:`_LaneStream`)."""
+        return _LaneStream(self, lane)
+
     def _refill(self, kind, vals, j, at, end, count):
         """Finish lane j's read across a refill; returns its new position."""
         row = self._rows[kind, end // _ROW]
@@ -316,6 +338,54 @@ class LaneStreams:
         stream._nbuf, stream._ebuf, stream._ubuf = bufs
         stream._ni, stream._ei, stream._ui = at
         return stream
+
+
+class _LaneStream:
+    """RandomStream's draw methods on one lane of a LaneStreams.
+
+    Each draw is the lane's next; a draw past the block refills the row from
+    the row's generator, where the lane's stream would refill.  The lane's
+    places move when :meth:`commit` is called.
+    """
+
+    __slots__ = ("_lanes", "_lane", "_end", "_at")
+
+    def __init__(self, lanes, lane):
+        self._lanes = lanes
+        self._lane = lane
+        self._end = int(lanes.end[lane])
+        self._at = [int(pos[lane]) for pos in lanes.pos]
+
+    def _draw(self, kind):
+        i = self._at[kind]
+        flat = self._lanes._flat[kind]
+        if i >= self._end:
+            i = self._end - _BUFLEN
+            _block(self._lanes._gens[i // _ROW], kind, flat[i:self._end])
+        self._at[kind] = i + 1
+        return flat.item(i)
+
+    def normal(self):
+        return self._draw(NORMAL)
+
+    def normal3(self):
+        return self._draw(NORMAL), self._draw(NORMAL), self._draw(NORMAL)
+
+    def exponential(self, mean):
+        if not mean > 0.0:
+            raise FptsimError(f"exponential mean must be positive, got {mean}")
+        return mean * self._draw(EXPONENTIAL)
+
+    def uniform(self, hi=1.0):
+        if not hi > 0.0:
+            raise FptsimError(f"uniform bound must be positive, got {hi}")
+        return hi * self._draw(UNIFORM)
+
+    def commit(self):
+        """Move the lane's places past the draws taken here."""
+        for pos, at in zip(self._lanes.pos, self._at):
+            pos[self._lane] = at
+        self._lanes._room = [0, 0, 0]
 
 
 # -- proposal laws ------------------------------------------------------------

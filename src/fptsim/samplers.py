@@ -245,6 +245,13 @@ _RECHECK_TOL = 1e-13
 _KNOT_ROWS = 16
 
 
+def _bessel(drift, value):
+    """``||(drift + value[0], value[1], value[2])||`` on lanes, summed as the
+    scalar kernels sum it; value stacks the three components on axis 0."""
+    rx = drift + value[0]
+    return np.sqrt(rx * rx + value[1] * value[1] + value[2] * value[2])
+
+
 class _Lanes:
     """The rejection loops of a batch, one numpy lane per item.
 
@@ -320,14 +327,17 @@ class _Lanes:
                 break
             self._step(step)
             step += 1
-        return self._draws()
+        return self._result()
 
-    def _thin(self, y, threshold):
+    def _thin(self, y, threshold, tested=None):
         """The thinning test ``threshold <= f`` of every lane, f the field at y.
 
         Raises on a field breach, NaN included.  A lane whose test or breach
         check lies within ``tol`` of numpy's f takes f from the scalar
-        ``gamma`` first, so every decision is the scalar kernel's.
+        ``gamma`` first, so every decision is the scalar kernel's.  Where the
+        mask ``tested`` is False the point is not tested: no recheck, no
+        breach, and a result to ignore.  y may stack several points per lane
+        (lanes on the last axis) where the ceiling is one for all lanes.
         """
         plan = self.plan
         f = plan.field(y)
@@ -338,17 +348,16 @@ class _Lanes:
         margin = np.minimum(np.abs(threshold - f),
                             np.minimum(f + _FIELD_NEG_TOL, self.ceiling + _FIELD_POS_TOL - f))
         clear = margin > self.tol  # False on a NaN field too
-        if np.count_nonzero(clear) < len(clear):
-            self._recheck(f, y, (~clear).nonzero()[0])
+        if tested is not None:
+            clear |= ~tested
+        if np.count_nonzero(clear) < clear.size:
+            self._recheck(f.reshape(-1), y.reshape(-1), np.flatnonzero(~clear))
         return threshold <= f
 
     def _thin_at(self, t, value, threshold):
         """``_thin`` at the bridge point (t, value) of every lane, value (3, lanes):
         the Bessel functional there, then the field at level minus it."""
-        rx = t * self.gap / self.T + value[0]
-        by = value[1]
-        bz = value[2]
-        return self._thin(self.level - np.sqrt(rx * rx + by * by + bz * bz), threshold)
+        return self._thin(self.level - _bessel(t * self.gap / self.T, value), threshold)
 
     def _recheck(self, f, y, lanes):
         """f on the listed lanes as the scalar kernel computes it; raises on a breach."""
@@ -410,11 +419,7 @@ class _Lanes:
         lanes = self._alive(lanes)
         if not lanes.size:
             return None
-        self._log(lanes, s)
-        T = self.T[lanes]
-        if self.plan.t0 is not None and (T > self.plan.t0).any():
-            raise ModelError("conditional draw escaped its support (0, t0]")
-        self.value[self.key[lanes]] = T
+        self._close(lanes, s)
         fresh = np.zeros(len(self.key), dtype=bool)
         for j in lanes.tolist():
             if self.next_key < len(self.value):
@@ -429,6 +434,14 @@ class _Lanes:
             else:
                 self._kill(j)
         return fresh if fresh.any() else None
+
+    def _close(self, lanes, s):
+        """Record the accepted proposal of the items on the listed lanes."""
+        self._log(lanes, s)
+        T = self.T[lanes]
+        if self.plan.t0 is not None and (T > self.plan.t0).any():
+            raise ModelError("conditional draw escaped its support (0, t0]")
+        self.value[self.key[lanes]] = T
 
     def _finish_scalar(self, j):
         """Run lane j's item to its end on the scalar kernel, from its next proposal on."""
@@ -459,7 +472,8 @@ class _Lanes:
         self.live = np.ones(len(keep), dtype=bool)
         self.dead = 0
 
-    def _draws(self):
+    def _result(self):
+        """The batch's draws, built from the iteration log."""
         keys = np.concatenate(self.log_keys)
         if len(self.value) <= 1 << 16:
             keys = keys.astype(np.uint16)  # a stable sort of 16-bit keys is a radix sort
@@ -797,12 +811,23 @@ def sample_batch(config, n, stream, start=0):
     if n < 0:
         raise ConfigError(f"sample_batch needs n >= 0, got {n}")
     plan = _prepare(config)
+    return _run_batch(plan.scan.lanes, _draw, plan, n, stream, start)
+
+
+def _run_batch(lanes, scalar, plan, n, stream, start):
+    """n draws of ``plan``: ``scalar(plan, stream.substream(start + i))`` for each i.
+
+    The lane kernel ``lanes`` (a _Lanes subclass) runs them when their items
+    fill _LANE_MIN lanes; it yields what ``scalar`` yields, so the scalar
+    kernel runs only smaller batches, and reruns a batch in which some draw
+    fails, to raise the failure met first in draw order.
+    """
     if plan.ceiling > 0.0 and n * len(plan.slices) >= _LANE_MIN:
         try:
-            return plan.scan.lanes(plan, n, stream, start).run()
+            return lanes(plan, n, stream, start).run()
         except FptsimError:
-            pass  # some draw fails: the scalar path raises the first failure in draw order
-    return [_draw(plan, stream.substream(start + i)) for i in range(n)]
+            pass
+    return [scalar(plan, stream.substream(start + i)) for i in range(n)]
 
 
 def poisson_time_points(stream, horizon, kappa):

@@ -14,10 +14,15 @@ from fptsim import (BoundCertificate, RandomStream, SampleSet, SamplerConfig,
                     iteration_identity_check, iteration_identity_target,
                     ks_statistic, ou_drift, rho_distance_bound, sample_batch,
                     sine_drift, two_sample_ks, xi_normalization)
-from fptsim.errors import ConfigError
-from fptsim.harness import (_PointFeed, brownian_fpt_cdf, geometric_iteration_gof,
+from fptsim import rng as rng_module
+from fptsim.errors import ConfigError, FptsimError
+from fptsim.harness import (_CoupledLanes, _PointFeed, _coupled_scan, _coupled_totals,
+                            _delta_totals, brownian_fpt_cdf, geometric_iteration_gof,
                             histogram_export)
-from fptsim.samplers import poisson_time_points
+from fptsim.rng import NORMAL
+from fptsim.samplers import _prepare, poisson_time_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 import dataclasses
@@ -43,6 +48,21 @@ def test_ig_cdf_is_antiderivative_of_pdf():
 def test_ig_cdf_limits():
     assert ig_cdf(1e-12, 2.0, 1.0) == pytest.approx(0.0, abs=1e-12)
     assert ig_cdf(1e9, 2.0, 1.0) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ig_cdf_without_drift_is_the_driftless_cdf():
+    grid = np.linspace(0.05, 12.0, 40)
+    assert np.array_equal(ig_cdf(grid, 2.0, 0.0), brownian_fpt_cdf(grid, 2.0))
+    assert ig_cdf(3.0, 2.0, 0.0) == brownian_fpt_cdf(3.0, 2.0)
+
+
+def test_ig_cdf_with_drift_away_is_defective():
+    # drift away from the level: the passage happens with probability exp(2 mu gap)
+    gap, mu = 1.5, -0.4
+    for t in (0.3, 2.0, 9.0):
+        want, _ = quad(lambda s: ig_pdf(s, gap, mu), 0.0, t, limit=200)
+        assert ig_cdf(t, gap, mu) == pytest.approx(want, abs=1e-9)
+    assert ig_cdf(1e7, gap, mu) == pytest.approx(math.exp(2.0 * mu * gap), abs=1e-9)
 
 
 def test_ig_mean_and_median_sanity():
@@ -271,6 +291,137 @@ def test_compare_output_is_pinned(name):
     got = [v.hex() for v in (report.mean_delta, report.std_delta,
                              report.mean_n1, report.mean_n2)]
     assert got == PINNED_COMPARE[name]
+
+
+def _last_bits_config():
+    # a field set by the last bits of its argument: a point whose arithmetic
+    # moves it by an ulp is decided afresh, so the totals show any such change
+    def b_prime(y):
+        mantissa = np.frexp(y)[0]
+        k = np.mod(mantissa * 2.0 ** 53, 2.0 ** 20)
+        z = k * 0.6180339887498949
+        return 7.0 * (z - np.floor(z))
+
+    model = custom_drift(lambda y: 0.0 * np.asarray(y, dtype=float), b_prime)
+    return SamplerConfig(x=0.0, L=1.0, model=model,
+                         cert=BoundCertificate(kappa=3.5, domain_hint=-100.0))
+
+
+def _scalar_totals(plan, n, stream):
+    return np.array([_coupled_totals(plan, stream.substream(rep)) for rep in range(n)],
+                    dtype=float)
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_CONFIGS) + ["last-bits"])
+def test_lane_comparator_is_the_scalar_one(name, monkeypatch):
+    # per replicate, bit for bit, below, at and above _LANE_MIN and _LANE_WIDTH;
+    # the lane kernel runs directly, so n = 15 runs it too, and hands off at once
+    cfg = _last_bits_config() if name == "last-bits" else COMPARE_CONFIGS[name][0]
+    plan = _prepare(cfg)
+    rechecked = []
+    recheck = _CoupledLanes._recheck
+
+    def counted(self, f, y, lanes):
+        rechecked.append(len(lanes))
+        return recheck(self, f, y, lanes)
+
+    monkeypatch.setattr(_CoupledLanes, "_recheck", counted)
+    for n in (15, 16, 129, 300):
+        stream = RandomStream(20261018, 12).substream(n)
+        assert np.array_equal(_CoupledLanes(plan, n, stream, 0).run(),
+                              _scalar_totals(plan, n, stream))
+    if name == "clamped-arctan":
+        # numpy's unclamped field dips below 0 near the level, where the
+        # scalar gamma clamps it: those points are decided by the recheck
+        assert sum(rechecked) > 100
+    if not name.startswith("sine"):
+        return
+    # sine replicates run ~500 points: some read past their first 1024
+    # normals, so the lanes above cross a refill
+    blocks = []
+    block = rng_module._block
+
+    def counting(gen, kind, out=None):
+        blocks[-1] += kind == NORMAL
+        return block(gen, kind, out)
+
+    monkeypatch.setattr(rng_module, "_block", counting)
+    stream = RandomStream(20261018, 12).substream(300)
+    for rep in range(300):
+        blocks.append(0)
+        _coupled_totals(plan, stream.substream(rep))
+    assert max(blocks) > 1
+
+
+def _plain_totals(plan, stream):
+    # the replicate on the plain scans alone: a feed and two scans per iteration
+    part = plan.slices[0]
+    done1 = done2 = False
+    total1 = total2 = 0
+    while not (done1 and done2):
+        T = plan.proposal.draw(stream, *part.params)
+        feed = _PointFeed(stream, T, plan.ceiling, part.gap)
+        if not done1:
+            done1, cost = _coupled_scan(feed, plan.gamma, part.level, image=False)
+            total1 += 1 + cost
+        if not done2:
+            done2, cost = _coupled_scan(feed, plan.gamma, part.level, image=True)
+            total2 += 1 + cost
+    return total1, total2
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_CONFIGS) + ["last-bits"])
+def test_short_iterations_are_the_plain_scans(name):
+    # _coupled_iteration tests the first point and its image directly; the
+    # totals are those of the plain scans, on every replicate
+    cfg = _last_bits_config() if name == "last-bits" else COMPARE_CONFIGS[name][0]
+    plan = _prepare(cfg)
+    stream = RandomStream(20261018, 14)
+    for rep in range(60):
+        assert _coupled_totals(plan, stream.substream(rep)) == \
+            _plain_totals(plan, stream.substream(rep))
+
+
+# L=1 keeps each replicate short
+_PREFIX_CONFIG = dataclasses.replace(_SINE_COMPARE, L=1.0)
+_prefix_reference = {}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), m=st.integers(1, 40))
+def test_delta_totals_do_not_depend_on_batch_size(n, m):
+    # the first m totals of an n-replicate run are those of an m-replicate run,
+    # on either side of _LANE_MIN: a replicate's totals do not depend on which
+    # other replicates share its lanes, or on whether lanes run at all
+    plan = _prepare(_PREFIX_CONFIG)
+    if not _prefix_reference:
+        _prefix_reference["totals"] = _scalar_totals(plan, 40, RandomStream(20261018, 13))
+    m = min(m, n)
+    got = _delta_totals(plan, n, RandomStream(20261018, 13))
+    assert np.array_equal(got[:m], _delta_totals(plan, m, RandomStream(20261018, 13))[:m])
+    assert np.array_equal(got, _prefix_reference["totals"][:n])
+
+
+FAILING_COMPARE = {
+    "budget": (dataclasses.replace(_SINE_COMPARE, max_iterations=60), 100, 14),
+    **BREACH_CASES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_COMPARE))
+def test_lane_comparator_fails_as_the_scalar_one(name):
+    # the lane path fails, and delta_compare raises what the scalar path
+    # raises at its first failing replicate
+    cfg, n, seed = FAILING_COMPARE[name]
+    plan = _prepare(cfg)
+    with pytest.raises(FptsimError):
+        _CoupledLanes(plan, n, RandomStream(seed), 0).run()
+    with pytest.raises(FptsimError) as lanes:
+        delta_compare(cfg, n, RandomStream(seed))
+    with pytest.raises(FptsimError) as scalar:
+        _scalar_totals(plan, n, RandomStream(seed))
+    assert type(lanes.value) is type(scalar.value)
+    assert str(lanes.value) == str(scalar.value)
 
 
 @pytest.mark.parametrize("n", [0, -2])
