@@ -103,20 +103,17 @@ def bisect_insert(skel, u, stream):
         return values[i - 1]
     if t1 - u <= _TIME_EPS:
         return values[i]
-    value = bridge_between(t0, values[i - 1], t1, values[i], u, stream)
-    times.insert(i, u)
-    values.insert(i, value)
-    return value
-
-
-def bridge_between(t0, v0, t1, v1, u, stream):
-    """The bridge value at u, t0 < u < t1, given its values v0 at t0 and v1 at t1."""
+    v0 = values[i - 1]
+    v1 = values[i]
     w = (u - t0) / (t1 - t0)
     s = math.sqrt((t1 - u) * (u - t0) / (t1 - t0))
     g1, g2, g3 = stream.normal3()
-    return (v0[0] + (v1[0] - v0[0]) * w + s * g1,
-            v0[1] + (v1[1] - v0[1]) * w + s * g2,
-            v0[2] + (v1[2] - v0[2]) * w + s * g3)
+    value = (v0[0] + (v1[0] - v0[0]) * w + s * g1,
+             v0[1] + (v1[1] - v0[1]) * w + s * g2,
+             v0[2] + (v1[2] - v0[2]) * w + s * g3)
+    times.insert(i, u)
+    values.insert(i, value)
+    return value
 
 
 def bessel_norm(drift_gap, horizon, t, beta_t):

@@ -7,11 +7,13 @@ identities, a coupled comparator for the two thinning mechanizations, and an
 Euler-Maruyama oracle with the Brownian-bridge crossing correction for models
 without a closed form.
 
-The comparator is the one heavy user here, so it has a lane kernel like
-``sample_batch``'s (``_CoupledLanes``): from _LANE_MIN replicates on,
-``delta_compare`` runs them as numpy lanes, which need a ``RandomStream``,
-and every replicate's totals are the scalar ``_coupled_totals`` on its
-substream, bit for bit.
+The comparator is the one heavy user here.  Its scalar side is one loop,
+``_coupled_iteration``: both scans walk one lazily drawn set of Poisson
+points and refine one bridge skeleton through the ``a2`` kernel's own
+``bisect_insert``.  It also has a lane kernel like ``sample_batch``'s
+(``_CoupledLanes``): from _LANE_MIN replicates on, ``delta_compare`` runs
+them as numpy lanes, which need a ``RandomStream``, and every replicate's
+totals are the scalar ``_coupled_totals`` on its substream, bit for bit.
 """
 
 import csv
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sstats
 
-from .bridge import _TIME_EPS, BridgeSkeleton, bisect_insert, bridge_between
+from .bridge import _TIME_EPS, BridgeSkeleton, bisect_insert
 from .drift import eval_beta, eval_scale_p
 from .errors import BudgetError, ConfigError, FptsimError, NumericError
 from .rng import EXPONENTIAL, NORMAL, UNIFORM
@@ -251,85 +253,6 @@ class DeltaReport:
                 f"ratio mean_delta/mean_N1 = {self.ratio:.4f}")
 
 
-class _PointFeed:
-    """Lazily materialized Poisson points on [0, T] x [0, kappa], index order,
-    and the iteration's bridge skeleton that both scans refine.
-
-    Each scan walks the points by index and stops at its first hit, so only
-    the prefix either scan actually visits is ever generated; the heavy tail
-    of the proposal T never forces a full enumeration of the rectangle.
-    """
-
-    __slots__ = ("stream", "T", "kappa", "mean", "skel", "times", "heights", "next_t", "done")
-
-    def __init__(self, stream, T, kappa, gap):
-        self.stream = stream
-        self.T = T
-        self.kappa = kappa
-        self.mean = 1.0 / kappa
-        self.skel = BridgeSkeleton(T, gap)
-        self.times = []
-        self.heights = []
-        self.next_t = stream.exponential(self.mean)
-        self.done = self.next_t > T
-
-    @classmethod
-    def after_first(cls, stream, T, kappa, gap, t0, h0, t1, knots):
-        """The feed whose first point (t0, h0) and next arrival t1 are drawn,
-        with the skeleton's knots ``knots``, (time, value) in time order."""
-        feed = cls.__new__(cls)
-        feed.stream = stream
-        feed.T = T
-        feed.kappa = kappa
-        feed.mean = 1.0 / kappa
-        feed.skel = BridgeSkeleton(T, gap)
-        feed.skel.times[1:1] = [t for t, _ in knots]
-        feed.skel.values[1:1] = [v for _, v in knots]
-        feed.times = [t0]
-        feed.heights = [h0]
-        feed.next_t = t1
-        feed.done = t1 > T
-        return feed
-
-    def has(self, k):
-        while not self.done and len(self.times) <= k:
-            self.times.append(self.next_t)
-            self.heights.append(self.stream.uniform(self.kappa))
-            self.next_t += self.stream.exponential(self.mean)
-            self.done = self.next_t > self.T
-        return k < len(self.times)
-
-
-def _coupled_scan(feed, gamma, level, image):
-    """One scan over the shared points; returns (accepted, variates_consumed).
-
-    The time-ordered scan tests the points (t_k, h_k), the height-ordered one
-    their images (h_k T/kappa, t_k kappa/T).  Variate accounting mirrors the
-    native engines: 1 for the initial exponential and a 5-scalar bundle per
-    tested point.  A field outside the certified [0, kappa] raises the
-    engines' breach error.
-    """
-    T = feed.T
-    kappa = feed.kappa
-    skel = feed.skel
-    gap = skel.drift_gap
-    stream = feed.stream
-    times = feed.times
-    heights = feed.heights
-    k = 0
-    while k < len(times) or feed.has(k):
-        time, height = times[k], heights[k]
-        if image:
-            time, height = height * T / kappa, time * kappa / T
-        value = bisect_insert(skel, time, stream) if time > 0.0 else skel.values[0]
-        rx = time * gap / T + value[0]
-        r = math.sqrt(rx * rx + value[1] * value[1] + value[2] * value[2])
-        if height <= _point_field(gamma, level - r, 0.0, 0.0, kappa):
-            return False, 1 + 5 * (k + 1)
-        k += 1
-    return True, 1 + 5 * len(feed.times)
-
-
 _ORIGIN = (0.0, 0.0, 0.0)  # the bridge at its pins
 
 
@@ -344,16 +267,17 @@ def _coupled_iteration(plan, stream, done1, done2):
     so both scans walk the same index sequence).  Bridge values come from one
     shared skeleton so the runs stay tightly coupled; each run keeps its own
     acceptance decision, preserving its marginal law.  A scan that has
-    accepted before does not run.  Returns both acceptances and what the
-    iteration costs each scan: its proposal and its variates.
+    accepted before does not run.
 
-    Most iterations are short: every scan left ends at the first point, the
-    time-ordered scan testing it between the pins at 0 and T, the
-    height-ordered one its image, in the skeleton that holds the first point
-    if that scan ran.  Those tests run here directly; where the iteration is
-    not short, the scans go on as ``_coupled_scan`` runs them, on a feed and
-    skeleton that hold what is drawn so far (a point tested already is
-    tested again without a draw).
+    Each scan walks the points by index and stops at its first hit.  A point
+    is drawn the first time either scan needs it, its uniform height and then
+    the next exponential arrival, so the heavy tail of the proposal T never
+    forces a full enumeration of the rectangle.  A time outside (0, T), where
+    an image may round to T, takes the pins' value.  Variate accounting
+    mirrors the native engines: the proposal, the initial exponential and a
+    5-scalar bundle per tested point, so 2 + 5k for k tested points.  A field
+    outside the certified [0, kappa] raises the engines' breach error.
+    Returns both acceptances and both costs.
     """
     part = plan.slices[0]
     kappa = plan.ceiling
@@ -362,51 +286,34 @@ def _coupled_iteration(plan, stream, done1, done2):
     gamma = plan.gamma
     T = plan.proposal.draw(stream, *part.params)
     mean = 1.0 / kappa
-    t0 = stream.exponential(mean)
-    if t0 > T:  # an empty feed: each scan left accepts
-        return True, True, 0 if done1 else 2, 0 if done2 else 2
-    h0 = stream.uniform(kappa)
-    t1 = t0 + stream.exponential(mean)
-    last = t1 > T  # the first point is the feed's last
-    knots = []
-    cost1 = cost2 = 0
-    scan1 = not done1
-    if scan1 and _TIME_EPS < t0 and T - t0 > _TIME_EPS:
-        value = bridge_between(0.0, _ORIGIN, T, _ORIGIN, t0, stream)
-        knots.append((t0, value))
-        rx = t0 * gap / T + value[0]
-        r = math.sqrt(rx * rx + value[1] * value[1] + value[2] * value[2])
-        if h0 <= _point_field(gamma, level - r, 0.0, 0.0, kappa):
-            scan1, cost1 = False, 7
-        elif last:
-            scan1, cost1, done1 = False, 7, True
-    scan2 = not done2 and not scan1
-    if scan2:
-        u = h0 * T / kappa
-        tl, vl, tr, vr = 0.0, _ORIGIN, T, _ORIGIN
-        if knots:
-            if u > t0:
-                tl, vl = knots[0]
-            else:
-                tr, vr = knots[0]
-        if tl < u < tr and u - tl > _TIME_EPS and tr - u > _TIME_EPS:
-            value = bridge_between(tl, vl, tr, vr, u, stream)
-            knots.insert(1 if knots and u > t0 else 0, (u, value))
-            rx = u * gap / T + value[0]
+    skel = BridgeSkeleton(T, gap)
+    times = []
+    heights = []
+    arrival = stream.exponential(mean)
+    done = [done1, done2]
+    cost = [0, 0]
+    for scan in (0, 1):  # the time-ordered scan, then the one on the images
+        if done[scan]:
+            continue
+        k = 0
+        while k < len(times) or arrival <= T:
+            if k == len(times):
+                times.append(arrival)
+                heights.append(stream.uniform(kappa))
+                arrival += stream.exponential(mean)
+            time, height = times[k], heights[k]
+            k += 1
+            if scan:
+                time, height = height * T / kappa, time * kappa / T
+            value = bisect_insert(skel, time, stream) if 0.0 < time < T else _ORIGIN
+            rx = time * gap / T + value[0]
             r = math.sqrt(rx * rx + value[1] * value[1] + value[2] * value[2])
-            if t0 * kappa / T <= _point_field(gamma, level - r, 0.0, 0.0, kappa):
-                scan2, cost2 = False, 7
-            elif last:
-                scan2, cost2, done2 = False, 7, True
-    if scan1 or scan2:
-        feed = _PointFeed.after_first(stream, T, kappa, gap, t0, h0, t1, knots)
-        if scan1:
-            done1, cost1 = _coupled_scan(feed, gamma, level, image=False)
-            cost1 += 1
-        if not done2 and not cost2:
-            done2, cost2 = _coupled_scan(feed, gamma, level, image=True)
-            cost2 += 1
-    return done1, done2, cost1, cost2
+            if height <= _point_field(gamma, level - r, 0.0, 0.0, kappa):
+                break
+        else:
+            done[scan] = True
+        cost[scan] = 2 + 5 * k
+    return done[0], done[1], cost[0], cost[1]
 
 
 def _coupled_totals(plan, stream, resume=(False, False, 0, 0, 0)):
@@ -661,6 +568,8 @@ def em_fpt_oracle(model, x, L, t_max, step, n, stream):
     """
     if not (step > 0.0 and t_max > 0.0):
         raise ConfigError("em_fpt_oracle needs positive step and t_max")
+    if n < 0:
+        raise ConfigError(f"em_fpt_oracle needs n >= 0, got {n}")
     nsteps = int(math.ceil(t_max / step))
     b = model.b
     sqrt_h = math.sqrt(step)

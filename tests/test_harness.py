@@ -16,7 +16,7 @@ from fptsim import (BoundCertificate, RandomStream, SampleSet, SamplerConfig,
                     sine_drift, two_sample_ks, xi_normalization)
 from fptsim import rng as rng_module
 from fptsim.errors import ConfigError, FptsimError
-from fptsim.harness import (_CoupledLanes, _PointFeed, _coupled_scan, _coupled_totals,
+from fptsim.harness import (_CoupledLanes, _coupled_iteration, _coupled_totals,
                             _delta_totals, brownian_fpt_cdf, geometric_iteration_gof,
                             histogram_export)
 from fptsim.rng import NORMAL
@@ -160,14 +160,22 @@ def test_delta_zero_for_empty_field():
     assert report.std_delta == 0.0
 
 
+def _fixed_horizon_plan(T, kappa):
+    # a zero field under ceiling kappa, with every proposal equal to T
+    cfg = SamplerConfig(x=0.0, L=1.0, model=constant_drift(0.0),
+                        cert=BoundCertificate(kappa=kappa, domain_hint=-50.0))
+    plan = _prepare(cfg)
+    fixed = dataclasses.replace(plan.proposal, draw=lambda stream, *params: T)
+    return dataclasses.replace(plan, proposal=fixed)
+
+
 def _feed_times(stream, T, kappa):
-    # every point of the comparator's feed, enumerated as the scans walk it
-    feed = _PointFeed(stream, T, kappa, 1.0)
-    k = 0
-    while feed.has(k):
-        k += 1
-    assert all(0.0 <= h < kappa for h in feed.heights)
-    return feed.times
+    # the points the comparator draws for its time-ordered scan: on a zero
+    # field the scan tests every point and accepts, at a cost of 2 + 5k
+    accepted, _, cost, _ = _coupled_iteration(_fixed_horizon_plan(T, kappa), stream,
+                                              False, True)
+    assert accepted and cost % 5 == 2
+    return range((cost - 2) // 5)
 
 
 @pytest.mark.parametrize("points", [poisson_time_points, _feed_times],
@@ -265,34 +273,6 @@ def test_delta_compare_raises_on_certificate_breach(name):
         delta_compare(cfg, n, RandomStream(seed))
 
 
-_SINE_COMPARE = SamplerConfig(x=0.0, L=2.0, model=sine_drift(),
-                              cert=BoundCertificate(kappa=5.0, domain_hint=-100.0))
-COMPARE_CONFIGS = {
-    "sine-a1": (_SINE_COMPARE, 400),
-    "sine-a2": (dataclasses.replace(_SINE_COMPARE, variant="a2"), 300),
-    "clamped-arctan": (_clamped_arctan_config(), 300),
-}
-# (mean_delta, std_delta, mean_n1, mean_n2).hex() of delta_compare on stream
-# (20261018, 11); any change here changes the comparator's realized draws
-PINNED_COMPARE = {
-    "sine-a1": ["-0x1.edf0a3d70a3d7p+7", "0x1.b7ab61956ec7ep+10",
-                "0x1.bf44ccccccccdp+10", "0x1.8186b851eb852p+10"],
-    "sine-a2": ["-0x1.0c75c28f5c28fp+8", "0x1.bbae5e6dc42a6p+10",
-                "0x1.bc3e147ae147bp+10", "0x1.7920a3d70a3d7p+10"],
-    "clamped-arctan": ["-0x1.51947ae147ae1p+7", "0x1.a245b23bc08f5p+7",
-                       "0x1.ff2aaaaaaaaabp+7", "0x1.5b2c5f92c5f93p+6"],
-}
-
-
-@pytest.mark.parametrize("name", sorted(PINNED_COMPARE))
-def test_compare_output_is_pinned(name):
-    cfg, n = COMPARE_CONFIGS[name]
-    report = delta_compare(cfg, n, RandomStream(20261018, 11))
-    got = [v.hex() for v in (report.mean_delta, report.std_delta,
-                             report.mean_n1, report.mean_n2)]
-    assert got == PINNED_COMPARE[name]
-
-
 def _last_bits_config():
     # a field set by the last bits of its argument: a point whose arithmetic
     # moves it by an ulp is decided afresh, so the totals show any such change
@@ -307,16 +287,47 @@ def _last_bits_config():
                          cert=BoundCertificate(kappa=3.5, domain_hint=-100.0))
 
 
+_SINE_COMPARE = SamplerConfig(x=0.0, L=2.0, model=sine_drift(),
+                              cert=BoundCertificate(kappa=5.0, domain_hint=-100.0))
+COMPARE_CONFIGS = {
+    "sine-a1": (_SINE_COMPARE, 400),
+    "sine-a2": (dataclasses.replace(_SINE_COMPARE, variant="a2"), 300),
+    "clamped-arctan": (_clamped_arctan_config(), 300),
+    "last-bits": (_last_bits_config(), 300),
+}
+# (mean_delta, std_delta, mean_n1, mean_n2).hex() of delta_compare on stream
+# (20261018, 11); any change here changes the comparator's realized draws
+PINNED_COMPARE = {
+    "sine-a1": ["-0x1.edf0a3d70a3d7p+7", "0x1.b7ab61956ec7ep+10",
+                "0x1.bf44ccccccccdp+10", "0x1.8186b851eb852p+10"],
+    "sine-a2": ["-0x1.0c75c28f5c28fp+8", "0x1.bbae5e6dc42a6p+10",
+                "0x1.bc3e147ae147bp+10", "0x1.7920a3d70a3d7p+10"],
+    "clamped-arctan": ["-0x1.51947ae147ae1p+7", "0x1.a245b23bc08f5p+7",
+                       "0x1.ff2aaaaaaaaabp+7", "0x1.5b2c5f92c5f93p+6"],
+    "last-bits": ["-0x1.1c00000000000p+4", "0x1.b9ee65fb39449p+5",
+                  "0x1.11740da740da7p+6", "0x1.94e81b4e81b4fp+5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COMPARE))
+def test_compare_output_is_pinned(name):
+    cfg, n = COMPARE_CONFIGS[name]
+    report = delta_compare(cfg, n, RandomStream(20261018, 11))
+    got = [v.hex() for v in (report.mean_delta, report.std_delta,
+                             report.mean_n1, report.mean_n2)]
+    assert got == PINNED_COMPARE[name]
+
+
 def _scalar_totals(plan, n, stream):
     return np.array([_coupled_totals(plan, stream.substream(rep)) for rep in range(n)],
                     dtype=float)
 
 
-@pytest.mark.parametrize("name", sorted(COMPARE_CONFIGS) + ["last-bits"])
+@pytest.mark.parametrize("name", sorted(COMPARE_CONFIGS))
 def test_lane_comparator_is_the_scalar_one(name, monkeypatch):
     # per replicate, bit for bit, below, at and above _LANE_MIN and _LANE_WIDTH;
     # the lane kernel runs directly, so n = 15 runs it too, and hands off at once
-    cfg = _last_bits_config() if name == "last-bits" else COMPARE_CONFIGS[name][0]
+    cfg = COMPARE_CONFIGS[name][0]
     plan = _prepare(cfg)
     rechecked = []
     recheck = _CoupledLanes._recheck
@@ -353,33 +364,30 @@ def test_lane_comparator_is_the_scalar_one(name, monkeypatch):
     assert max(blocks) > 1
 
 
-def _plain_totals(plan, stream):
-    # the replicate on the plain scans alone: a feed and two scans per iteration
-    part = plan.slices[0]
-    done1 = done2 = False
-    total1 = total2 = 0
-    while not (done1 and done2):
-        T = plan.proposal.draw(stream, *part.params)
-        feed = _PointFeed(stream, T, plan.ceiling, part.gap)
-        if not done1:
-            done1, cost = _coupled_scan(feed, plan.gamma, part.level, image=False)
-            total1 += 1 + cost
-        if not done2:
-            done2, cost = _coupled_scan(feed, plan.gamma, part.level, image=True)
-            total2 += 1 + cost
-    return total1, total2
+class _StubStream:
+    """The scalar draw methods the comparator reads, giving the listed draws in turn."""
+
+    def __init__(self, normals, exponentials, uniforms):
+        self.draws = [iter(normals), iter(exponentials), iter(uniforms)]
+
+    def normal3(self):
+        return tuple(next(self.draws[0]) for _ in range(3))
+
+    def exponential(self, mean):
+        return mean * next(self.draws[1])
+
+    def uniform(self, hi=1.0):
+        return hi * next(self.draws[2])
 
 
-@pytest.mark.parametrize("name", sorted(COMPARE_CONFIGS) + ["last-bits"])
-def test_short_iterations_are_the_plain_scans(name):
-    # _coupled_iteration tests the first point and its image directly; the
-    # totals are those of the plain scans, on every replicate
-    cfg = _last_bits_config() if name == "last-bits" else COMPARE_CONFIGS[name][0]
-    plan = _prepare(cfg)
-    stream = RandomStream(20261018, 14)
-    for rep in range(60):
-        assert _coupled_totals(plan, stream.substream(rep)) == \
-            _plain_totals(plan, stream.substream(rep))
+def test_image_rounding_to_the_horizon_takes_the_pin():
+    # with the largest uniform below 1, the image time h T / kappa of the one
+    # point rounds to exactly T, where the bridge is pinned
+    T, kappa, top = 22.611159256555982, 3.5, 1.0 - 2.0 ** -53
+    assert kappa * top * T / kappa == T
+    stream = _StubStream([0.3, -0.2, 0.1], [1.0, 1000.0], [top])
+    assert _coupled_iteration(_fixed_horizon_plan(T, kappa), stream,
+                              False, False) == (True, True, 7, 7)
 
 
 # L=1 keeps each replicate short
@@ -468,6 +476,15 @@ def test_em_oracle_refinement_trend():
     ks_c = ks_statistic(coarse.values, lambda t: ig_cdf(t, 2.0, 1.0))
     ks_f = ks_statistic(fine.values, lambda t: ig_cdf(t, 2.0, 1.0))
     assert ks_f <= ks_c + 0.01
+
+
+def test_em_oracle_batch_size():
+    with pytest.raises(ConfigError, match="n >= 0"):
+        em_fpt_oracle(constant_drift(1.0), 0.0, 2.0, t_max=1.0, step=1e-2, n=-1,
+                      stream=RandomStream(75))
+    empty = em_fpt_oracle(constant_drift(1.0), 0.0, 2.0, t_max=1.0, step=1e-2, n=0,
+                          stream=RandomStream(75))
+    assert len(empty) == 0 and empty.n_censored == 0
 
 
 # ---------------------------------------------------------------------------
