@@ -2,9 +2,12 @@
 
 Both thinning mechanizations evaluate the same path functional
 ``R_t = ||(t/T) (L-x) e1 + beta_t||`` where ``beta`` is a 3-d Brownian bridge
-pinned to zero at both ends of [0, T].  The time-ordered sampler advances a
-:class:`SequentialBridgeState` forward; the height-ordered sampler refines a
-:class:`BridgeSkeleton` by conditional bisection at arbitrary interior times.
+pinned to zero at both ends of [0, T].  Two refinement orders realize it:
+forward conditional steps (:func:`sequential_advance` on a
+:class:`SequentialBridgeState`) and conditional bisection at arbitrary
+interior times (:func:`bisect_insert` on a :class:`BridgeSkeleton`).  The
+height-ordered kernels call ``bisect_insert``; the time-ordered kernels
+inline the forward step's arithmetic rather than call ``sequential_advance``.
 Either refinement order realizes the same bridge law, which the test suite
 checks empirically.
 

@@ -114,7 +114,7 @@ def ks_statistic(values, cdf):
     values = np.sort(np.asarray(values, dtype=float))
     n = len(values)
     if n == 0:
-        raise ValueError("ks_statistic needs a non-empty sample")
+        raise ConfigError("ks_statistic needs a non-empty sample")
     ref = np.asarray(cdf(values), dtype=float)
     grid = np.arange(1, n + 1) / n
     return float(max(np.max(grid - ref), np.max(ref - (grid - 1.0 / n))))
@@ -125,7 +125,7 @@ def two_sample_ks(a, b):
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if len(a) == 0 or len(b) == 0:
-        raise ValueError("two_sample_ks needs non-empty samples")
+        raise ConfigError("two_sample_ks needs non-empty samples")
     support = np.concatenate([a, b])
     fa = np.searchsorted(a, support, side="right") / len(a)
     fb = np.searchsorted(b, support, side="right") / len(b)
@@ -170,12 +170,12 @@ def iteration_identity_check(samples, model, x, L, gamma0=0.0, kappa=None):
     """
     if isinstance(samples, SampleSet):
         if not samples.stats:
-            raise ValueError("iteration_identity_check needs run statistics")
+            raise ConfigError("iteration_identity_check needs run statistics")
         iters = samples.iterations()
     else:
         iters = np.asarray(samples, dtype=float)
         if iters.size == 0:
-            raise ValueError("iteration_identity_check needs iteration counts")
+            raise ConfigError("iteration_identity_check needs iteration counts")
     n = len(iters)
     mean = float(iters.mean())
     se = float(iters.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
@@ -198,7 +198,7 @@ def geometric_iteration_gof(iterations, min_expected=5.0):
     iters = np.asarray(iterations, dtype=int)
     n = len(iters)
     if n == 0 or iters.min() < 1:
-        raise ValueError("iteration counts must be >= 1")
+        raise ConfigError("iteration counts must be >= 1")
     p_hat = 1.0 / float(iters.mean())
     # group the geometric support into cells with enough expected mass
     cells = []
@@ -513,7 +513,7 @@ class _CoupledLanes(_Lanes):
         done1, done2 = self.done[:, j].tolist()
         total1, total2 = self.total[:, j].tolist()
         resume = (done1, done2, total1, total2, int(self.rejections[j]))
-        self.value[key] = _coupled_totals(self.plan, self.rng.stream(j, self._stream(key)), resume)
+        self.value[key] = _coupled_totals(self.plan, self.rng.lane(j), resume)
         self._kill(j)
 
     def _result(self):
@@ -628,7 +628,7 @@ def histogram_export(samples, bins, path):
     values = np.asarray(samples.values if isinstance(samples, SampleSet) else samples,
                         dtype=float)
     if len(values) == 0:
-        raise ValueError("histogram_export needs a non-empty sample")
+        raise ConfigError("histogram_export needs a non-empty sample")
     density, edges = np.histogram(values, bins=bins, density=True)
     if len(values) == 1:
         # degenerate support: histogram of a single point over its unit-width bin

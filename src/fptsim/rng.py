@@ -14,6 +14,7 @@ determinism (the refill pattern depends only on the call sequence).
 :class:`LaneStreams` holds the same buffers for many streams side by side so
 that a vectorized sampler can read them in bulk; ``_block`` makes the refill
 blocks of both, so a lane sees exactly the values its stream would give.
+Scalar code reads one lane's draws through :meth:`LaneStreams.lane`.
 
 A stream's sequence is that of ``Philox(key=key)`` from counter 0, but no
 Philox is built per stream: building one costs about ten times as much as
@@ -72,24 +73,20 @@ def _derive_key(seed, stream_id, path):
     return [_splitmix64(s), _splitmix64(s ^ 0xA5A5A5A5A5A5A5A5)]
 
 
-def _pooled():
-    """An idle generator, in whatever state, or a new one when none is idle."""
-    try:
-        return _IDLE.pop()
-    except IndexError:
-        return np.random.Generator(np.random.Philox(0))
-
-
 def _keyed(key, gen=None):
     """``gen``, or else a pooled generator, where ``Philox(key=key)`` starts.
 
+    The pooled generator is an idle one, or a new one when none is idle.
     ``key`` is a ``_derive_key`` list.  Philox takes such a list through
     ``np.asarray``, which turns a pair with one word on each side of 2**63
     into float64, rounding both words to 53 bits; the pooled generator is
     keyed with the words so converted, so it gives the same values.
     """
     if gen is None:
-        gen = _pooled()
+        try:
+            gen = _IDLE.pop()
+        except IndexError:
+            gen = np.random.Generator(np.random.Philox(0))
     with np.errstate(invalid="ignore"):  # a word rounded up to 2**64, as in Philox
         words = np.asarray(key).astype(np.uint64).tolist()
     gen.bit_generator.state = {"bit_generator": "Philox",
@@ -325,20 +322,6 @@ class LaneStreams:
             vals[:, j] = np.concatenate((head, row[:count - left]))
         return end - _BUFLEN + count - left
 
-    def stream(self, lane, stream):
-        """Set ``stream``, the fresh stream of the lane's key, to where the lane stands.
-
-        The stream gets its own generator in the state of the lane's.
-        """
-        end = int(self.end[lane])
-        stream._own = _pooled()
-        stream._own.bit_generator.state = self._gens[end // _ROW].bit_generator.state
-        bufs = [self._rows[kind, end // _ROW, :_BUFLEN].tolist() for kind in range(3)]
-        at = [int(pos[lane]) - end + _BUFLEN for pos in self.pos]
-        stream._nbuf, stream._ebuf, stream._ubuf = bufs
-        stream._ni, stream._ei, stream._ui = at
-        return stream
-
 
 class _LaneStream:
     """RandomStream's draw methods on one lane of a LaneStreams.
@@ -369,6 +352,10 @@ class _LaneStream:
         return self._draw(NORMAL)
 
     def normal3(self):
+        i = self._at[NORMAL]
+        if i + 3 <= self._end:
+            self._at[NORMAL] = i + 3
+            return self._lanes._flat[NORMAL][i:i + 3].tolist()
         return self._draw(NORMAL), self._draw(NORMAL), self._draw(NORMAL)
 
     def exponential(self, mean):

@@ -34,15 +34,21 @@ Which kernel runs what: ``sample`` always runs the scalar kernels, one
 Python loop per Poisson point, and accepts any object with RandomStream's
 draw methods.  ``sample_batch`` runs every variant, both scan orders, on
 the lane kernel: numpy arrays that advance many (draw, slice) items by one
-Poisson point per step, with a time-ordered and a height-ordered step.
+Poisson point per step.  The time-ordered step tests every point on lanes.
+The height-ordered step tests only the first point of each iteration,
+whose bridge value lies between the pins; the rare iteration that goes on
+past it runs on the scalar kernel over the lane's own draws.
+
 The lane kernel reads the same substreams in the same order with the same
 arithmetic, so the determinism contract is one for both: draw i of a batch
-is ``sample`` on substream ``start + i``, bit for bit, whatever the batch
-size or partition, whichever pooled generator (see ``rng``) a stream or
-lane happens to draw with, and whatever other thread samples meanwhile.  The lane width is the module constant _LANE_WIDTH, not
-an option; batches too small to fill _LANE_MIN lanes, and the last few
-items of a batch, run on the scalar kernel, which stays the reference the
-lane kernel is tested against.
+is ``sample`` on substream ``start + i``, bit for bit.  That holds whatever
+the batch size or partition, whichever pooled generator (see ``rng``) a
+stream or lane happens to draw with, and whatever other thread samples
+meanwhile.  The lane width is the module constant _LANE_WIDTH, not an
+option.  Batches too small to fill _LANE_MIN lanes, and the last few items
+of a batch, run on the scalar kernel, which stays the reference the lane
+kernel is tested against.  Every hand-off from lanes to scalar code reads
+the lane's draws through ``LaneStreams.lane``.
 
 Cost accounting follows the elementary random variates: ``N_i`` counts the
 scalar draws consumed by iteration i's thinning scan (a 3-d Gaussian counts
@@ -206,15 +212,25 @@ def _thin_height_ordered(stream, T, gap, level, gamma, ceiling, shift, lift):
     """Scan Poisson points by increasing height, refining a bridge skeleton.
 
     Structured like the time-ordered scan: the first exponential height is
-    drawn up front (one scalar), then each tested point costs a five-scalar
-    bundle (uniform position, 3-d bridge Gaussian, next height increment).
+    drawn up front (one scalar), then ``_climb`` tests the points.
     """
     if ceiling <= 0.0:
         return True, 0
-    skel = BridgeSkeleton(T, gap)
+    height = stream.exponential(1.0 / T)
+    return _climb(stream, BridgeSkeleton(T, gap), height, 1, level, gamma, ceiling, shift, lift)
+
+
+def _climb(stream, skel, height, n, level, gamma, ceiling, shift, lift):
+    """The height-ordered scan from a point at ``height`` on, n scalars spent.
+
+    Each tested point costs a five-scalar bundle (uniform position, 3-d
+    bridge Gaussian, next height increment); returns (accepted, n).  The
+    height-ordered lanes enter here after an iteration's first point, with
+    its knot in ``skel``.
+    """
+    T = skel.horizon
+    gap = skel.drift_gap
     mean = 1.0 / T
-    height = stream.exponential(mean)
-    n = 1
     while height <= ceiling:
         n += 5
         u = stream.uniform(T)
@@ -241,8 +257,6 @@ _LANE_MIN = 16
 # an ulp or so, hundreds of times less.  It stays below the breach pads, so
 # a field of exactly 0 or exactly the ceiling is not redone at every point
 _RECHECK_TOL = 1e-13
-# knot rows of a height-ordered lane's skeleton at the start; doubled as needed
-_KNOT_ROWS = 16
 
 
 def _bessel(drift, value):
@@ -257,27 +271,28 @@ class _Lanes:
 
     An item is one slice of one draw, ``key = draw * k + slice``, and reads
     the substream the scalar path gives it, whose Philox key is derived up
-    front with every other item's.  Every step tests one Poisson
-    point on every lane; a subclass supplies the step of its scan order
-    (``_step``) and the scan state it keeps (``_init_scan``, ``_reset`` on a
-    new proposal, ``_arrive`` for its first point).  A rejected lane draws
-    its next proposal and first arrival in the same step; a lane whose item
-    is accepted takes the next item in key order.  The arithmetic is the
+    front with every other item's.  Every step tests one Poisson point on
+    every lane; a subclass supplies the step of its scan order (``_step``)
+    and the scan state it keeps (``_init_scan``, ``_reset`` on a new
+    proposal, ``_arrive`` for its first point).  A rejected lane draws its
+    next proposal and first arrival in the same step; a lane whose item is
+    accepted takes the next item in key order.  The arithmetic is the
     scalar kernel's, operation for operation, and where numpy's field lies
     within _RECHECK_TOL of a thinning or breach decision the lane takes the
     field from the scalar ``gamma`` instead, so each item yields the scalar
-    draw bit for bit.  Once the queue is empty and fewer than _LANE_MIN
-    lanes are live, each remaining item finishes on the scalar kernel from
-    its next proposal on.  An item that fails (field breach, budget) raises
-    at once; ``sample_batch`` then reruns the batch on the scalar kernel,
-    which raises the error met first in draw order.
+    draw bit for bit.
+
+    Scalar code reads a lane's draws through ``LaneStreams.lane``: once the
+    queue is empty and fewer than _LANE_MIN lanes are live, each remaining
+    item finishes on the scalar kernel from its next proposal on.  An item
+    that fails (field breach, budget) raises at once; ``sample_batch`` then
+    reruns the batch on the scalar kernel, which raises the error met first
+    in draw order.
     """
 
     def __init__(self, plan, n, stream, start):
         self.plan = plan
         self.k = k = len(plan.slices)
-        self.base = stream
-        self.offset = start
         self.next_key = min(_LANE_WIDTH, n * k)
         self.value = np.empty(n * k)         # accepted proposal of each item
         self.log_keys = []                   # per iteration: its item and the
@@ -310,12 +325,6 @@ class _Lanes:
         self._init_scan(m)
         self.live = np.ones(m, dtype=bool)
         self.dead = 0
-
-    def _stream(self, key):
-        draw, part = divmod(key, self.k)
-        if self.k == 1:
-            return self.base.substream(self.offset + draw)
-        return self.base.substream(self.offset + draw, part + 1)
 
     def run(self):
         self._restart(np.ones(len(self.key), dtype=bool), -1)
@@ -363,9 +372,13 @@ class _Lanes:
         """f on the listed lanes as the scalar kernel computes it; raises on a breach."""
         plan = self.plan
         for j in lanes.tolist():
-            lift = float(self.lift[j]) if self.lifted else 0.0
-            ceiling = float(self.ceiling[j]) if self.lifted else self.ceiling
-            f[j] = _point_field(plan.gamma, float(y[j]), plan.shift, lift, ceiling)
+            f[j] = _point_field(plan.gamma, float(y[j]), plan.shift, *self._bounds(j))
+
+    def _bounds(self, j):
+        """Lane j's lift and ceiling, as the scalar kernel takes them."""
+        if self.lifted:
+            return float(self.lift[j]), float(self.ceiling[j])
+        return 0.0, self.ceiling
 
     def _reject(self, rejected, s):
         """End the iteration on each lane ``rejected`` marks.
@@ -446,8 +459,8 @@ class _Lanes:
     def _finish_scalar(self, j):
         """Run lane j's item to its end on the scalar kernel, from its next proposal on."""
         key = int(self.key[j])
-        T, points = _run_slice(self.plan, self.plan.slices[key % self.k],
-                               self.rng.stream(j, self._stream(key)), int(self.rejections[j]))
+        T, points = _run_slice(self.plan, self.plan.slices[key % self.k], self.rng.lane(j),
+                               int(self.rejections[j]))
         self.value[key] = T
         self.log_keys.append(np.full(len(points), key))
         self.log_tested.append((np.array(points) - 1) // 5)
@@ -538,31 +551,24 @@ class _TimeLanes(_Lanes):
 
 
 class _HeightLanes(_Lanes):
-    """The height-ordered step, ``_thin_height_ordered`` and ``bisect_insert``
-    on lanes: each point's time is drawn uniformly and the lane's bridge
-    skeleton is refined there.
+    """The height-ordered step, ``_thin_height_ordered`` on lanes: each step
+    tests the first point of every lane's iteration.
 
-    The skeleton is a knot table of rows by lanes: ``knot_time`` (+inf from
-    row ``count`` on) and ``knot_value`` (3, rows, lanes), in insertion
-    order.  Rows 0 and 1 are the pins at 0 and T, whose values stay 0, so a
-    new proposal resets only the times from row 1 on and the count.  The
-    table doubles when a lane fills it.
+    That point's time u is drawn uniformly, and its bridge value lies
+    between the pins at 0 and T, as ``bisect_insert`` draws it on a fresh
+    skeleton; a time within _TIME_EPS of a pin takes the pin's value and no
+    Gaussian.  An iteration that neither rejects there nor climbs past the
+    ceiling runs on to its end on the scalar ``_climb``, over the lane's own
+    draws (``LaneStreams.lane``), from a skeleton holding that first knot.
     """
 
     def _init_scan(self, m):
         self.height = np.zeros(m)
         self.mean = np.ones(m)
-        self.knot_time = np.full((_KNOT_ROWS, m), np.inf)
-        self.knot_time[0] = 0.0
-        self.knot_value = np.zeros((3, _KNOT_ROWS, m))
-        self.count = np.full(m, 2, dtype=np.intp)
-        self.state += ["height", "mean", "knot_time", "knot_value", "count"]
+        self.state += ["height", "mean"]
 
     def _reset(self, which):
         np.copyto(self.mean, 1.0 / self.T, where=which)
-        np.copyto(self.knot_time[1], self.T, where=which)
-        np.copyto(self.knot_time[2:], np.inf, where=which)
-        np.copyto(self.count, 2, where=which)
 
     def _arrive(self, which):
         np.copyto(self.height, self.mean * self.rng.take(EXPONENTIAL, which), where=which)
@@ -570,11 +576,19 @@ class _HeightLanes(_Lanes):
 
     def _step(self, s):
         rng = self.rng
-        u = self.T * rng.take(UNIFORM)
-        value = self._insert(u)
+        T = self.T
+        u = T * rng.take(UNIFORM)
+        inside = np.minimum(u, T - u) > _TIME_EPS
+        every = np.count_nonzero(inside) == len(inside)
+        value = np.sqrt((T - u) * u / T) * rng.take(NORMAL, None if every else inside, 3)
+        if not every:
+            value = np.where(inside, value, 0.0)
         climb = self.mean * rng.take(EXPONENTIAL)
         rejected = self._thin_at(u, value, self.height)
         self.height += climb
+        # an iteration with a second point to test finishes on scalar code
+        for j in (~rejected & (self.height <= self.ceiling)).nonzero()[0].tolist():
+            rejected[j] = self._climb_scalar(j, float(u[j]), value[:, j] if inside[j] else None)
         fresh = self._reject(rejected, s)
         if fresh is not None:
             self._arrive(fresh)
@@ -582,49 +596,23 @@ class _HeightLanes(_Lanes):
         if accepted.size:
             self._restart(self._accept(accepted, s), s)
 
-    def _insert(self, u):
-        """``bisect_insert`` on every lane: the bridge value at time u, as (3, lanes).
-
-        A lane whose u lies within _TIME_EPS of a knot, the left one checked
-        first, gets that knot's value and takes no Gaussian; u == 0 finds no
-        knot below it and takes the pin at 0.  Every other lane draws the
-        value from its neighbours and appends it as a knot.
-        """
-        count = self.count
-        top = int(count.max())
-        if top == len(self.knot_time):
-            self.knot_time = np.concatenate((self.knot_time, np.full_like(self.knot_time, np.inf)))
-            self.knot_value = np.concatenate(
-                (self.knot_value, np.zeros_like(self.knot_value)), axis=1)
-        times = self.knot_time
-        lane = np.arange(len(u))
-        # bisect_left's neighbours: the last knot below u, the first at or
-        # above it; rows from the largest count on are padding and never either
-        known = times[:top]
-        below = known < u
-        left = np.where(below, known, -np.inf).argmax(axis=0)
-        right = np.where(below, np.inf, known).argmin(axis=0)
-        t0 = times[left, lane]
-        t1 = times[right, lane]
-        v0 = self.knot_value[:, left, lane]
-        v1 = self.knot_value[:, right, lane]
-        d0 = u - t0
-        d1 = t1 - u
-        span = t1 - t0
-        new = np.minimum(d0, d1) > _TIME_EPS
-        every = np.count_nonzero(new) == len(new)
-        if not every:
-            span = np.where(new, span, 1.0)  # u == 0 has t0 == t1 == 0
-        g = self.rng.take(NORMAL, None if every else new, 3)
-        value = v0 + (v1 - v0) * (d0 / span) + np.sqrt(d1 * d0 / span) * g
-        knot = u
-        if not every:
-            value = np.where(d0 <= _TIME_EPS, v0, np.where(d1 <= _TIME_EPS, v1, value))
-            knot = np.where(new, u, np.inf)
-        times[count, lane] = knot
-        self.knot_value[:, count, lane] = value
-        count += new
-        return value
+    def _climb_scalar(self, j, u, value):
+        """Run lane j's iteration past its first point, at time u with bridge
+        value ``value`` (None at a pin), on the scalar ``_climb``; True if it rejects."""
+        skel = BridgeSkeleton(float(self.T[j]), float(self.gap[j]))
+        if value is not None:
+            skel.times.insert(1, u)
+            skel.values.insert(1, tuple(value.tolist()))
+        stream = self.rng.lane(j)
+        plan = self.plan
+        lift, ceiling = self._bounds(j)
+        accepted, n = _climb(stream, skel, float(self.height[j]), 6, float(self.level[j]),
+                             plan.gamma, ceiling, plan.shift, lift)
+        stream.commit()
+        self.start[j] -= (n - 6) // 5  # the iteration's points tested here
+        if accepted:
+            self.height[j] = np.inf  # past any ceiling: the step accepts it
+        return not accepted
 
 
 # ---------------------------------------------------------------------------

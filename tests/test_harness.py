@@ -100,6 +100,25 @@ def test_ks_requires_data():
         two_sample_ks([], [1.0])
 
 
+EMPTY_OR_INVALID = {
+    "ks": lambda path: ks_statistic([], lambda t: t),
+    "two-sample-ks": lambda path: two_sample_ks([1.0], []),
+    "identity-no-stats": lambda path: iteration_identity_check(
+        SampleSet(np.array([1.0]), [], "no stats"), constant_drift(1.0), 0.0, 2.0),
+    "identity-no-counts": lambda path: iteration_identity_check(
+        np.array([]), constant_drift(1.0), 0.0, 2.0),
+    "geometric-empty": lambda path: geometric_iteration_gof([]),
+    "geometric-zero": lambda path: geometric_iteration_gof([0, 1, 2]),
+    "histogram-empty": lambda path: histogram_export(np.array([]), 5, path),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_OR_INVALID))
+def test_empty_or_invalid_input_is_a_config_error(name, tmp_path):
+    with pytest.raises(ConfigError):
+        EMPTY_OR_INVALID[name](tmp_path / "h.csv")
+
+
 # ---------------------------------------------------------------------------
 # iteration identities
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from fptsim import (FptsimError, RandomStream, draw_brownian_fpt,
                     draw_inverse_gaussian, draw_truncated_brownian_fpt)
-from fptsim.rng import NORMAL, LaneStreams, _keyed
+from fptsim.rng import EXPONENTIAL, NORMAL, UNIFORM, LaneStreams, _keyed
 from fptsim.harness import brownian_fpt_cdf, ks_statistic, truncated_brownian_fpt_cdf, two_sample_ks
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,3 +269,42 @@ def test_lane_streams_masked_triple_read():
             else:
                 assert lanes.pos[NORMAL][j] == before[j]
     assert straddled >= 3
+
+
+def test_lane_view_draws_what_its_stream_draws():
+    # LaneStreams.lane carries every hand-off from lanes to scalar code:
+    # each draw is the lane's stream's next, across refills too; after
+    # commit the lane's bulk reads go on from the view's place, and the
+    # other lanes stay where they were
+    lanes = LaneStreams(RandomStream(47, 2).substream_keys(np.arange(3)))
+    twins = [RandomStream(47, 2).substream(i) for i in range(3)]
+    got = [lanes.take(kind) for kind in (NORMAL, EXPONENTIAL, UNIFORM)]
+    for j, twin in enumerate(twins):
+        assert [g[j] for g in got] == [twin.normal(), twin.exponential(1.0), twin.uniform()]
+    view = lanes.lane(1)
+    twin = twins[1]
+    for _ in range(1021):  # two normals left in the block: the triple straddles a refill
+        assert view.normal() == twin.normal()
+    assert len(twin._nbuf) - twin._ni == 2
+    assert tuple(view.normal3()) == twin.normal3()
+    pick = np.random.default_rng(48)
+    for kind in pick.integers(4, size=5000).tolist():  # every kind refills
+        if kind == 0:
+            assert view.normal() == twin.normal()
+        elif kind == 1:
+            assert tuple(view.normal3()) == twin.normal3()
+        elif kind == 2:
+            assert view.exponential(0.5) == twin.exponential(0.5)
+        else:
+            assert view.uniform(3.0) == twin.uniform(3.0)
+    before = [pos.copy() for pos in lanes.pos]
+    view.commit()
+    for pos, was in zip(lanes.pos, before):
+        assert pos[[0, 2]].tolist() == was[[0, 2]].tolist()
+    normals = lanes.take(NORMAL, None, 3)
+    exponentials = lanes.take(EXPONENTIAL)
+    uniforms = lanes.take(UNIFORM)
+    for j, twin in enumerate(twins):
+        assert tuple(normals[:, j]) == twin.normal3()
+        assert exponentials[j] == twin.exponential(1.0)
+        assert uniforms[j] == twin.uniform()

@@ -497,6 +497,10 @@ def test_batch_is_bit_identical_to_single_draws(name):
         normals = [3 * (d.stats.total_points - 2 * d.stats.iterations) // 5
                    + d.stats.iterations for d in batch]
         assert sum(k > 1024 for k in normals) > 100
+    if name.startswith("a2"):
+        # iterations testing two or more points, which the height-ordered
+        # lanes finish on the scalar kernel from their first knot on
+        assert sum(n >= 11 for d in batch for n in d.stats.points_per_iteration) > 100
 
 
 def test_concurrent_batches_draw_what_serial_ones_do():
@@ -594,36 +598,49 @@ def test_lane_decides_as_the_scalar_gamma_does(variant):
         assert rejected.tolist() == [threshold <= scalar[j]]
 
 
-@pytest.mark.filterwarnings("error")  # u == 0 must not divide 0 by 0
-def test_lane_knot_insert_is_bisect_insert():
-    # the height-ordered lanes' knot table against bisect_insert, through
-    # every branch: a new knot, a knot within 1e-15 on the left (checked
-    # first) or on the right, u == 0 (the pin at 0) and the table doubling
+def test_lane_first_point_at_a_pin_takes_no_gaussian():
+    # a height-ordered lane whose first point lies at u == 0, or within
+    # 1e-15 of T, takes the pin's bridge value and no Gaussian, and decides
+    # its iteration as the scalar kernel does on the lane's stream; at this
+    # seed lane 0 rejects there and lane 1 runs on, past its first point
     import fptsim.samplers as samplers
-    from fptsim.bridge import BridgeSkeleton, bisect_insert
-    from fptsim.rng import _brownian_fpt_value
+    from fptsim.bridge import BridgeSkeleton
+    from fptsim.rng import NORMAL, UNIFORM, _brownian_fpt_value
     plan = samplers._prepare(LANE_CONFIGS["a2"])
-    base = RandomStream(134)
+    base = RandomStream(918)
     lanes = plan.scan.lanes(plan, 2, base, 0)
-    lanes._propose(np.ones(2, dtype=bool), -1)
+    both = np.ones(2, dtype=bool)
+    lanes._propose(both, -1)
+    lanes._arrive(both)
+    rng = lanes.rng
+    rng.take(UNIFORM)  # each lane's first refill
+    T = lanes.T.copy()
+    v = [0.0, np.nextafter(1.0, 0.0)]
+    assert T[0] * v[0] == 0.0 and 0.0 < T[1] - T[1] * v[1] <= 1e-15
+    assert (lanes.height <= plan.ceiling).all()
+    # each twin draws its proposal, its first height and a uniform, refilling
+    # in the lane's order; the next uniform of both is v
     twins = [base.substream(j) for j in range(2)]
-    skels = []
+    heights = []
     for j, twin in enumerate(twins):
-        assert _brownian_fpt_value(twin, 2.0) == lanes.T[j]
-        skels.append(BridgeSkeleton(float(lanes.T[j]), 2.0))
-    T = lanes.T
-    a = T / 1024
-    steps = [T / 2, [T[0] / 4, 3 * T[1] / 4], [T[0] / 4 + 5e-16, T[1] / 2 - 5e-16],
-             [0.0 * T[0], 0.6 * T[1]], a, a + 1.5e-15, a + 0.75e-15]
-    steps += [T * f for f in np.random.default_rng(135).random((20, 2))]
-    for u in steps:
-        u = np.array(u, dtype=float)
-        value = lanes._insert(u)
-        for j in range(2):
-            want = bisect_insert(skels[j], u[j], twins[j]) if u[j] > 0.0 else skels[j].values[0]
-            assert tuple(value[:, j]) == want
-    assert len(lanes.knot_time) > samplers._KNOT_ROWS
-    for j in range(2):
-        order = np.argsort(lanes.knot_time[:lanes.count[j], j])
-        assert lanes.knot_time[order, j].tolist() == skels[j].times
-        assert [tuple(v) for v in lanes.knot_value[:, order, j].T] == skels[j].values
+        assert _brownian_fpt_value(twin, 2.0) == T[j]
+        heights.append(twin.exponential(1.0 / T[j]))
+        assert heights[j] == lanes.height[j]
+        twin.uniform()
+        twin._ubuf[twin._ui] = rng._flat[UNIFORM][rng.pos[UNIFORM][j]] = v[j]
+    normals = rng.pos[NORMAL].copy()
+    lanes._step(0)
+    keys = np.concatenate(lanes.log_keys)
+    tested = np.concatenate(lanes.log_tested)
+    ran = []
+    for j, twin in enumerate(twins):
+        at = twin._ni
+        # the rest of _thin_height_ordered, past its first height
+        accepted, n = samplers._climb(twin, BridgeSkeleton(float(T[j]), 2.0), heights[j], 1,
+                                      2.0, plan.gamma, plan.ceiling, plan.shift, 0.0)
+        ran.append((accepted, n))
+        # the normals the iteration took, the lane's past its first point included
+        assert rng.pos[NORMAL][j] - normals[j] == twin._ni - at
+        assert (lanes.rejections[j] == 0) == accepted
+        assert tested[keys == j][0] == (n - 1) // 5
+    assert ran == [(False, 6), (True, 21)]
