@@ -12,8 +12,8 @@ The comparator is the one heavy user here.  Its scalar side is one loop,
 points and refine one bridge skeleton through the ``a2`` kernel's own
 ``bisect_insert``.  It also has a lane kernel like ``sample_batch``'s
 (``_CoupledLanes``): from _LANE_MIN replicates on, ``delta_compare`` runs
-them as numpy lanes, which need a ``RandomStream``, and every replicate's
-totals are the scalar ``_coupled_totals`` on its substream, bit for bit.
+them as numpy lanes, and every replicate's totals are the scalar
+``_coupled_totals`` on its substream, bit for bit.
 """
 
 import csv
@@ -529,9 +529,9 @@ def _delta_totals(plan, n, stream):
 def delta_compare(config, n, stream):
     """Replicated cost difference N2 - N1 between the two thinning mechanizations.
 
-    Replicate rep runs on ``stream.substream(rep)``.  From _LANE_MIN
-    replicates on they run on the lane kernel, which, as ``sample_batch``'s
-    does, needs ``stream`` to be a RandomStream and gives the scalar totals.
+    Replicate rep runs on ``stream.substream(rep)``; ``stream`` must be a
+    RandomStream, as for ``sample_batch``.  From _LANE_MIN replicates on
+    they run on the lane kernel, which gives the scalar totals.
     """
     if n < 1:
         raise ConfigError(f"delta_compare needs n >= 1 replicates, got {n}")

@@ -14,7 +14,9 @@ determinism (the refill pattern depends only on the call sequence).
 :class:`LaneStreams` holds the same buffers for many streams side by side so
 that a vectorized sampler can read them in bulk; ``_block`` makes the refill
 blocks of both, so a lane sees exactly the values its stream would give.
-Scalar code reads one lane's draws through :meth:`LaneStreams.lane`.
+The scalar draw methods and the refill rule are written once, in ``_Draws``:
+a :class:`RandomStream` keeps its blocks as lists, and the view that
+:meth:`LaneStreams.lane` gives scalar code reads one lane's blocks in place.
 
 A stream's sequence is that of ``Philox(key=key)`` from counter 0, but no
 Philox is built per stream: building one costs about ten times as much as
@@ -122,15 +124,64 @@ class ProposalDraw:
             raise FptsimError(f"proposal draw must be positive, got {self.value}")
 
 
-class RandomStream:
+class _Draws:
+    """The scalar draws of a stream: three buffers, each read in order.
+
+    A draw past a buffer's end replaces it with ``self._refill(kind)``, the
+    stream's next block of that kind, and reads on from its start.
+    """
+
+    __slots__ = ("_nbuf", "_ni", "_ebuf", "_ei", "_ubuf", "_ui")
+
+    def normal(self):
+        """One standard Gaussian."""
+        i = self._ni
+        if i >= len(self._nbuf):
+            self._nbuf = self._refill(NORMAL)
+            i = 0
+        self._ni = i + 1
+        return self._nbuf[i]
+
+    def normal3(self):
+        """Three independent standard Gaussians."""
+        i = self._ni
+        buf = self._nbuf
+        if i + 3 <= len(buf):
+            self._ni = i + 3
+            return buf[i], buf[i + 1], buf[i + 2]
+        return self.normal(), self.normal(), self.normal()
+
+    def exponential(self, mean):
+        """Exponential with the given MEAN (i.e. rate 1/mean)."""
+        if not mean > 0.0:
+            raise FptsimError(f"exponential mean must be positive, got {mean}")
+        i = self._ei
+        if i >= len(self._ebuf):
+            self._ebuf = self._refill(EXPONENTIAL)
+            i = 0
+        self._ei = i + 1
+        return mean * self._ebuf[i]
+
+    def uniform(self, hi=1.0):
+        """Uniform on [0, hi)."""
+        if not hi > 0.0:
+            raise FptsimError(f"uniform bound must be positive, got {hi}")
+        i = self._ui
+        if i >= len(self._ubuf):
+            self._ubuf = self._refill(UNIFORM)
+            i = 0
+        self._ui = i + 1
+        return hi * self._ubuf[i]
+
+
+class RandomStream(_Draws):
     """Single-owner stream of reproducible random scalars.
 
     Never share an instance across concurrent workers; allocate one
     substream per worker/replicate instead via :meth:`substream`.
     """
 
-    __slots__ = ("_own", "seed", "stream_id", "_path", "_key",
-                 "_nbuf", "_ni", "_ebuf", "_ei", "_ubuf", "_ui")
+    __slots__ = ("_own", "seed", "stream_id", "_path", "_key")
 
     def __init__(self, seed, stream_id=0, _path=()):
         self._own = None  # the pooled generator, from the first refill on
@@ -155,6 +206,9 @@ class RandomStream:
             self._own = _keyed(self._key)
         return self._own
 
+    def _refill(self, kind):
+        return _block(self._gen, kind).tolist()
+
     def substream(self, *path):
         """Derive an independent stream addressed by (seed, stream_id, *path)."""
         return RandomStream(self.seed, self.stream_id, self._path + path)
@@ -167,48 +221,6 @@ class RandomStream:
         words = [np.asarray(w, dtype=np.int64).astype(np.uint64) for w in words]
         k0, k1 = _derive_key(self.seed, self.stream_id, (*self._path, *words))
         return [list(key) for key in zip(k0.ravel().tolist(), k1.ravel().tolist())]
-
-    # -- raw scalar draws ----------------------------------------------------
-
-    def normal(self):
-        """One standard Gaussian."""
-        i = self._ni
-        if i >= len(self._nbuf):
-            self._nbuf = _block(self._gen, NORMAL).tolist()
-            i = 0
-        self._ni = i + 1
-        return self._nbuf[i]
-
-    def normal3(self):
-        """Three independent standard Gaussians."""
-        i = self._ni
-        buf = self._nbuf
-        if i + 3 <= len(buf):
-            self._ni = i + 3
-            return buf[i], buf[i + 1], buf[i + 2]
-        return self.normal(), self.normal(), self.normal()
-
-    def exponential(self, mean):
-        """Exponential with the given MEAN (i.e. rate 1/mean)."""
-        if not mean > 0.0:
-            raise FptsimError(f"exponential mean must be positive, got {mean}")
-        i = self._ei
-        if i >= len(self._ebuf):
-            self._ebuf = _block(self._gen, EXPONENTIAL).tolist()
-            i = 0
-        self._ei = i + 1
-        return mean * self._ebuf[i]
-
-    def uniform(self, hi=1.0):
-        """Uniform on [0, hi)."""
-        if not hi > 0.0:
-            raise FptsimError(f"uniform bound must be positive, got {hi}")
-        i = self._ui
-        if i >= len(self._ubuf):
-            self._ubuf = _block(self._gen, UNIFORM).tolist()
-            i = 0
-        self._ui = i + 1
-        return hi * self._ubuf[i]
 
     # -- vectorized draws (used by the Euler-Maruyama oracle) -----------------
 
@@ -229,7 +241,7 @@ class LaneStreams:
     the row from that generator at the very draw where RandomStream's lazy
     refill would happen, so a lane sees exactly the values its stream would
     give scalar by scalar.  Lanes can be dropped (:meth:`keep`); rows are
-    never moved.
+    never moved, so the memoryviews :meth:`lane` reads them through are built once.
     """
 
     def __init__(self, keys):
@@ -237,6 +249,7 @@ class LaneStreams:
         # that do not consume; ones keep such reads finite and nonzero
         self._rows = np.ones((3, len(keys), _ROW))
         self._flat = [rows.reshape(-1) for rows in self._rows]
+        self._views = [memoryview(flat) for flat in self._flat]
         self._gens = [_keyed(key) for key in keys]
         # a row's end is where its block stops; a fresh stream starts there,
         # so its first read of each kind refills like RandomStream's does
@@ -323,55 +336,34 @@ class LaneStreams:
         return end - _BUFLEN + count - left
 
 
-class _LaneStream:
-    """RandomStream's draw methods on one lane of a LaneStreams.
+class _LaneStream(_Draws):
+    """A stream that draws on one lane of a LaneStreams, as the lane's own stream does.
 
-    Each draw is the lane's next; a draw past the block refills the row from
-    the row's generator, where the lane's stream would refill.  The lane's
-    places move when :meth:`commit` is called.
+    Its buffers are the lane's three blocks, read in place through the
+    memoryviews of the LaneStreams; a refill writes the lane's next block
+    into its row, where the lane's stream would refill.  The lane's places
+    move when :meth:`commit` is called.
     """
 
-    __slots__ = ("_lanes", "_lane", "_end", "_at")
+    __slots__ = ("_lanes", "_lane", "_row")
 
     def __init__(self, lanes, lane):
         self._lanes = lanes
         self._lane = lane
-        self._end = int(lanes.end[lane])
-        self._at = [int(pos[lane]) for pos in lanes.pos]
+        end = int(lanes.end[lane])
+        self._row = end // _ROW
+        self._nbuf, self._ebuf, self._ubuf = [view[end - _BUFLEN:end] for view in lanes._views]
+        self._ni, self._ei, self._ui = [int(pos[lane]) - end + _BUFLEN for pos in lanes.pos]
 
-    def _draw(self, kind):
-        i = self._at[kind]
-        flat = self._lanes._flat[kind]
-        if i >= self._end:
-            i = self._end - _BUFLEN
-            _block(self._lanes._gens[i // _ROW], kind, flat[i:self._end])
-        self._at[kind] = i + 1
-        return flat.item(i)
-
-    def normal(self):
-        return self._draw(NORMAL)
-
-    def normal3(self):
-        i = self._at[NORMAL]
-        if i + 3 <= self._end:
-            self._at[NORMAL] = i + 3
-            return self._lanes._flat[NORMAL][i:i + 3].tolist()
-        return self._draw(NORMAL), self._draw(NORMAL), self._draw(NORMAL)
-
-    def exponential(self, mean):
-        if not mean > 0.0:
-            raise FptsimError(f"exponential mean must be positive, got {mean}")
-        return mean * self._draw(EXPONENTIAL)
-
-    def uniform(self, hi=1.0):
-        if not hi > 0.0:
-            raise FptsimError(f"uniform bound must be positive, got {hi}")
-        return hi * self._draw(UNIFORM)
+    def _refill(self, kind):
+        _block(self._lanes._gens[self._row], kind, self._lanes._rows[kind, self._row, :_BUFLEN])
+        return (self._nbuf, self._ebuf, self._ubuf)[kind]
 
     def commit(self):
         """Move the lane's places past the draws taken here."""
-        for pos, at in zip(self._lanes.pos, self._at):
-            pos[self._lane] = at
+        start = self._row * _ROW
+        for pos, at in zip(self._lanes.pos, (self._ni, self._ei, self._ui)):
+            pos[self._lane] = start + at
         self._lanes._room = [0, 0, 0]
 
 

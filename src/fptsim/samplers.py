@@ -59,6 +59,7 @@ once each through the iteration count, and the headline cost figure is
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,7 +68,7 @@ from .bridge import _TIME_EPS, BridgeSkeleton, bisect_insert
 from .drift import (BoundCertificate, DriftModel, GammaField, gamma_fn,
                     truncate_drift)
 from .errors import BudgetError, ConfigError, FptsimError, ModelError
-from .rng import (EXPONENTIAL, NORMAL, UNIFORM, LaneStreams,
+from .rng import (EXPONENTIAL, NORMAL, UNIFORM, LaneStreams, RandomStream,
                   _brownian_fpt_lanes, _brownian_fpt_value,
                   _inverse_gaussian_lanes, _inverse_gaussian_value,
                   _truncated_brownian_fpt_lanes, _truncated_brownian_fpt_value)
@@ -131,6 +132,9 @@ def validate_config(config):
     variant = _VARIANTS.get(config.variant)
     if variant is None:
         raise ConfigError(f"unknown variant {config.variant!r}; choose from {VARIANTS}")
+    for name in ("split_k", "max_iterations"):
+        if not isinstance(getattr(config, name), Integral):
+            raise ConfigError(f"{name} must be an integer, got {getattr(config, name)!r}")
     if config.split_k < 1:
         raise ConfigError(f"split_k must be >= 1, got {config.split_k}")
     if config.max_iterations < 1:
@@ -810,6 +814,8 @@ def _run_batch(lanes, scalar, plan, n, stream, start):
     kernel runs only smaller batches, and reruns a batch in which some draw
     fails, to raise the failure met first in draw order.
     """
+    if not isinstance(stream, RandomStream):
+        raise ConfigError(f"a batch draws on a RandomStream, got {type(stream).__name__}")
     if plan.ceiling > 0.0 and n * len(plan.slices) >= _LANE_MIN:
         try:
             return lanes(plan, n, stream, start).run()

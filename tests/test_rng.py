@@ -290,13 +290,18 @@ def test_lane_view_draws_what_its_stream_draws():
     pick = np.random.default_rng(48)
     for kind in pick.integers(4, size=5000).tolist():  # every kind refills
         if kind == 0:
-            assert view.normal() == twin.normal()
+            got = [view.normal()]
+            assert got == [twin.normal()]
         elif kind == 1:
-            assert tuple(view.normal3()) == twin.normal3()
+            got = list(view.normal3())
+            assert tuple(got) == twin.normal3()
         elif kind == 2:
-            assert view.exponential(0.5) == twin.exponential(0.5)
+            got = [view.exponential(0.5)]
+            assert got == [twin.exponential(0.5)]
         else:
-            assert view.uniform(3.0) == twin.uniform(3.0)
+            got = [view.uniform(3.0)]
+            assert got == [twin.uniform(3.0)]
+        assert all(type(g) is float for g in got)  # read as Python floats, not numpy scalars
     before = [pos.copy() for pos in lanes.pos]
     view.commit()
     for pos, was in zip(lanes.pos, before):
@@ -308,3 +313,67 @@ def test_lane_view_draws_what_its_stream_draws():
         assert tuple(normals[:, j]) == twin.normal3()
         assert exponentials[j] == twin.exponential(1.0)
         assert uniforms[j] == twin.uniform()
+
+
+# one operation on a LaneStreams of three lanes: (what, lane, kind, count, seed)
+LANE_OPS = st.tuples(st.sampled_from(["take1", "take3", "peek", "view", "attach"]),
+                     st.integers(0, 2), st.integers(0, 2), st.integers(0, 1100),
+                     st.integers(0, 2**32 - 1))
+
+
+def _twin_draw(stream, kind):
+    if kind == NORMAL:
+        return stream.normal()
+    return stream.exponential(1.0) if kind == EXPONENTIAL else stream.uniform()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ops=st.lists(LANE_OPS, max_size=25))
+def test_lanes_read_what_their_streams_read(ops):
+    # any interleaving of masked bulk reads, peek/skip, scalar reads through
+    # a committed lane view and fresh keys: each lane reads exactly what a
+    # RandomStream on its key reads
+    base = RandomStream(50, 3)
+    lanes = LaneStreams(base.substream_keys(np.arange(3)))
+    twins = [base.substream(i) for i in range(3)]
+    fresh = 3
+    for what, lane, kind, count, seed in ops:
+        pick = np.random.default_rng(seed)
+        if what in ("take1", "take3"):  # count masked reads, enough to cross refills
+            for which in pick.random((count, 3)) < 0.7:
+                if what == "take1":
+                    got = lanes.take(kind, which)[None]
+                else:
+                    got = lanes.take(kind, which, 3)
+                for j in which.nonzero()[0]:
+                    if what == "take3" and kind == NORMAL:
+                        want = list(twins[j].normal3())
+                    else:
+                        want = [_twin_draw(twins[j], kind) for _ in range(len(got))]
+                    assert got[:, j].tolist() == want
+        elif what == "peek":
+            skip = np.minimum(pick.integers(0, count + 1, size=3), lanes.left(kind))
+            got = lanes.peek(kind, np.arange(skip.max())[:, None])
+            for j in range(3):
+                assert got[:skip[j], j].tolist() == [_twin_draw(twins[j], kind)
+                                                     for _ in range(skip[j])]
+            lanes.skip(kind, skip)
+        elif what == "view":
+            view = lanes.lane(lane)
+            for read in pick.integers(4, size=count).tolist():
+                if read == 3:
+                    assert view.normal3() == twins[lane].normal3()
+                else:
+                    assert _twin_draw(view, read) == _twin_draw(twins[lane], read)
+            view.commit()
+        else:
+            lanes.attach(lane, base.substream_keys(np.array([fresh]))[0])
+            twins[lane] = base.substream(fresh)
+            fresh += 1
+        # take skips its refill check while every lane has room left; that
+        # room must never exceed what a lane has left
+        for kind in (NORMAL, EXPONENTIAL, UNIFORM):
+            assert lanes._room[kind] <= lanes.left(kind).min()
+    for kind in (NORMAL, EXPONENTIAL, UNIFORM):  # every lane ends where its stream is
+        got = lanes.take(kind)
+        assert got.tolist() == [_twin_draw(twin, kind) for twin in twins]

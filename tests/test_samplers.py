@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fptsim import (BoundCertificate, BudgetError, ConfigError, ModelError,
                     RandomStream, RunStats, SamplerConfig, constant_drift, custom_drift,
-                    ig_cdf, neg_arctan_drift, optimal_split_count, ou_drift,
+                    delta_compare, ig_cdf, neg_arctan_drift, optimal_split_count, ou_drift,
                     sample, sample_batch, sine_drift, truncate_drift,
                     truncated_ou_kappa)
 from fptsim.harness import (brownian_fpt_cdf, geometric_iteration_gof,
@@ -268,6 +268,42 @@ def test_negative_batch_size_is_a_config_error():
     assert sample_batch(cfg, 0, RandomStream(1)) == []
     with pytest.raises(ConfigError, match="n >= 0"):
         sample_batch(cfg, -3, RandomStream(1))
+
+
+class _StreamLike:
+    """A stream with RandomStream's substreams that is not a RandomStream."""
+
+    def __init__(self, seed):
+        self.base = RandomStream(seed)
+
+    def substream(self, *path):
+        return self.base.substream(*path)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 200])
+@pytest.mark.parametrize("run", ["sample_batch", "delta_compare"])
+def test_batches_need_a_random_stream(run, n):
+    # the lane kernel reads the stream's keys, the scalar one only its
+    # substreams; either way a stream-like object is refused up front
+    cfg = SamplerConfig(x=0.0, L=2.0, model=UNIT, cert=CERT_HALF)
+    with pytest.raises(ConfigError, match="RandomStream"):
+        (sample_batch if run == "sample_batch" else delta_compare)(cfg, n, _StreamLike(2))
+
+
+@pytest.mark.parametrize("field, value", [("max_iterations", 1e6), ("split_k", 2.0),
+                                          ("max_iterations", np.int64(10**6)),
+                                          ("split_k", np.int32(2))])
+def test_integer_fields_take_integers_only(field, value):
+    cfg = SamplerConfig(x=0.0, L=2.0, model=UNIT, cert=CERT_HALF, **{field: value})
+    if isinstance(value, float):
+        for run in (lambda: sample(cfg, RandomStream(3)),
+                    lambda: sample_batch(cfg, 40, RandomStream(3))):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                run()
+    else:  # numpy integers are integers
+        plain = dataclasses.replace(cfg, **{field: int(value)})
+        assert _values(sample_batch(cfg, 40, RandomStream(3))) == \
+            _values(sample_batch(plain, 40, RandomStream(3)))
 
 
 def test_total_points_identity_on_every_draw():
