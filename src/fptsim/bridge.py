@@ -5,11 +5,11 @@ Both thinning mechanizations evaluate the same path functional
 pinned to zero at both ends of [0, T].  Two refinement orders realize it:
 forward conditional steps (:func:`sequential_advance` on a
 :class:`SequentialBridgeState`) and conditional bisection at arbitrary
-interior times (:func:`bisect_insert` on a :class:`BridgeSkeleton`).  The
-height-ordered kernels call ``bisect_insert``; the time-ordered kernels
-inline the forward step's arithmetic rather than call ``sequential_advance``.
-Either refinement order realizes the same bridge law, which the test suite
-checks empirically.
+interior times (:func:`bisect_insert` on a :class:`BridgeSkeleton`, or its
+draw on lanes, :func:`bisect_lanes`).  The height-ordered kernels and the
+comparator bisect; the time-ordered kernels inline the forward step rather than
+call ``sequential_advance``.  Either refinement order realizes the same bridge
+law, which the test suite checks empirically.
 
 A skeleton lives for a single rejection iteration and is discarded when the
 iteration restarts with a fresh proposal.
@@ -17,6 +17,8 @@ iteration restarts with a fresh proposal.
 
 import bisect
 import math
+
+import numpy as np
 
 from .errors import FptsimError
 
@@ -117,6 +119,20 @@ def bisect_insert(skel, u, stream):
     times.insert(i, u)
     values.insert(i, value)
     return value
+
+
+def off_knots(a, b):
+    """Where times a past a left knot and b short of a right one draw in ``bisect_insert``."""
+    return np.minimum(a, b) > _TIME_EPS
+
+
+def bisect_lanes(tl, vl, tr, vr, u, g):
+    """``bisect_insert``'s draw at times u between knots (tl, vl) and (tr, vr) on
+    lanes, term for term from Gaussians g, and the ``off_knots`` mask of where it holds."""
+    a = u - tl
+    b = tr - u
+    span = tr - tl
+    return vl + (vr - vl) * (a / span) + np.sqrt(b * a / span) * g, off_knots(a, b)
 
 
 def bessel_norm(drift_gap, horizon, t, beta_t):

@@ -168,38 +168,29 @@ def truncate_drift(model, rho):
     if not (math.isfinite(b_cut) and math.isfinite(bp_cut)):
         raise ModelError(f"inner drift not finite at the cut point {-rho}")
 
-    def b(y):
-        y = np.asarray(y, dtype=float)
-        s = y + rho
-        tail = b_cut + bp_cut * s * np.exp(np.minimum(s, 0.0))
-        out = np.where(y >= -rho, model.b(y), tail)
-        return out if out.ndim else float(out)
+    def join(inner, tail):
+        """``inner`` from the cut up, below it ``tail(s, exp(s))`` at s = y + rho."""
+        def f(y):
+            y = np.asarray(y, dtype=float)
+            s = y + rho
+            # the tail first: its temporaries are freed before the inner branch makes its own
+            below = tail(s, np.exp(np.minimum(s, 0.0)))
+            out = np.where(y >= -rho, inner(y), below)
+            return out if out.ndim else float(out)
+        return f
 
-    def b_prime(y):
-        y = np.asarray(y, dtype=float)
-        s = y + rho
-        tail = bp_cut * np.exp(np.minimum(s, 0.0)) * (1.0 + s)
-        out = np.where(y >= -rho, model.b_prime(y), tail)
-        return out if out.ndim else float(out)
-
+    b = join(model.b, lambda s, e: b_cut + bp_cut * s * e)
+    b_prime = join(model.b_prime, lambda s, e: bp_cut * e * (1.0 + s))
     beta_closed = None
     if model.beta_closed is not None:
         beta_cut = float(model.beta_closed(-rho))
-
-        def beta_closed(y):
-            y = np.asarray(y, dtype=float)
-            s = y + rho
-            tail = beta_cut + b_cut * s + bp_cut * ((s - 1.0) * np.exp(np.minimum(s, 0.0)) + 1.0)
-            out = np.where(y >= -rho, model.beta_closed(y), tail)
-            return out if out.ndim else float(out)
-
-    inner_gamma = model.gamma_scalar
+        beta_closed = join(model.beta_closed, lambda s, e: (
+            beta_cut + b_cut * s + bp_cut * ((s - 1.0) * e + 1.0)))
+    inner_gamma = gamma_fn(model)
 
     def gamma_scalar(y):
         if y >= -rho:
-            if inner_gamma is not None:
-                return inner_gamma(y)
-            return (float(model.b(y)) ** 2 + float(model.b_prime(y))) / 2.0
+            return inner_gamma(y)
         s = y + rho
         e = math.exp(s)
         bv = b_cut + bp_cut * s * e
@@ -443,6 +434,9 @@ class BoundCertificate:
     domain_hint: float = -1000.0
 
     def __post_init__(self):
+        for name in ("kappa", "gamma0", "m", "domain_hint"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"certificate {name} must be finite, got {getattr(self, name)}")
         if self.kappa < 0.0 or self.gamma0 < 0.0 or self.m < 0.0:
             raise ConfigError("certificate constants must be non-negative")
         if self.gamma0 > self.kappa:
@@ -511,6 +505,8 @@ def _scan_grid(gamma, lo, hi, grid_step):
         raise ConfigError(f"grid_step must be positive, got {grid_step}")
     lo = float(lo)
     hi = float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"certification grid [{lo}, {hi}] must have finite ends")
     if lo >= hi:
         raise ConfigError(f"domain_hint {lo} must lie below the level {hi}")
     n = int(math.ceil((hi - lo) / grid_step)) + 1

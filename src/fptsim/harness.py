@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sstats
 
-from .bridge import _TIME_EPS, BridgeSkeleton, bisect_insert
+from .bridge import BridgeSkeleton, bisect_insert, bisect_lanes
 from .drift import eval_beta, eval_scale_p
 from .errors import BudgetError, ConfigError, FptsimError, NumericError
 from .rng import EXPONENTIAL, NORMAL, UNIFORM
@@ -411,14 +411,10 @@ class _CoupledLanes(_Lanes):
             t1 = t0 + mean * e[1]
             h0, h1 = kappa * rng.peek(UNIFORM, _UNIFORMS)
             fine = ok & (t0 <= T) & (g2 > 0.0)
-            # the time-ordered scan's first point, between the pins at 0 and T
-            b1 = T - t0
-            value1 = np.sqrt(b1 * t0 / T) * n[0:3] + 0.0
-            # its second point, between the first and T
-            a2 = t1 - t0
-            b2 = T - t1
-            span = T - t0
-            value2 = value1 + (0.0 - value1) * (a2 / span) + np.sqrt(b2 * a2 / span) * n[3:6]
+            # the time-ordered scan's first point, between the pins at 0 and T,
+            # and its second point, between the first and T
+            value1, tested1 = bisect_lanes(0.0, 0.0, T, 0.0, t0, n[0:3])
+            value2, tested2 = bisect_lanes(t0, value1, T, 0.0, t1, n[3:6])
             # the image of the first point, after the first point if its scan ran
             u = h0 * T / kappa
             lo = left1 & (u > t0)
@@ -427,22 +423,14 @@ class _CoupledLanes(_Lanes):
             tr = np.where(hi, t0, T)
             vl = np.where(lo, value1, 0.0)
             vr = np.where(hi, value1, 0.0)
-            a3 = u - tl
-            b3 = tr - u
-            value3 = vl + (vr - vl) * (a3 / (tr - tl)) \
-                + np.sqrt(b3 * a3 / (tr - tl)) * np.where(left1, n[3:6], n[0:3])
+            value3, tested3 = bisect_lanes(tl, vl, tr, vr, u, np.where(left1, n[3:6], n[0:3]))
             # the image of the first point after the first two points
             far = u > t1
-            tl = np.where(far, t1, tl)
-            tr = np.where(hi | far, tr, t1)
-            vl = np.where(far, value2, vl)
-            vr = np.where(hi | far, vr, value2)
-            a4 = u - tl
-            b4 = tr - u
-            value4 = vl + (vr - vl) * (a4 / (tr - tl)) + np.sqrt(b4 * a4 / (tr - tl)) * n[6:9]
+            value4, tested4 = bisect_lanes(np.where(far, t1, tl), np.where(far, value2, vl),
+                                           np.where(hi | far, tr, t1),
+                                           np.where(hi | far, vr, value2), u, n[6:9])
             # a point within 1e-15 of a knot draws no bridge value: not short
-            tested = np.stack((np.minimum(t0, b1), np.minimum(a3, b3),
-                               np.minimum(a2, b2), np.minimum(a4, b4))) > _TIME_EPS
+            tested = np.stack((tested1, tested3, tested2, tested4))
             tested[1] &= tested[0] | ~left1
             tested[2] &= tested[0]
             tested[3] &= tested[2]

@@ -64,7 +64,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bridge import _TIME_EPS, BridgeSkeleton, bisect_insert
+from .bridge import BridgeSkeleton, bisect_insert, off_knots
 from .drift import (BoundCertificate, DriftModel, GammaField, gamma_fn,
                     truncate_drift)
 from .errors import BudgetError, ConfigError, FptsimError, ModelError
@@ -127,8 +127,9 @@ class SamplerConfig:
 
 
 def validate_config(config):
-    if not config.L > config.x:
-        raise ConfigError(f"level L={config.L} must exceed the start x={config.x}")
+    if not -math.inf < config.x < config.L < math.inf:
+        raise ConfigError(f"level L={config.L} must exceed the start x={config.x}, "
+                          "and both must be finite")
     variant = _VARIANTS.get(config.variant)
     if variant is None:
         raise ConfigError(f"unknown variant {config.variant!r}; choose from {VARIANTS}")
@@ -142,10 +143,8 @@ def validate_config(config):
     if variant.shifted and not config.cert.gamma0 > 0.0:
         raise ConfigError("shift variants need a certificate with gamma0 > 0")
     if variant.lifted:
-        if config.t0 is None or not config.t0 > 0.0:
-            raise ConfigError("variant a3 needs a horizon t0 > 0")
-        if not math.isfinite(config.cert.m):
-            raise ConfigError("variant a3 needs a finite negativity bound m")
+        if config.t0 is None or not 0.0 < config.t0 < math.inf:
+            raise ConfigError(f"variant a3 needs a finite horizon t0 > 0, got {config.t0}")
         if config.split_k != 1:
             raise ConfigError("space splitting does not apply to the conditional sampler")
         if config.rho is not None:
@@ -560,7 +559,7 @@ class _HeightLanes(_Lanes):
 
     That point's time u is drawn uniformly, and its bridge value lies
     between the pins at 0 and T, as ``bisect_insert`` draws it on a fresh
-    skeleton; a time within _TIME_EPS of a pin takes the pin's value and no
+    skeleton; a time within 1e-15 of a pin takes the pin's value and no
     Gaussian.  An iteration that neither rejects there nor climbs past the
     ceiling runs on to its end on the scalar ``_climb``, over the lane's own
     draws (``LaneStreams.lane``), from a skeleton holding that first knot.
@@ -582,7 +581,7 @@ class _HeightLanes(_Lanes):
         rng = self.rng
         T = self.T
         u = T * rng.take(UNIFORM)
-        inside = np.minimum(u, T - u) > _TIME_EPS
+        inside = off_knots(u, T - u)
         every = np.count_nonzero(inside) == len(inside)
         value = np.sqrt((T - u) * u / T) * rng.take(NORMAL, None if every else inside, 3)
         if not every:

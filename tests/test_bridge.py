@@ -8,6 +8,7 @@ import pytest
 from fptsim import (BridgeSkeleton, RandomStream, SequentialBridgeState,
                     bessel_norm, bisect_insert, dump_skeleton_csv,
                     sequential_advance)
+from fptsim.bridge import bisect_lanes
 
 
 def test_terminal_pin_is_exact():
@@ -98,6 +99,59 @@ def test_bisect_rejects_times_outside_open_interval():
     for bad in (0.0, 2.0, -0.5, 3.0):
         with pytest.raises(ValueError):
             bisect_insert(skel, bad, s)
+
+
+class _Given:
+    """A stream whose ``normal3`` returns one fixed triple, counting its calls."""
+
+    def __init__(self, g):
+        self.g = g
+        self.calls = 0
+
+    def normal3(self):
+        self.calls += 1
+        return self.g
+
+
+def _lane_cases(rng, n):
+    """Knots (tl, vl), (tr, vr) on [0, T] and a time u in (tl, tr], n cases.
+
+    A knot is a pin (time 0 or T, value 0) in about a third of the cases.
+    The time is uniform in the gap, or it lies on, next to or within 1e-15
+    (the knot tolerance) of a knot, or just past it.
+    """
+    cases = []
+    while len(cases) < n:
+        T = rng.uniform(0.5, 5.0)
+        tl = 0.0 if rng.random() < 0.35 else rng.uniform(0.0, T)
+        tr = T if rng.random() < 0.35 else rng.uniform(tl, T)
+        vl = (0.0, 0.0, 0.0) if tl == 0.0 else tuple(rng.normal(size=3))
+        vr = (0.0, 0.0, 0.0) if tr == T else tuple(rng.normal(size=3))
+        u = [rng.uniform(tl, tr), tl + 5e-16, tl + 1e-15, tl + 2e-15,
+             np.nextafter(tl, T), tr - 5e-16, tr - 1e-15, tr - 2e-15, tr,
+             np.nextafter(tr, 0.0)][rng.integers(10)]
+        if tl < u <= tr and 0.0 < u < T:
+            cases.append((T, tl, vl, tr, vr, float(u), tuple(rng.normal(size=3))))
+    return cases
+
+
+def test_lane_draw_is_bisect_insert_bit_for_bit():
+    cases = _lane_cases(np.random.default_rng(11), 4000)
+    T, tl, vl, tr, vr, u, g = (np.array(c) for c in zip(*cases))
+    value, drawn = bisect_lanes(tl, vl.T, tr, vr.T, u, g.T)
+    for j, (T, tl, vl, tr, vr, u, g) in enumerate(cases):
+        skel = BridgeSkeleton(T, 1.0)
+        skel.times = sorted({0.0, tl, tr, T})
+        skel.values = [{0.0: (0.0, 0.0, 0.0), tl: vl, tr: vr, T: (0.0, 0.0, 0.0)}[t]
+                       for t in skel.times]
+        stream = _Given(g)
+        scalar = bisect_insert(skel, u, stream)
+        assert bool(drawn[j]) == (stream.calls == 1), (tl, u, tr)
+        if drawn[j]:
+            assert np.array(scalar).tobytes() == value[:, j].tobytes(), (tl, u, tr)
+        else:
+            assert scalar in (vl, vr)
+    assert 0 < np.count_nonzero(drawn) < len(cases)
 
 
 def test_bessel_norm_endpoint_pins():

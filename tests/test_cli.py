@@ -145,6 +145,15 @@ def test_shift_without_floor_exits_2(tmp_path, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--kappa", "nan"), ("--level", "inf"),
+                                         ("--scan-from", "nan")])
+def test_non_finite_bounds_and_grid_ends_exit_2(tmp_path, monkeypatch, capsys, flag, value):
+    code = _run(tmp_path, monkeypatch,
+                ["sample", *BASE, flag, value, "--n", "32", "--seed", "1"])
+    assert code == 2
+    assert "must" in capsys.readouterr().err
+
+
 @pytest.mark.slow
 def test_validate_suite_passes(tmp_path, monkeypatch):
     assert _run(tmp_path, monkeypatch, ["validate", "--seed", "11"]) == 0

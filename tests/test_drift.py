@@ -325,6 +325,13 @@ def test_certificate_validation():
         BoundCertificate(kappa=1.0, gamma0=0.5, m=0.5)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["kappa", "gamma0", "m", "domain_hint"])
+def test_certificate_rejects_non_finite_constants(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        BoundCertificate(**{"kappa": 5.0, name: value})
+
+
 # ---------------------------------------------------------------------------
 # recurrence diagnostic
 # ---------------------------------------------------------------------------

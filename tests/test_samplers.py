@@ -14,7 +14,7 @@ from fptsim import (BoundCertificate, BudgetError, ConfigError, ModelError,
                     RandomStream, RunStats, SamplerConfig, constant_drift, custom_drift,
                     delta_compare, ig_cdf, neg_arctan_drift, optimal_split_count, ou_drift,
                     sample, sample_batch, sine_drift, truncate_drift,
-                    truncated_ou_kappa)
+                    truncated_ou_kappa, validate_config)
 from fptsim.harness import (brownian_fpt_cdf, geometric_iteration_gof,
                             ks_statistic, two_sample_ks)
 
@@ -384,6 +384,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             sample(SamplerConfig(x=0.0, L=2.0, model=UNIT, cert=CERT_HALF,
                                  variant="a1", rho=-1.0), RandomStream(1))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["x", "L", "t0"])
+    def test_non_finite_field(self, name, value):
+        # validated only: a run on such a config need not end
+        cfg = SamplerConfig(x=0.0, L=1.0, model=neg_arctan_drift(),
+                            cert=BoundCertificate(kappa=2.0, m=0.5), variant="a3", t0=1.0)
+        with pytest.raises(ConfigError, match="finite"):
+            validate_config(dataclasses.replace(cfg, **{name: value}))
+
+
+_ANY = st.floats(-10.0, 10.0) | st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(x=_ANY, L=_ANY, t0=st.none() | _ANY, kappa=_ANY, gamma0=_ANY, m=_ANY, hint=_ANY,
+       variant=st.sampled_from(["a1", "a3"]))
+def test_validation_admits_exactly_the_finite_well_posed_configs(x, L, t0, kappa, gamma0,
+                                                                  m, hint, variant):
+    try:
+        cert = BoundCertificate(kappa=kappa, gamma0=gamma0, m=m, domain_hint=hint)
+        validate_config(SamplerConfig(x=x, L=L, model=UNIT, cert=cert, variant=variant,
+                                      t0=t0))
+        admitted = True
+    except ConfigError:
+        admitted = False
+    finite = all(map(math.isfinite, (x, L, kappa, gamma0, m, hint, 0.0 if t0 is None else t0)))
+    posed = (L > x and 0.0 <= gamma0 <= kappa and m >= 0.0 and not (gamma0 > 0.0 and m > 0.0)
+             and (t0 is not None and t0 > 0.0 if variant == "a3" else t0 is None and m == 0.0))
+    assert admitted == (finite and posed)
 
 
 SINE = sine_drift()
