@@ -13,6 +13,12 @@ is deliberately no expression parser so the numerical core stays auditable.
 Catalog entries carry closed-form ``beta`` and a fast scalar ``gamma`` for
 the samplers' inner loop; both are cross-checked against the generic
 compositions in the test suite.
+
+Importing this module, certifying bounds and evaluating the catalog's fields
+load numpy only.  scipy is imported where it is used: ``quad`` by the beta and
+scale-function quadratures and by the Lamperti ``eta``, ``brentq`` by the
+Lamperti inverse.  Certification polishes grid extrema with
+:func:`_bounded_minimum`, a pure-Python port of scipy's bounded Brent method.
 """
 
 import math
@@ -20,14 +26,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
-from scipy.integrate import quad
 
 from .errors import ConfigError, ModelError, NumericError
 
 _CERT_TOL = 1e-9              # slack allowed before a scan point counts as a violation
 _QUAD_TOL = 1e-10             # absolute tolerance of the beta quadrature
 _GRID_CHUNK = 1 << 19         # certification grid points evaluated per numpy call
+_GRID_MAX = 10**8             # most grid points one scan may take (the default grid has ~3e6)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +273,7 @@ def gamma_fn(model):
 
 def _integrate(f, a, b, epsabs=_QUAD_TOL, epsrel=0.0, limit=50):
     """int_a^b f(u) du by scipy ``quad``; NumericError if it reports non-convergence."""
+    from scipy.integrate import quad
     value, _, _, *trouble = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
                                  full_output=1)
     if trouble:
@@ -368,6 +374,7 @@ def lamperti_drift(b, sigma, sigma_prime, x_anchor):
         return s
 
     def eta(y):
+        from scipy.integrate import quad
         y = float(y)
         if y == x_anchor:
             return 0.0
@@ -394,8 +401,9 @@ def lamperti_drift(b, sigma, sigma_prime, x_anchor):
             step *= 2.0
         else:
             raise NumericError(f"could not bracket eta^-1({z})")
+        from scipy.optimize import brentq
         lo, hi = sorted((x_anchor, far))
-        return optimize.brentq(lambda w: eta(w) - z, lo, hi, xtol=1e-10, rtol=1e-12)
+        return brentq(lambda w: eta(w) - z, lo, hi, xtol=1e-10, rtol=1e-12)
 
     def b0(z):
         w = eta_inv(z)
@@ -509,7 +517,13 @@ def _scan_grid(gamma, lo, hi, grid_step):
         raise ConfigError(f"certification grid [{lo}, {hi}] must have finite ends")
     if lo >= hi:
         raise ConfigError(f"domain_hint {lo} must lie below the level {hi}")
-    n = int(math.ceil((hi - lo) / grid_step)) + 1
+    span = (hi - lo) / grid_step
+    if not span <= _GRID_MAX:
+        raise ConfigError(f"certification grid [{lo}, {hi}] at step {grid_step} has more "
+                          f"than {_GRID_MAX:.0e} points; raise grid_step or the domain hint")
+    if lo + grid_step == lo:
+        raise ConfigError(f"grid_step {grid_step} is below the float spacing at {lo}")
+    n = int(math.ceil(span)) + 1
     gmin, gmax = math.inf, -math.inf
     gmin_y = gmax_y = lo
     tail_y = tail_g = np.empty(0)
@@ -538,6 +552,77 @@ def _scan_grid(gamma, lo, hi, grid_step):
     return _GridScan(lo, hi, grid_step, gmin, gmin_y, gmax, gmax_y, extrema)
 
 
+# scipy's own constants, so that every step rounds as scipy's does
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_XATOL = 1e-12                # x tolerance of the polish of grid extrema
+
+
+def _bounded_minimum(f, a, b):
+    """(x, f(x)) at a local minimum of f on [a, b] by Brent's bounded method.
+
+    Step for step scipy's ``minimize_scalar(f, bounds=(a, b), method="bounded",
+    options={"xatol": _XATOL})``, with ``math`` in place of ``np.abs`` and
+    ``np.sign``, so it gives scipy's ``x`` and ``fun`` bit for bit without
+    loading scipy.optimize.
+    """
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = fnfc = ffulc = f(xf)
+    rat = e = 0.0
+    num = 1
+    while num < 500:          # scipy's default cap on evaluations
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol1:
+            # try a parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+            if parabolic:
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if not parabolic:
+            # golden-section step into the larger part of [a, b]
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+    return xf, fx
+
+
 def _certify_scan(gamma, claim, scan):
     """Judge the claimed bounds on a grid pass, polishing the most binding extrema."""
     lower = claim.gamma0 if claim.m == 0.0 else -claim.m
@@ -549,9 +634,8 @@ def _certify_scan(gamma, claim, scan):
     def refine(y0, sign):
         a = max(scan.lo, y0 - scan.step)
         b = min(scan.hi, y0 + scan.step)
-        res = optimize.minimize_scalar(lambda y: sign * gamma.eval(y), bounds=(a, b),
-                                       method="bounded", options={"xatol": 1e-12})
-        return float(res.x), sign * float(res.fun)
+        x, fx = _bounded_minimum(lambda y: sign * gamma.eval(y), a, b)
+        return x, sign * fx
 
     maxima = sorted(scan.extrema, key=lambda e: -e[0])[:32]
     minima = sorted(scan.extrema, key=lambda e: e[0])[:32]

@@ -7,6 +7,11 @@ identities, a coupled comparator for the two thinning mechanizations, and an
 Euler-Maruyama oracle with the Brownian-bridge crossing correction for models
 without a closed form.
 
+Importing this module, and with it ``fptsim``, loads numpy only.  The
+reference CDFs (``ig_cdf``, ``brownian_fpt_cdf`` and its truncated form) and
+``geometric_iteration_gof`` import ``scipy.stats`` when they are called;
+``rho_distance_bound`` reaches scipy's ``quad`` through the scale function.
+
 The comparator is the one heavy user here.  Its scalar side is one loop,
 ``_coupled_iteration``: both scans walk one lazily drawn set of Poisson
 points and refine one bridge skeleton through the ``a2`` kernel's own
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from .bridge import BridgeSkeleton, bisect_insert, bisect_lanes
 from .drift import eval_beta, eval_scale_p
@@ -81,6 +85,7 @@ def ig_cdf(t, gap, mu_drift):
     """
     if mu_drift == 0.0:
         return brownian_fpt_cdf(t, gap)
+    from scipy import stats as sstats
     t = np.asarray(t, dtype=float)
     mu = gap / mu_drift          # IG mean
     lam = gap * gap              # IG shape
@@ -93,6 +98,7 @@ def ig_cdf(t, gap, mu_drift):
 
 def brownian_fpt_cdf(t, gap):
     """Reflection-principle CDF 2 Phi(-gap/sqrt(t)) of the driftless hitting time."""
+    from scipy import stats as sstats
     t = np.asarray(t, dtype=float)
     out = 2.0 * sstats.norm.cdf(-gap / np.sqrt(t))
     return out if out.ndim else float(out)
@@ -229,6 +235,7 @@ def geometric_iteration_gof(iterations, min_expected=5.0):
     expected = np.asarray(expected, dtype=float)
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     dof = max(len(cells) - 2, 1)
+    from scipy import stats as sstats
     return chi2, dof, float(sstats.chi2.sf(chi2, dof))
 
 

@@ -408,6 +408,12 @@ def _inverse_gaussian_value(stream, mu, lam):
     n2 = n * n
     x = mu + (mu * mu * n2) / (2.0 * lam) \
         - (mu / (2.0 * lam)) * math.sqrt(4.0 * mu * lam * n2 + mu * mu * n2 * n2)
+    if not x > 0.0:
+        # for r = mu*n^2/(2*lam) of about 1e7 and more (a tiny gap*sqrt(gamma0))
+        # the root above cancels to 0 or below; this form of it, mu/(1 + r +
+        # sqrt(r^2 + 2r)), does not, and only those draws take it
+        r = (mu * n2) / (2.0 * lam)
+        x = mu / (1.0 + r + math.sqrt(r * (r + 2.0)))
     u = stream.uniform()
     if u <= mu / (mu + x):
         return x
@@ -420,6 +426,9 @@ def _inverse_gaussian_lanes(lanes, which, mu, lam):
     n2 = n * n
     x = mu + (mu * mu * n2) / (2.0 * lam) \
         - (mu / (2.0 * lam)) * np.sqrt(4.0 * mu * lam * n2 + mu * mu * n2 * n2)
+    if not x.min() > 0.0:
+        r = (mu * n2) / (2.0 * lam)
+        x = np.where(x > 0.0, x, mu / (1.0 + r + np.sqrt(r * (r + 2.0))))
     u = lanes.take(UNIFORM, which)
     return np.where(u <= mu / (mu + x), x, (mu * mu) / x)
 

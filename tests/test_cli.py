@@ -1,10 +1,15 @@
 """Tests for the command-line front end: subcommands, CSV schemas, exit codes."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fptsim
 from fptsim.cli import build_parser, main
 
 
@@ -152,6 +157,76 @@ def test_non_finite_bounds_and_grid_ends_exit_2(tmp_path, monkeypatch, capsys, f
                 ["sample", *BASE, flag, value, "--n", "32", "--seed", "1"])
     assert code == 2
     assert "must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [["--scan-from=-1e300"],
+                                  ["--scan-from", "-50", "--grid-step", "1e-300"]],
+                         ids=["wide", "fine"])
+def test_unwalkable_certification_grid_exits_2(tmp_path, monkeypatch, capsys, grid):
+    # a finite grid of ~1e303 or ~5e301 points once ran until killed
+    code = _run(tmp_path, monkeypatch,
+                ["sample", "--model", "constant:mu=1", "--level", "2", "--kappa", "0.5",
+                 *grid, "--n", "1"])
+    assert code == 2
+    assert "grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+# every catalog model and every variant, split and rho included, through the
+# library's set-up, certification, sampling and comparator
+NO_SCIPY_LIBRARY = """
+import fptsim, fptsim.cli
+from fptsim import (BoundCertificate, GammaField, RandomStream, SamplerConfig,
+                    certify_bounds, delta_compare, model_from_spec, sample_batch,
+                    scan_gamma_range, truncate_drift, validate_config)
+from fptsim.drift import _CATALOG
+from fptsim.samplers import VARIANTS
+
+CASES = [  # spec, variant, split_k, rho, t0
+    ("constant:mu=1", "a1", 1, None, None), ("constant:mu=1", "a2-shift", 1, None, None),
+    ("sine", "a1", 1, None, None), ("sine", "a1", 4, None, None),
+    ("sine", "a2", 1, None, None), ("sine", "a1-shift", 1, None, None),
+    ("arctan-shift", "a2", 1, None, None), ("neg-arctan", "a3", 1, None, 2.0),
+    ("ou:alpha=0.3,beta=1", "a1", 1, 5.0, None), ("ou:alpha=0.3,beta=1", "a2", 1, 5.0, None)]
+assert {case[0].partition(":")[0] for case in CASES} == set(_CATALOG)
+assert {case[1] for case in CASES} == set(VARIANTS)
+for spec, variant, split_k, rho, t0 in CASES:
+    model = model_from_spec(spec)
+    effective = truncate_drift(model, rho) if rho is not None else model
+    # the margin on kappa covers the fields' approach to their sup below the grid
+    gmin, gmax = scan_gamma_range(effective, 1.0, lo=-2000.0, grid_step=1e-2)
+    cert = BoundCertificate(kappa=gmax + 1e-2,
+                            gamma0=gmin - 1e-6 if variant.endswith("-shift") else 0.0,
+                            m=max(0.0, -gmin) + 1e-6 if variant == "a3" else 0.0,
+                            domain_hint=-2000.0)
+    assert certify_bounds(GammaField(effective), cert, grid_step=1e-2, level=1.0).passed
+    config = SamplerConfig(x=0.0, L=1.0, model=model, cert=cert, variant=variant,
+                           split_k=split_k, t0=t0, rho=rho)
+    validate_config(config)
+    assert len(sample_batch(config, 20, RandomStream(1))) == 20
+    if (spec, variant, split_k) == ("sine", "a1", 1):
+        assert delta_compare(config, 20, RandomStream(2)).n == 20
+"""
+
+NO_SCIPY_CLI = """
+from fptsim.cli import main
+assert main(["sample", "--model", "sine", "--level", "2", "--scan-from", "-50",
+             "--n", "8", "--workers", "2", "--seed", "1"]) == 0
+"""
+
+
+@pytest.mark.parametrize("script", [NO_SCIPY_LIBRARY, NO_SCIPY_CLI], ids=["library", "cli"])
+def test_import_certification_and_sampling_load_no_scipy(tmp_path, script):
+    # scipy is imported by the quadrature, Lamperti and CDF helpers only;
+    # a fresh interpreter shows what the set-up and sampling path loaded
+    check = ("\nimport sys\nloaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+             "\nassert not loaded, f'{len(loaded)} scipy modules loaded: {loaded[:4]}'\n")
+    src = str(Path(fptsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script + check], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.slow

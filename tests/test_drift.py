@@ -12,6 +12,7 @@ from fptsim import (BoundCertificate, GammaField, ModelError, NumericError,
                     eval_scale_p, gamma_fn, lamperti_drift, model_from_spec,
                     neg_arctan_drift, ou_drift, recurrence_diagnostic,
                     sine_drift, truncate_drift, truncated_ou_kappa)
+from fptsim.drift import _XATOL, _bounded_minimum, _scan_grid
 from fptsim.errors import ConfigError
 
 CATALOG = [constant_drift(1.0), sine_drift(), arctan_shift_drift(),
@@ -330,6 +331,50 @@ def test_certificate_validation():
 def test_certificate_rejects_non_finite_constants(name, value):
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
         BoundCertificate(**{"kappa": 5.0, name: value})
+
+
+@pytest.mark.parametrize("kappa, passed, worst, location", [
+    (5.0, True, "-0x1.8c0634cdfb82ap-2", "-0x1.3d98e8aab8665p+5"),
+    (4.0, False, "0x1.153c2ab54c8d8p-1", "-0x1.171d4d3175786p+4"),
+], ids=["kappa5-holds", "kappa4-fails"])
+def test_certificate_report_is_pinned(kappa, passed, worst, location):
+    # the reports certification gave while it polished extrema with scipy's
+    # minimize_scalar(method="bounded"), field by field and bit for bit
+    claim = BoundCertificate(kappa=kappa, domain_hint=-50.0)
+    report = certify_bounds(GammaField(sine_drift()), claim, grid_step=1e-3, level=2.0)
+    assert report.model_label == "sine"
+    assert report.claim == claim
+    assert report.level.hex() == (2.0).hex()
+    assert report.passed is passed
+    assert report.worst_violation.hex() == worst
+    assert report.location.hex() == location
+    assert report.analytic_kappa is None
+
+
+@pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.label())
+def test_bounded_minimum_is_scipys_bounded_brent(model):
+    from scipy.optimize import minimize_scalar
+    gamma = GammaField(model)
+    pick = np.random.default_rng(sum(map(ord, model.label())))
+    for _ in range(50):
+        center = pick.uniform(-60.0, 1.0)
+        a, b = sorted((center + pick.uniform(-1e-3, 1e-3, size=2)).tolist())
+        for sign in (-1.0, 1.0):
+            def f(y):
+                return sign * gamma.eval(y)
+            x, fx = _bounded_minimum(f, a, b)
+            res = minimize_scalar(f, bounds=(a, b), method="bounded",
+                                  options={"xatol": _XATOL})
+            assert (x.hex(), fx.hex()) == (float(res.x).hex(), float(res.fun).hex())
+
+
+@pytest.mark.parametrize("lo, hi, step", [(-1e300, 2.0, 1e-3), (-50.0, 2.0, 1e-300),
+                                          (-1e12, -1e12 + 0.01, 1e-5)],
+                         ids=["wide", "fine", "below-spacing"])
+def test_scan_grid_refuses_grids_it_cannot_walk(lo, hi, step):
+    # too many points to scan in bounded time, or a step that lo + step rounds away
+    with pytest.raises(ConfigError, match="grid"):
+        _scan_grid(GammaField(constant_drift(1.0)), lo, hi, step)
 
 
 # ---------------------------------------------------------------------------

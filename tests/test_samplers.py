@@ -710,3 +710,31 @@ def test_lane_first_point_at_a_pin_takes_no_gaussian():
         assert (lanes.rejections[j] == 0) == accepted
         assert tested[keys == j][0] == (n - 1) // 5
     assert ran == [(False, 6), (True, 21)]
+
+
+# log-uniform over nine decades: the slices of a fine split and floors near
+# zero as well as wide gaps and long horizons
+_DECADES = st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(gap=_DECADES, gamma0=_DECADES, t0=_DECADES, seed=st.integers(0, 2**32 - 1))
+def test_proposals_draw_on_their_support_and_alike_on_lanes(gap, gamma0, t0, seed):
+    # every proposal law gives a finite time > 0, the truncated one <= t0, and
+    # its lane form gives each marked lane what draw gives on the lane's stream
+    import fptsim.samplers as samplers
+    from fptsim.rng import LaneStreams
+    base = RandomStream(seed, 7)
+    which = np.array([True, False, True, True])
+    laws = (samplers._BROWNIAN, samplers._INVERSE_GAUSSIAN, samplers._TRUNCATED)
+    for path, law in enumerate(laws):
+        params = law.params(gap, gamma0, t0)
+        lanes = LaneStreams(base.substream_keys(np.full(4, path), np.arange(4)))
+        twins = [base.substream(path, j) for j in range(4)]
+        for _ in range(5):
+            got = law.lanes(lanes, which, *params)
+            for j in which.nonzero()[0]:
+                value = law.draw(twins[j], *params)
+                assert math.isfinite(value) and value > 0.0
+                assert law is not samplers._TRUNCATED or value <= t0
+                assert float(got[j]).hex() == value.hex()
