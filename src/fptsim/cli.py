@@ -238,15 +238,16 @@ def _cmd_bench(args):
     rows = _run_batch(args, config)
     _, _, iters, pts = zip(*rows)
     mean_iters, mean_pts = sum(iters) / len(rows), sum(pts) / len(rows)
-    # the per-slice identity does not aggregate to one exponent under splitting,
-    # so it is checked, printed and written for unsplit runs only
+    # the identity holds for unsplit, unconditioned runs only: the per-slice
+    # identity does not aggregate under splitting, and a3 draws conditioned on
+    # tau <= t0; only the shift variants subtract gamma0
     identity = ["", "", ""]
-    if args.k == 1:
+    if args.k == 1 and args.variant != "a3":
         effective = (truncate_drift(config.model, config.rho)
                      if config.rho is not None else config.model)
+        gamma0 = config.cert.gamma0 if args.variant.endswith("-shift") else 0.0
         report = iteration_identity_check(iters, effective, args.x, args.level,
-                                          gamma0=config.cert.gamma0,
-                                          kappa=config.cert.kappa)
+                                          gamma0=gamma0, kappa=config.cert.kappa)
         print(report.text())
         identity = [_fmt(report.target_mean), _fmt(report.z_score), _fmt(report.upper_bound)]
     print(f"mean iterations {mean_iters:.6g}, mean total points (N_sigma) {mean_pts:.6g}")

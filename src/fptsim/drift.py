@@ -17,12 +17,13 @@ compositions in the test suite.
 Importing this module, certifying bounds and evaluating the catalog's fields
 load numpy only.  scipy is imported where it is used: ``quad`` by the beta and
 scale-function quadratures and by the Lamperti ``eta``, ``brentq`` by the
-Lamperti inverse.  Certification polishes grid extrema with
+Lamperti inverse.  The certification grid's pass polishes its extrema with
 :func:`_bounded_minimum`, a pure-Python port of scipy's bounded Brent method.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -253,22 +254,16 @@ def eval_gamma(model, y):
     bv = float(model.b(y))
     bp = float(model.b_prime(y))
     if not (math.isfinite(bv) and math.isfinite(bp)):
-        raise ModelError(f"drift evaluation not finite at y={y} (b={bv}, b'={bp})")
+        raise ModelError(f"drift evaluation not finite at y={y} (b={bv}, b'={bp}); "
+                         "the bound certificate does not hold there")
     return (bv * bv + bp) / 2.0
 
 
 def gamma_fn(model):
-    """Fastest available scalar gamma evaluator for a model."""
+    """Scalar gamma of a model: its closed form, else :func:`eval_gamma` on it."""
     if model.gamma_scalar is not None:
         return model.gamma_scalar
-    b = model.b
-    bp = model.b_prime
-
-    def gamma(y):
-        bv = float(b(y))
-        return (bv * bv + float(bp(y))) / 2.0
-
-    return gamma
+    return partial(eval_gamma, model)
 
 
 def _integrate(f, a, b, epsabs=_QUAD_TOL, epsrel=0.0, limit=50):
@@ -495,20 +490,18 @@ def truncated_ou_kappa(alpha, rho, beta):
 
 @dataclass(frozen=True)
 class _GridScan:
-    """What one pass over the grid lo, lo + step, ..., hi saw of gamma."""
+    """The range of gamma that one pass over the grid lo, lo + step, ..., hi found."""
 
     lo: float
     hi: float
-    step: float
     gmin: float
-    gmin_y: float             # first grid point where gmin occurs
+    gmin_y: float             # where gmin occurs: its first grid point, or the polished one
     gmax: float
-    gmax_y: float             # first grid point where gmax occurs
-    extrema: list             # (gamma, y) of each turning point of the sampled curve
+    gmax_y: float             # where gmax occurs: its first grid point, or the polished one
 
 
 def _scan_grid(gamma, lo, hi, grid_step):
-    """Evaluate the field on the certification grid in chunks, so memory stays bounded."""
+    """The range of gamma on the certification grid, walked in chunks so memory stays bounded."""
     if not grid_step > 0.0:
         raise ConfigError(f"grid_step must be positive, got {grid_step}")
     lo = float(lo)
@@ -527,7 +520,7 @@ def _scan_grid(gamma, lo, hi, grid_step):
     gmin, gmax = math.inf, -math.inf
     gmin_y = gmax_y = lo
     tail_y = tail_g = np.empty(0)
-    extrema = []
+    extrema = []              # (gamma, y) of each turning point of the sampled curve
     for start in range(0, n, _GRID_CHUNK):
         idx = np.arange(start, min(start + _GRID_CHUNK, n))
         ys = np.minimum(lo + idx * grid_step, hi)
@@ -549,7 +542,18 @@ def _scan_grid(gamma, lo, hi, grid_step):
         extrema.extend(zip(gs_ext[turn].tolist(), ys_ext[turn].tolist()))
         tail_y = ys_ext[-2:]
         tail_g = gs_ext[-2:]
-    return _GridScan(lo, hi, grid_step, gmin, gmin_y, gmax, gmax_y, extrema)
+    # the 32 highest and 32 lowest turning points, polished within a grid step,
+    # replace the grid's extreme where they go strictly beyond it
+    for _, y0 in sorted(extrema, key=lambda e: -e[0])[:32]:
+        y, g = _bounded_minimum(lambda v: -gamma.eval(v), max(lo, y0 - grid_step),
+                                min(hi, y0 + grid_step))
+        if -g > gmax:
+            gmax, gmax_y = -g, y
+    for _, y0 in sorted(extrema, key=lambda e: e[0])[:32]:
+        y, g = _bounded_minimum(gamma.eval, max(lo, y0 - grid_step), min(hi, y0 + grid_step))
+        if g < gmin:
+            gmin, gmin_y = g, y
+    return _GridScan(lo, hi, gmin, gmin_y, gmax, gmax_y)
 
 
 # scipy's own constants, so that every step rounds as scipy's does
@@ -624,29 +628,12 @@ def _bounded_minimum(f, a, b):
 
 
 def _certify_scan(gamma, claim, scan):
-    """Judge the claimed bounds on a grid pass, polishing the most binding extrema."""
+    """Judge the claimed bounds against the range a grid pass found."""
     lower = claim.gamma0 if claim.m == 0.0 else -claim.m
-    # the worst grid violation, located at the first grid point that attains it
+    # the worse violation, at the smaller y when the two tie
     candidates = ((scan.gmax - claim.kappa, scan.gmax_y), (lower - scan.gmin, scan.gmin_y))
     worst = max(v for v, _ in candidates)
     worst_y = min(y for v, y in candidates if v == worst)
-
-    def refine(y0, sign):
-        a = max(scan.lo, y0 - scan.step)
-        b = min(scan.hi, y0 + scan.step)
-        x, fx = _bounded_minimum(lambda y: sign * gamma.eval(y), a, b)
-        return x, sign * fx
-
-    maxima = sorted(scan.extrema, key=lambda e: -e[0])[:32]
-    minima = sorted(scan.extrema, key=lambda e: e[0])[:32]
-    for _, y0 in maxima:
-        y_ref, g_ref = refine(y0, -1.0)
-        if g_ref - claim.kappa > worst:
-            worst, worst_y = g_ref - claim.kappa, y_ref
-    for _, y0 in minima:
-        y_ref, g_ref = refine(y0, 1.0)
-        if lower - g_ref > worst:
-            worst, worst_y = lower - g_ref, y_ref
 
     model = gamma.source
     analytic = None
@@ -666,16 +653,16 @@ def _certify_scan(gamma, claim, scan):
 
 
 def certify_bounds(gamma, claim, grid_step=1e-3, *, level):
-    """Scan gamma on [domain_hint, level] against the claimed bounds.
+    """Judge the claimed bounds against the range of gamma on [domain_hint, level].
 
-    Runs a vectorized grid scan plus a refinement pass around the worst local
-    extrema.  Failures are reported, not raised.
+    The range is :func:`scan_gamma_range`'s on the same grid.  Failures are
+    reported, not raised.
     """
     return _certify_scan(gamma, claim, _scan_grid(gamma, claim.domain_hint, level, grid_step))
 
 
 def scan_gamma_range(model, level, lo=None, grid_step=1e-3):
-    """Min/max of gamma on a scan grid; used to auto-derive certificate claims."""
+    """(min, max) of gamma on a scan grid: the range certification judges claims against."""
     if lo is None:
         lo = default_domain_hint(level)
     scan = _scan_grid(GammaField(model), lo, level, grid_step)

@@ -31,7 +31,7 @@ from .bridge import BridgeSkeleton, bisect_insert, bisect_lanes
 from .drift import eval_beta, eval_scale_p
 from .errors import BudgetError, ConfigError, FptsimError, NumericError
 from .rng import EXPONENTIAL, NORMAL, UNIFORM
-from .samplers import _LANE_MIN, _Lanes, _bessel, _point_field, _prepare, _run_batch
+from .samplers import _Lanes, _bessel, _point_field, _prepare, _run_batch
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +391,7 @@ class _CoupledLanes(_Lanes):
         pass  # a fresh replicate waits for the next step like any other lane
 
     def _step(self, s):
-        if self.next_key >= len(self.value) and len(self.key) < _LANE_MIN:
+        if self._handing_off():
             for j in range(len(self.key)):
                 self._finish_scalar(j)
             return

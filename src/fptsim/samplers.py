@@ -67,7 +67,7 @@ import numpy as np
 from .bridge import BridgeSkeleton, bisect_insert, off_knots
 from .drift import (BoundCertificate, DriftModel, GammaField, gamma_fn,
                     truncate_drift)
-from .errors import BudgetError, ConfigError, FptsimError, ModelError
+from .errors import BudgetError, ConfigError, FptsimError, ModelError, NumericError
 from .rng import (EXPONENTIAL, NORMAL, UNIFORM, LaneStreams, RandomStream,
                   _brownian_fpt_lanes, _brownian_fpt_value,
                   _inverse_gaussian_lanes, _inverse_gaussian_value,
@@ -92,7 +92,7 @@ class RunStats:
 
     def __post_init__(self):
         if self.iterations < 1 or len(self.points_per_iteration) != self.iterations:
-            raise ValueError("iteration count and per-iteration point list disagree")
+            raise NumericError("iteration count and per-iteration point list disagree")
         object.__setattr__(self, "total_points",
                            self.iterations + sum(self.points_per_iteration))
 
@@ -104,7 +104,7 @@ class FptDraw:
 
     def __post_init__(self):
         if not self.value > 0.0:
-            raise ValueError(f"sampled time must be positive, got {self.value}")
+            raise NumericError(f"sampled time must be positive, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -397,12 +397,16 @@ class _Lanes:
         limit = self.plan.max_iterations
         if s + 1 >= limit and (self.rejections[lanes] >= limit).any():
             raise BudgetError(f"no acceptance within {limit} iterations")
-        if self.next_key >= len(self.value) and len(self.key) < _LANE_MIN:
+        if self._handing_off():
             for j in lanes:
                 self._finish_scalar(j)
             return None
         self._propose(rejected, s)
         return rejected
+
+    def _handing_off(self):
+        """Whether the last items go to the scalar kernel: none queued, under _LANE_MIN lanes."""
+        return self.next_key >= len(self.value) and len(self.key) < _LANE_MIN
 
     def _propose(self, which, s):
         """A fresh proposal on each lane ``which`` marks; ``_arrive`` draws its first arrival."""

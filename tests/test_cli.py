@@ -108,6 +108,33 @@ def test_split_bench_writes_no_identity(tmp_path, monkeypatch, capsys):
     assert float(cells["mean_iterations"]) > 0 and float(cells["mean_total_points"]) > 0
 
 
+def test_conditional_bench_writes_no_identity(tmp_path, monkeypatch, capsys):
+    # a3 draws are conditioned on tau <= t0, and the identity does not hold for them
+    code = _run(tmp_path, monkeypatch,
+                ["bench", "--model", "neg-arctan", "--level", "1", "--variant", "a3",
+                 "--t0", "1", "--scan-from", "-50", "--n", "400", "--seed", "1",
+                 "--out", "bench.csv"])
+    assert code == 0
+    assert "identity" not in capsys.readouterr().out
+    header, row = _rows(tmp_path / "bench.csv")
+    cells = dict(zip(header, row))
+    assert [cells[c] for c in ("identity_target", "z_score", "upper_bound")] == ["", "", ""]
+
+
+def test_bench_identity_reads_gamma0_only_when_shifted(tmp_path, monkeypatch, capsys):
+    # a1 ignores gamma0, so a gamma0 given to it moves neither the identity
+    # nor the bound; a1-shift subtracts it: 225 exp(-2 sqrt(0.5)) = 54.7
+    argv = ["bench", "--model", "sine", "--level", "2", "--kappa", "5",
+            "--scan-from", "-50", "--n", "400", "--seed", "1", "--out", "b.csv"]
+    runs = []
+    for extra in ([], ["--gamma0", "0.25"], ["--variant", "a1-shift", "--gamma0", "0.25"]):
+        assert _run(tmp_path, monkeypatch, [*argv, *extra]) == 0
+        runs.append((capsys.readouterr().out, (tmp_path / "b.csv").read_bytes()))
+    assert runs[1] == runs[0]
+    assert "vs identity 225 " in runs[0][0]
+    assert "vs identity 54.7 " in runs[2][0]
+
+
 def test_validate_threshold_scales_with_n(tmp_path, monkeypatch, capsys):
     # at n = 200 an exact sampler's KS distance is ~0.06, far above the 0.02
     # that suits the default n = 10000; the threshold is 2/sqrt(n)
@@ -276,6 +303,18 @@ def test_sample_scans_the_grid_once(tmp_path, monkeypatch, kappa):
             *kappa, "--n", "3", "--out", "s.csv"]
     assert _run(tmp_path, monkeypatch, argv) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("variant", ["a1", "a1-shift"])
+def test_derived_bounds_pass_their_own_certificate(variant):
+    # the derived kappa and gamma0 come from the range certification judges,
+    # so at no scan start does the CLI reject the bounds it derived itself
+    from fptsim.cli import _resolve
+    parser = build_parser()
+    for lo in range(-10, -61, -1):
+        args = parser.parse_args(["sample", "--model", "sine", "--level", "2",
+                                  "--variant", variant, f"--scan-from={lo}"])
+        assert _resolve(args).cert.domain_hint == lo
 
 
 @pytest.mark.parametrize("command", ["sample", "validate", "bench", "split-scan", "compare"])

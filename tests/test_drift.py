@@ -11,7 +11,7 @@ from fptsim import (BoundCertificate, GammaField, ModelError, NumericError,
                     constant_drift, custom_drift, eval_beta, eval_gamma,
                     eval_scale_p, gamma_fn, lamperti_drift, model_from_spec,
                     neg_arctan_drift, ou_drift, recurrence_diagnostic,
-                    sine_drift, truncate_drift, truncated_ou_kappa)
+                    scan_gamma_range, sine_drift, truncate_drift, truncated_ou_kappa)
 from fptsim.drift import _XATOL, _bounded_minimum, _scan_grid
 from fptsim.errors import ConfigError
 
@@ -53,6 +53,26 @@ def test_gamma_nonfinite_drift_raises_naming_point():
                        lambda y: 0.0 * np.asarray(y, dtype=float))
     with pytest.raises(ModelError, match="3.5"):
         eval_gamma(bad, 3.5)
+
+
+def _no_closed_form_models():
+    return [custom_drift(sine_drift().b, sine_drift().b_prime),
+            lamperti_drift(lambda y: 2.0 + math.sin(y), lambda y: math.hypot(1.0, y),
+                           lambda y: y / math.hypot(1.0, y), x_anchor=0.0)]
+
+
+@pytest.mark.parametrize("model", _no_closed_form_models(), ids=["custom", "lamperti"])
+def test_gamma_fn_without_closed_form_is_eval_gamma(model):
+    gamma = gamma_fn(model)
+    for y in (-7.25, -1.0, -0.1, 0.0, 0.37, 1.5):
+        assert gamma(y).hex() == eval_gamma(model, y).hex()
+
+
+def test_gamma_fn_checks_the_drift_is_finite():
+    bad = custom_drift(lambda y: math.inf + 0.0 * np.asarray(y, dtype=float),
+                       lambda y: 0.0 * np.asarray(y, dtype=float))
+    with pytest.raises(ModelError, match="3.5"):
+        gamma_fn(bad)(3.5)
 
 
 def test_gamma_scalar_matches_composition():
@@ -349,6 +369,22 @@ def test_certificate_report_is_pinned(kappa, passed, worst, location):
     assert report.worst_violation.hex() == worst
     assert report.location.hex() == location
     assert report.analytic_kappa is None
+
+
+@pytest.mark.parametrize("lo", [-10.0, -37.0, -50.0])
+@pytest.mark.parametrize("model, level", [(sine_drift(), 2.0),
+                                          (truncate_drift(ou_drift(0.3, 1.0), 5.0), 1.0)],
+                         ids=["sine", "ou-trunc5"])
+def test_scanned_range_passes_as_its_own_claim(model, level, lo):
+    # certification judges a claim against the range scan_gamma_range gives,
+    # so that range, taken as the claim, holds on the same grid with no slack
+    gmin, gmax = scan_gamma_range(model, level, lo=lo)
+    assert 0.0 < gmin < gmax
+    for gamma0 in (0.0, gmin):
+        claim = BoundCertificate(kappa=gmax, gamma0=gamma0, domain_hint=lo)
+        report = certify_bounds(GammaField(model), claim, level=level)
+        assert report.passed
+        assert report.worst_violation == 0.0
 
 
 @pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.label())

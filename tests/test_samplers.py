@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fptsim import (BoundCertificate, BudgetError, ConfigError, ModelError,
-                    RandomStream, RunStats, SamplerConfig, constant_drift, custom_drift,
-                    delta_compare, ig_cdf, neg_arctan_drift, optimal_split_count, ou_drift,
+from fptsim import (BoundCertificate, BudgetError, ConfigError, FptDraw, ModelError,
+                    NumericError, RandomStream, RunStats, SamplerConfig, constant_drift,
+                    custom_drift, delta_compare, ig_cdf, neg_arctan_drift, optimal_split_count, ou_drift,
                     sample, sample_batch, sine_drift, truncate_drift,
                     truncated_ou_kappa, validate_config)
 from fptsim.harness import (brownian_fpt_cdf, geometric_iteration_gof,
@@ -261,6 +261,15 @@ def test_total_points_is_derived_not_given():
     assert RunStats(2, (5, 6)).total_points == 13
     with pytest.raises(TypeError):
         RunStats(2, (5, 6), total_points=999)
+
+
+@pytest.mark.parametrize("build", [lambda: FptDraw(0.0, RunStats(1, (6,))),
+                                   lambda: RunStats(2, (6,))], ids=["FptDraw", "RunStats"])
+def test_draw_records_fail_with_a_typed_error(build):
+    # a bare ValueError would escape the CLI's handler and the scalar rerun
+    # of a failed lane batch, both of which catch FptsimError
+    with pytest.raises(NumericError):
+        build()
 
 
 def test_negative_batch_size_is_a_config_error():
