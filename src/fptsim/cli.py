@@ -14,12 +14,15 @@ Each subcommand takes only the flags it reads (see its --help), spelled in full:
 
 Exit codes: 0 ok, 1 validation failure, 2 usage/configuration error, 3 budget
 exhausted.  All floats are printed with 17 significant digits; a fixed seed
-makes every output byte-identical across reruns and worker counts.
+makes every output byte-identical across reruns and worker counts.  A reader
+of stdout that goes away early (``| head``) cuts the printed report short,
+not the run: output files are written in full, with the usual exit code.
 """
 
 import argparse
 import csv
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -38,6 +41,22 @@ _CLAIM_MARGIN = 1e-9
 
 def _fmt(x):
     return f"{x:.17g}"
+
+
+def _say(text):
+    """Print a line of the command's report to stdout, at once.
+
+    A reader that has gone away (``fptsim sample --verbose | head -1``) ends
+    the report, not the run: stdout is pointed at os.devnull, as the Python
+    docs advise, and the command writes its files in full and exits with its
+    own code.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _positive_int(text):
@@ -143,7 +162,7 @@ def _resolve(args, split_k=1):
     if not report.passed:
         raise ConfigError("bound certificate failed:\n" + report.text())
     if args.verbose:
-        print(report.text())
+        _say(report.text())
     config = SamplerConfig(x=args.x, L=args.level, model=model, cert=cert,
                            variant=args.variant, split_k=split_k, t0=args.t0,
                            rho=args.rho, max_iterations=args.max_iterations)
@@ -199,13 +218,13 @@ def _cmd_sample(args):
         for idx, value, iters, pts in rows:
             writer.writerow([idx, _fmt(value), iters, pts])
     _, values, iters, pts = zip(*rows)
-    print(f"wrote {len(rows)} draws to {out}")
-    print(f"mean value {sum(values)/len(values):.6g}, "
-          f"mean iterations {sum(iters)/len(iters):.6g}, "
-          f"mean total points {sum(pts)/len(pts):.6g}")
+    _say(f"wrote {len(rows)} draws to {out}")
+    _say(f"mean value {sum(values)/len(values):.6g}, "
+         f"mean iterations {sum(iters)/len(iters):.6g}, "
+         f"mean total points {sum(pts)/len(pts):.6g}")
     if args.hist:
         histogram_export(values, args.bins, args.hist)
-        print(f"wrote histogram to {args.hist}")
+        _say(f"wrote histogram to {args.hist}")
     return 0
 
 
@@ -228,8 +247,8 @@ def _cmd_validate(args):
         ks = ks_statistic([d.value for d in draws], lambda t: ig_cdf(t, gap, 1.0))
         ok = ks < threshold
         failures += 0 if ok else 1
-        print(f"validate {label}: KS vs closed form = {ks:.5f} "
-              f"({'PASS' if ok else 'FAIL'}, threshold {threshold:.4g})")
+        _say(f"validate {label}: KS vs closed form = {ks:.5f} "
+             f"({'PASS' if ok else 'FAIL'}, threshold {threshold:.4g})")
     return 0 if failures == 0 else 1
 
 
@@ -248,16 +267,16 @@ def _cmd_bench(args):
         gamma0 = config.cert.gamma0 if args.variant.endswith("-shift") else 0.0
         report = iteration_identity_check(iters, effective, args.x, args.level,
                                           gamma0=gamma0, kappa=config.cert.kappa)
-        print(report.text())
+        _say(report.text())
         identity = [_fmt(report.target_mean), _fmt(report.z_score), _fmt(report.upper_bound)]
-    print(f"mean iterations {mean_iters:.6g}, mean total points (N_sigma) {mean_pts:.6g}")
+    _say(f"mean iterations {mean_iters:.6g}, mean total points (N_sigma) {mean_pts:.6g}")
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "mean_iterations", "identity_target", "z_score",
                              "upper_bound", "mean_total_points"])
             writer.writerow([len(rows), _fmt(mean_iters), *identity, _fmt(mean_pts)])
-        print(f"wrote bench report to {args.out}")
+        _say(f"wrote bench report to {args.out}")
     return 0
 
 
@@ -274,14 +293,14 @@ def _cmd_split_scan(args):
         stderr = math.sqrt(var / len(pts))
         rows.append((k, mean, stderr))
         if args.verbose:
-            print(f"k={k}: mean N_sigma {mean:.4g} +- {stderr:.2g}")
+            _say(f"k={k}: mean N_sigma {mean:.4g} +- {stderr:.2g}")
     with open(out, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "mean_total_points", "stderr"])
         for k, mean, stderr in rows:
             writer.writerow([k, _fmt(mean), _fmt(stderr)])
     best = min(rows, key=lambda r: r[1])
-    print(f"wrote {len(rows)} rows to {out}; minimum mean N_sigma {best[1]:.4g} at k={best[0]}")
+    _say(f"wrote {len(rows)} rows to {out}; minimum mean N_sigma {best[1]:.4g} at k={best[0]}")
     return 0
 
 
@@ -294,10 +313,10 @@ def _cmd_compare(args):
         writer.writerow(["n", "mean_delta", "std_delta", "t_stat", "ratio"])
         writer.writerow([report.n, _fmt(report.mean_delta), _fmt(report.std_delta),
                          _fmt(report.t_statistic), _fmt(report.ratio)])
-    print(report.text())
+    _say(report.text())
     significant = abs(report.t_statistic) > 2.5758  # two-sided 1%
-    print(f"difference {'is' if significant else 'is NOT'} significant at the 1% level; "
-          f"wrote {out}")
+    _say(f"difference {'is' if significant else 'is NOT'} significant at the 1% level; "
+         f"wrote {out}")
     return 0
 
 

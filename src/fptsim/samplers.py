@@ -42,13 +42,15 @@ past it runs on the scalar kernel over the lane's own draws.
 The lane kernel reads the same substreams in the same order with the same
 arithmetic, so the determinism contract is one for both: draw i of a batch
 is ``sample`` on substream ``start + i``, bit for bit.  That holds whatever
-the batch size or partition, whichever pooled generator (see ``rng``) a
-stream or lane happens to draw with, and whatever other thread samples
-meanwhile.  The lane width is the module constant _LANE_WIDTH, not an
-option.  Batches too small to fill _LANE_MIN lanes, and the last few items
-of a batch, run on the scalar kernel, which stays the reference the lane
-kernel is tested against.  Every hand-off from lanes to scalar code reads
-the lane's draws through ``LaneStreams.lane``.
+the batch size, partition or lane width, whichever pooled generator (see
+``rng``) a stream or lane happens to draw with, and whatever other thread
+samples meanwhile.  A batch of n draws in k slices starts on
+min(n * k, _LANE_WIDTH) lanes, and the lane of an accepted item takes the
+next queued one.  The width is a module constant, 1024 lanes (~25 MB of
+lane buffers), not an option.  Batches too small to fill _LANE_MIN lanes,
+and the last few items of a batch, run on the scalar kernel, which stays
+the reference the lane kernel is tested against.  Every hand-off from
+lanes to scalar code reads the lane's draws through ``LaneStreams.lane``.
 
 Cost accounting follows the elementary random variates: ``N_i`` counts the
 scalar draws consumed by iteration i's thinning scan (a 3-d Gaussian counts
@@ -251,8 +253,11 @@ def _climb(stream, skel, height, n, level, gamma, ceiling, shift, lift):
 # lane kernel: the rejection loops of many draws at once
 # ---------------------------------------------------------------------------
 
-# lanes advanced together (3 buffer rows of 1032 floats each, ~3 MB in all)
-_LANE_WIDTH = 128
+# most lanes advanced together, each with 3 buffer rows of 1032 floats (~25 MB
+# at full width).  A numpy step's cost grows far slower than its lane count,
+# and a wide batch needs fewer steps: a 3000-draw sine a2 batch takes 1340
+# lane steps at this width, 5578 at 128
+_LANE_WIDTH = 1024
 # with fewer live lanes than this a numpy step costs more than scalar scans
 _LANE_MIN = 16
 # a decision within this much of the numpy field (times max(1, ceiling)) is

@@ -242,18 +242,40 @@ assert main(["sample", "--model", "sine", "--level", "2", "--scan-from", "-50",
 """
 
 
+def _src_env():
+    """The environment of a fresh interpreter that imports this fptsim."""
+    src = str(Path(fptsim.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("script", [NO_SCIPY_LIBRARY, NO_SCIPY_CLI], ids=["library", "cli"])
 def test_import_certification_and_sampling_load_no_scipy(tmp_path, script):
     # scipy is imported by the quadrature, Lamperti and CDF helpers only;
     # a fresh interpreter shows what the set-up and sampling path loaded
     check = ("\nimport sys\nloaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
              "\nassert not loaded, f'{len(loaded)} scipy modules loaded: {loaded[:4]}'\n")
-    src = str(Path(fptsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script + check], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", script + check], cwd=tmp_path,
+                          env=_src_env(), capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_sample_into_a_closed_pipe_writes_the_csv_and_exits_quietly(tmp_path, monkeypatch):
+    # stdout is a pipe whose reader has gone, as once ``| head -1`` exits:
+    # the printed report is lost, but the CSV is still written in full, and
+    # the command exits 0 with no traceback
+    argv = ["sample", *BASE, "--variant", "a1", "--n", "50", "--seed", "42", "--verbose"]
+    _run(tmp_path, monkeypatch, argv + ["--out", "ref.csv"])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "fptsim.cli", *argv, "--out", "s.csv"],
+                              cwd=tmp_path, env=_src_env(), stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=300)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.slow

@@ -15,6 +15,7 @@ from fptsim import (BoundCertificate, RandomStream, SampleSet, SamplerConfig,
                     ks_statistic, ou_drift, rho_distance_bound, sample_batch,
                     sine_drift, two_sample_ks, xi_normalization)
 from fptsim import rng as rng_module
+from fptsim import samplers
 from fptsim.errors import ConfigError, FptsimError
 from fptsim.harness import (_CoupledLanes, _coupled_iteration, _coupled_totals,
                             _delta_totals, brownian_fpt_cdf, geometric_iteration_gof,
@@ -337,6 +338,11 @@ def test_compare_output_is_pinned(name):
     assert got == PINNED_COMPARE[name]
 
 
+# lane widths the lane-vs-scalar tests run at: the narrow ones queue
+# replicates at the batch sizes below, which the default width does not
+LANE_WIDTHS = (16, 128, samplers._LANE_WIDTH)
+
+
 def _scalar_totals(plan, n, stream):
     return np.array([_coupled_totals(plan, stream.substream(rep)) for rep in range(n)],
                     dtype=float)
@@ -344,8 +350,10 @@ def _scalar_totals(plan, n, stream):
 
 @pytest.mark.parametrize("name", sorted(COMPARE_CONFIGS))
 def test_lane_comparator_is_the_scalar_one(name, monkeypatch):
-    # per replicate, bit for bit, below, at and above _LANE_MIN and _LANE_WIDTH;
-    # the lane kernel runs directly, so n = 15 runs it too, and hands off at once
+    # per replicate, bit for bit, below, at and above _LANE_MIN, at every
+    # width of LANE_WIDTHS: n = 129 and 300 run above the widths 16 and 128,
+    # so replicates queue for a lane; the lane kernel runs directly, so
+    # n = 15 runs it too, and hands off at once
     cfg = COMPARE_CONFIGS[name][0]
     plan = _prepare(cfg)
     rechecked = []
@@ -358,8 +366,10 @@ def test_lane_comparator_is_the_scalar_one(name, monkeypatch):
     monkeypatch.setattr(_CoupledLanes, "_recheck", counted)
     for n in (15, 16, 129, 300):
         stream = RandomStream(20261018, 12).substream(n)
-        assert np.array_equal(_CoupledLanes(plan, n, stream, 0).run(),
-                              _scalar_totals(plan, n, stream))
+        want = _scalar_totals(plan, n, stream)
+        for width in LANE_WIDTHS:
+            monkeypatch.setattr(samplers, "_LANE_WIDTH", width)
+            assert np.array_equal(_CoupledLanes(plan, n, stream, 0).run(), want)
     if name == "clamped-arctan":
         # numpy's unclamped field dips below 0 near the level, where the
         # scalar gamma clamps it: those points are decided by the recheck

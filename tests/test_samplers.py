@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fptsim import samplers
 from fptsim import (BoundCertificate, BudgetError, ConfigError, FptDraw, ModelError,
                     NumericError, RandomStream, RunStats, SamplerConfig, constant_drift,
                     custom_drift, delta_compare, ig_cdf, neg_arctan_drift, optimal_split_count, ou_drift,
@@ -520,7 +521,6 @@ def test_nan_field_is_a_certificate_breach(variant):
 
 
 def test_batch_resolves_config_once(monkeypatch):
-    import fptsim.samplers as samplers
     calls = {"validate_config": 0, "truncate_drift": 0}
 
     def counted(fn):
@@ -621,6 +621,9 @@ PARTITION_CONFIGS = {
                              variant="a1", split_k=20),
 }
 PARTITION_N = 300
+# the default width runs an unsplit batch of PARTITION_N on one wave of lanes;
+# the narrow ones queue its items
+LANE_WIDTHS = (16, 128, samplers._LANE_WIDTH)
 _partition_reference = {}
 
 
@@ -635,14 +638,34 @@ def _partition_draws(name):
 @given(name=st.sampled_from(sorted(PARTITION_CONFIGS)),
        cuts=st.lists(st.integers(0, PARTITION_N), max_size=6))
 def test_batch_partition_invariance(name, cuts):
-    # consecutive calls over any cut of [11, 11 + n) give the one-call draws,
-    # so neither lane width nor queue order reaches the output
+    # consecutive calls over any cut of [11, 11 + n), at every lane width,
+    # give the one-call draws at the default width, so neither lane width
+    # nor queue order reaches the output
     bounds = [0, *sorted(cuts), PARTITION_N]
     base = RandomStream(20261018, 9)
-    got = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        got += sample_batch(PARTITION_CONFIGS[name], hi - lo, base, start=11 + lo)
-    assert got == _partition_draws(name)
+    want = _partition_draws(name)
+    for width in LANE_WIDTHS:
+        got = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(samplers, "_LANE_WIDTH", width)
+            for lo, hi in zip(bounds, bounds[1:]):
+                got += sample_batch(PARTITION_CONFIGS[name], hi - lo, base, start=11 + lo)
+        assert got == want
+
+
+@pytest.mark.parametrize("name, n", [
+    ("a1", 100), ("a2", samplers._LANE_WIDTH), ("a1", samplers._LANE_WIDTH + 1),
+    ("split20", 30), ("split20", 100)])
+def test_lanes_start_at_the_batch_size_up_to_the_width(name, n):
+    # a batch of n draws in k slices starts on min(n * k, _LANE_WIDTH) lanes,
+    # holding items 0, 1, ... in key order; the rest queue for a lane
+    cfg = LANE_CONFIGS[name]
+    plan = samplers._prepare(cfg)
+    lanes = plan.scan.lanes(plan, n, RandomStream(134), 0)
+    width = min(n * cfg.split_k, samplers._LANE_WIDTH)
+    assert lanes.key.tolist() == list(range(width))
+    assert lanes.next_key == width
+    assert len(lanes.T) == len(lanes.rng.end) == width
 
 
 @pytest.mark.parametrize("variant", ["a1", "a2"])
@@ -650,7 +673,6 @@ def test_lane_decides_as_the_scalar_gamma_does(variant):
     # numpy's arctan is an ulp off libm's at some points, so neg-arctan's
     # field on lanes and its scalar gamma can differ; a threshold between the
     # two must be decided as the scalar kernel decides it
-    import fptsim.samplers as samplers
     from fptsim.drift import GammaField, gamma_fn
     model = neg_arctan_drift()
     ys = np.linspace(-6.0, 6.0, 20001)
@@ -678,7 +700,6 @@ def test_lane_first_point_at_a_pin_takes_no_gaussian():
     # 1e-15 of T, takes the pin's bridge value and no Gaussian, and decides
     # its iteration as the scalar kernel does on the lane's stream; at this
     # seed lane 0 rejects there and lane 1 runs on, past its first point
-    import fptsim.samplers as samplers
     from fptsim.bridge import BridgeSkeleton
     from fptsim.rng import NORMAL, UNIFORM, _brownian_fpt_value
     plan = samplers._prepare(LANE_CONFIGS["a2"])
@@ -731,7 +752,6 @@ _DECADES = st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e)
 def test_proposals_draw_on_their_support_and_alike_on_lanes(gap, gamma0, t0, seed):
     # every proposal law gives a finite time > 0, the truncated one <= t0, and
     # its lane form gives each marked lane what draw gives on the lane's stream
-    import fptsim.samplers as samplers
     from fptsim.rng import LaneStreams
     base = RandomStream(seed, 7)
     which = np.array([True, False, True, True])
