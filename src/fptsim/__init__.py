@@ -11,11 +11,10 @@ from .drift import (BoundCertificate, CertificateReport, DriftModel, GammaField,
                     sine_drift, truncate_drift, truncated_ou_kappa)
 from .errors import (BudgetError, ConfigError, FptsimError, ModelError,
                      NumericError)
-from .harness import (DeltaReport, SampleSet, brownian_fpt_cdf, delta_compare,
-                      em_fpt_oracle, geometric_iteration_gof, histogram_export,
-                      ig_cdf, ig_pdf, iteration_identity_check,
-                      iteration_identity_target, ks_statistic,
-                      rho_distance_bound, truncated_brownian_fpt_cdf,
+from .harness import (DeltaReport, brownian_fpt_cdf, delta_compare, em_fpt_oracle,
+                      geometric_iteration_gof, histogram_export, ig_cdf, ig_pdf,
+                      iteration_identity_check, iteration_identity_target,
+                      ks_statistic, rho_distance_bound, truncated_brownian_fpt_cdf,
                       two_sample_ks, xi_normalization)
 from .rng import (ProposalDraw, RandomStream, draw_brownian_fpt,
                   draw_inverse_gaussian, draw_truncated_brownian_fpt)

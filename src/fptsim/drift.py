@@ -320,12 +320,9 @@ class GammaField:
 
 @dataclass(frozen=True)
 class ScaleFunction:
-    """Scale function p and the auxiliary functional v of the recurrence test."""
+    """The auxiliary functional v of the recurrence test; p itself is :func:`eval_scale_p`."""
 
     source: DriftModel
-
-    def p(self, y):
-        return eval_scale_p(self.source, y)
 
     def v(self, y):
         # v(y) = int_0^y 2 p'(s) int_0^s dz/p'(z) ds  with p'(y) = exp(-beta(y))
@@ -462,13 +459,6 @@ class CertificateReport:
     worst_violation: float
     location: float
     analytic_kappa: Optional[float] = None
-
-    CSV_HEADER = "model,kappa,gamma0,m,pass,worst_violation,location"
-
-    def csv_row(self):
-        return (f"{self.model_label},{self.claim.kappa:.17g},{self.claim.gamma0:.17g},"
-                f"{self.claim.m:.17g},{int(self.passed)},{self.worst_violation:.17g},"
-                f"{self.location:.17g}")
 
     def text(self):
         lines = [
@@ -680,11 +670,6 @@ class RecurrenceReport:
     depths: tuple
     log_abs_p: tuple
     v_deepest: Optional[float]
-
-    def text(self):
-        probes = ", ".join(f"log|p(-{d:g})|={lp:.4g}" for d, lp in zip(self.depths, self.log_abs_p))
-        v = "overflow" if self.v_deepest is None else f"{self.v_deepest:.6g}"
-        return f"{self.verdict}\n  probes: {probes}\n  v at deepest probe: {v}"
 
 
 def _log_abs_p_neg(model, depth):

@@ -29,40 +29,9 @@ import numpy as np
 
 from .bridge import BridgeSkeleton, bisect_insert, bisect_lanes
 from .drift import eval_beta, eval_scale_p
-from .errors import BudgetError, ConfigError, FptsimError, NumericError
+from .errors import BudgetError, ConfigError, NumericError
 from .rng import EXPONENTIAL, NORMAL, UNIFORM
 from .samplers import _Lanes, _bessel, _point_field, _prepare, _run_batch
-
-
-# ---------------------------------------------------------------------------
-# sample containers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SampleSet:
-    """Draw values plus their run statistics and a provenance fingerprint."""
-
-    values: np.ndarray
-    stats: list
-    fingerprint: str
-    n_censored: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.stats and len(self.stats) != len(self.values):
-            raise FptsimError("values and stats length mismatch")
-
-    def __len__(self):
-        return len(self.values)
-
-    @classmethod
-    def from_draws(cls, draws, fingerprint=""):
-        return cls(np.array([d.value for d in draws]),
-                   [d.stats for d in draws], fingerprint)
-
-    def iterations(self):
-        return np.array([s.iterations for s in self.stats], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +137,14 @@ def iteration_identity_target(model, x, L, gamma0=0.0):
     return math.exp(expo)
 
 
-def iteration_identity_check(samples, model, x, L, gamma0=0.0, kappa=None):
+def iteration_identity_check(iterations, model, x, L, gamma0=0.0, kappa=None):
     """Compare mean(I) against its identity and the exp((L-x) sqrt(2 kappa)) bound.
 
-    ``samples`` is either a SampleSet carrying run statistics or a bare array
-    of iteration counts.
+    ``iterations`` holds one iteration count per draw.
     """
-    if isinstance(samples, SampleSet):
-        if not samples.stats:
-            raise ConfigError("iteration_identity_check needs run statistics")
-        iters = samples.iterations()
-    else:
-        iters = np.asarray(samples, dtype=float)
-        if iters.size == 0:
-            raise ConfigError("iteration_identity_check needs iteration counts")
+    iters = np.asarray(iterations, dtype=float)
+    if iters.size == 0:
+        raise ConfigError("iteration_identity_check needs iteration counts")
     n = len(iters)
     mean = float(iters.mean())
     se = float(iters.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
@@ -557,9 +520,9 @@ def em_fpt_oracle(model, x, L, t_max, step, n, stream):
     Simulates Euler-Maruyama paths of the unit diffusion and flags a crossing
     either when a step ends at or above L or, with probability
     exp(-2 (L-X_i)(L-X_{i+1}) / step), when the pinned Brownian bridge between
-    the endpoints would have touched L inside the step.  Crossing times are
-    reported at the right end of the step; paths alive at t_max are censored
-    (count reported, values excluded).
+    the endpoints would have touched L inside the step.  Returns the sorted
+    crossing times, each at the right end of its step; paths alive at t_max
+    are censored, so ``n - len(result)`` of them did not cross.
     """
     if not (step > 0.0 and t_max > 0.0):
         raise ConfigError("em_fpt_oracle needs positive step and t_max")
@@ -587,10 +550,7 @@ def em_fpt_oracle(model, x, L, t_max, step, n, stream):
         crossing[alive[hit]] = t_now
         positions[alive] = xnew
         alive = alive[~hit]
-    crossed = crossing[~np.isnan(crossing)]
-    return SampleSet(np.sort(crossed), [],
-                     f"em-oracle:{model.label()},x={x},L={L},step={step},n={n}",
-                     n_censored=int(len(alive)))
+    return np.sort(crossing[~np.isnan(crossing)])
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +576,11 @@ def rho_distance_bound(model, x, L, rho):
     return 2.0 * (p_level - p_start) / (p_level - p_cut)
 
 
-def histogram_export(samples, bins, path):
+def histogram_export(values, bins, path):
     """Write a density-normalized histogram as CSV rows (bin_left, bin_right, density)."""
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
-    values = np.asarray(samples.values if isinstance(samples, SampleSet) else samples,
-                        dtype=float)
+    values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise ConfigError("histogram_export needs a non-empty sample")
     density, edges = np.histogram(values, bins=bins, density=True)

@@ -231,11 +231,11 @@ def test_criterion_6_conditional_sampler():
     support_ok = bool(np.all((values > 0.0) & (values <= 1.0)))
     oracle = em_fpt_oracle(model, 0.0, 1.0, t_max=1.0, step=1e-3, n=2 * 10**5,
                            stream=RandomStream(SEED, 41))
-    ks = two_sample_ks(values, oracle.values)
+    ks = two_sample_ks(values, oracle)
     ok = support_ok and ks < 0.03
     assert _report("6", ok,
                    f"support in (0, 1]: {support_ok}; KS vs conditional EM oracle "
-                   f"= {ks:.4f} (< 0.03, oracle n = {len(oracle.values)})")
+                   f"= {ks:.4f} (< 0.03, oracle n = {len(oracle)})")
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def test_criterion_7_truncated_drift():
     t_max = float(np.quantile(v5, 0.999))
     oracle = em_fpt_oracle(ou, 0.0, 1.0, t_max=t_max, step=1e-3, n=10**5,
                            stream=RandomStream(SEED, 52))
-    ks_oracle = two_sample_ks(v5[v5 <= t_max], oracle.values)
+    ks_oracle = two_sample_ks(v5[v5 <= t_max], oracle)
     ks_rho = two_sample_ks(v5, v8)
     bounds = [rho_distance_bound(ou, 0.0, 1.0, r) for r in (3.0, 5.0, 8.0)]
     decreasing = bounds[0] > bounds[1] > bounds[2]

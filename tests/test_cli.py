@@ -152,6 +152,21 @@ def test_invalid_combination_exits_2(tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_m_outside_a3_exits_2(tmp_path, monkeypatch, capsys):
+    code = _run(tmp_path, monkeypatch,
+                ["sample", *BASE, "--variant", "a1", "--m", "0.3", "--n", "5", "--seed", "1"])
+    assert code == 2
+    assert "--m only applies to variant a3" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_descending_slice_range_exits_2(tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, monkeypatch, ["split-scan", *BASE, "--k", "5..3", "--n", "5"])
+    assert err.value.code == 2
+    assert "bad slice range '5..3'" in capsys.readouterr().err
+
+
 def test_failed_certificate_exits_2(tmp_path, monkeypatch):
     # kappa=1 does not bound the sine field (max ~4.54)
     code = _run(tmp_path, monkeypatch,
@@ -408,3 +423,13 @@ def test_flags_are_spelled_in_full(capsys, argv):
         build_parser().parse_args(argv)
     assert err.value.code == 2
     assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
+def test_package_has_every_name_the_benchmark_reads():
+    # perfbench/ reaches the package only as ``F.<name>`` and changes on its
+    # own schedule, so deleting one of these names would break the benchmark
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    names = {name for path in bench.glob("*.py")
+             for name in re.findall(r"\bF\.([A-Za-z_]\w*)", path.read_text())}
+    assert names
+    assert sorted(name for name in names if not hasattr(fptsim, name)) == []

@@ -329,14 +329,6 @@ def test_certify_reports_violation_with_location():
         4.0 + report.worst_violation, abs=1e-6)
 
 
-def test_certificate_report_csv_row():
-    claim = BoundCertificate(kappa=5.0, gamma0=0.25, domain_hint=-50.0)
-    report = certify_bounds(GammaField(sine_drift()), claim, grid_step=1e-2, level=2.0)
-    assert report.CSV_HEADER == "model,kappa,gamma0,m,pass,worst_violation,location"
-    row = report.csv_row()
-    assert row.startswith("sine,5,0.25,0,1,")
-
-
 def test_certificate_validation():
     with pytest.raises(ConfigError):
         BoundCertificate(kappa=1.0, gamma0=2.0)
@@ -431,6 +423,18 @@ def test_recurrence_negative_drift_transient():
 def test_recurrence_sine_diverges():
     report = recurrence_diagnostic(ScaleFunction(sine_drift()), 10.0)
     assert "yes" in report.verdict
+
+
+@pytest.mark.parametrize("mu", [1.0, -1.0])
+def test_recurrence_without_closed_beta_matches_closed_form(mu):
+    # with no closed-form beta the probes integrate b segment by segment;
+    # they must reach the constant drift's verdict and nearly its log|p|
+    bare = custom_drift(lambda y: mu + 0.0 * np.asarray(y, dtype=float),
+                        lambda y: 0.0 * np.asarray(y, dtype=float))
+    got = recurrence_diagnostic(ScaleFunction(bare), 10.0)
+    want = recurrence_diagnostic(ScaleFunction(constant_drift(mu)), 10.0)
+    assert got.verdict == want.verdict
+    assert got.log_abs_p == pytest.approx(want.log_abs_p, abs=0.05)
 
 
 # ---------------------------------------------------------------------------

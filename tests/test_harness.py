@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fptsim import (BoundCertificate, RandomStream, SampleSet, SamplerConfig,
+from fptsim import (BoundCertificate, RandomStream, SamplerConfig,
                     constant_drift, custom_drift, delta_compare, em_fpt_oracle,
                     arctan_shift_drift, ig_cdf, ig_pdf,
                     iteration_identity_check, iteration_identity_target,
@@ -104,8 +104,6 @@ def test_ks_requires_data():
 EMPTY_OR_INVALID = {
     "ks": lambda path: ks_statistic([], lambda t: t),
     "two-sample-ks": lambda path: two_sample_ks([1.0], []),
-    "identity-no-stats": lambda path: iteration_identity_check(
-        SampleSet(np.array([1.0]), [], "no stats"), constant_drift(1.0), 0.0, 2.0),
     "identity-no-counts": lambda path: iteration_identity_check(
         np.array([]), constant_drift(1.0), 0.0, 2.0),
     "geometric-empty": lambda path: geometric_iteration_gof([]),
@@ -140,8 +138,8 @@ def test_iteration_identity_check_report():
     cfg = SamplerConfig(x=0.0, L=2.0, model=constant_drift(1.0),
                         cert=BoundCertificate(kappa=0.5, domain_hint=-50.0))
     draws = sample_batch(cfg, 3000, RandomStream(61))
-    samples = SampleSet.from_draws(draws, "unit-drift")
-    report = iteration_identity_check(samples, cfg.model, 0.0, 2.0, kappa=0.5)
+    iterations = [d.stats.iterations for d in draws]
+    report = iteration_identity_check(iterations, cfg.model, 0.0, 2.0, kappa=0.5)
     assert abs(report.z_score) < 3.0
     assert report.bound_ok
     assert report.upper_bound == pytest.approx(math.e**2, rel=1e-12)
@@ -485,8 +483,8 @@ def test_delta_compare_rejects_nonplain_configs():
 def test_em_oracle_unit_drift_matches_closed_form():
     em = em_fpt_oracle(constant_drift(1.0), 0.0, 2.0, t_max=15.0, step=1e-3,
                        n=5 * 10**4, stream=RandomStream(71))
-    assert em.n_censored < 100
-    assert ks_statistic(em.values, lambda t: ig_cdf(t, 2.0, 1.0)) < 0.015
+    assert 5 * 10**4 - len(em) < 100
+    assert ks_statistic(em, lambda t: ig_cdf(t, 2.0, 1.0)) < 0.015
 
 
 def test_em_oracle_driftless_matches_reflection():
@@ -494,7 +492,7 @@ def test_em_oracle_driftless_matches_reflection():
     em = em_fpt_oracle(constant_drift(0.0), 0.0, 2.0, t_max=t_max, step=1e-3,
                        n=3 * 10**4, stream=RandomStream(72))
     cond = brownian_fpt_cdf(t_max, 2.0)
-    assert ks_statistic(em.values, lambda t: brownian_fpt_cdf(t, 2.0) / cond) < 0.015
+    assert ks_statistic(em, lambda t: brownian_fpt_cdf(t, 2.0) / cond) < 0.015
 
 
 def test_em_oracle_refinement_trend():
@@ -502,8 +500,8 @@ def test_em_oracle_refinement_trend():
                            n=2 * 10**4, stream=RandomStream(73))
     fine = em_fpt_oracle(constant_drift(1.0), 0.0, 2.0, t_max=15.0, step=1e-3,
                          n=2 * 10**4, stream=RandomStream(74))
-    ks_c = ks_statistic(coarse.values, lambda t: ig_cdf(t, 2.0, 1.0))
-    ks_f = ks_statistic(fine.values, lambda t: ig_cdf(t, 2.0, 1.0))
+    ks_c = ks_statistic(coarse, lambda t: ig_cdf(t, 2.0, 1.0))
+    ks_f = ks_statistic(fine, lambda t: ig_cdf(t, 2.0, 1.0))
     assert ks_f <= ks_c + 0.01
 
 
@@ -513,7 +511,7 @@ def test_em_oracle_batch_size():
                       stream=RandomStream(75))
     empty = em_fpt_oracle(constant_drift(1.0), 0.0, 2.0, t_max=1.0, step=1e-2, n=0,
                           stream=RandomStream(75))
-    assert len(empty) == 0 and empty.n_censored == 0
+    assert isinstance(empty, np.ndarray) and len(empty) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +548,7 @@ def _read_hist(path):
 
 def test_histogram_single_point(tmp_path):
     path = tmp_path / "single.csv"
-    histogram_export(SampleSet(np.array([3.0]), [], "one"), 1, path)
+    histogram_export(np.array([3.0]), 1, path)
     rows = _read_hist(path)
     assert len(rows) == 1
     lo, hi, density = rows[0]
@@ -560,7 +558,7 @@ def test_histogram_single_point(tmp_path):
 def test_histogram_uniform_sample(tmp_path):
     rng = np.random.default_rng(9)
     path = tmp_path / "uniform.csv"
-    histogram_export(SampleSet(rng.random(2 * 10**4), [], "u"), 10, path)
+    histogram_export(rng.random(2 * 10**4), 10, path)
     rows = _read_hist(path)
     assert len(rows) == 10
     for _, _, density in rows:
@@ -575,7 +573,7 @@ def test_histogram_tracks_reference_density(tmp_path):
     draws = sample_batch(cfg, 10**4, RandomStream(75))
     values = np.array([d.value for d in draws])
     path = tmp_path / "ig.csv"
-    histogram_export(SampleSet(values, [], "ig"), 60, path)
+    histogram_export(values, 60, path)
     n = len(values)
     for lo, hi, density in _read_hist(path):
         width = hi - lo
@@ -586,4 +584,4 @@ def test_histogram_tracks_reference_density(tmp_path):
 
 def test_histogram_validates_input(tmp_path):
     with pytest.raises(Exception):
-        histogram_export(SampleSet(np.array([]), [], "none"), 5, tmp_path / "x.csv")
+        histogram_export(np.array([]), 5, tmp_path / "x.csv")

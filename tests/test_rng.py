@@ -315,6 +315,27 @@ def test_lane_view_draws_what_its_stream_draws():
         assert uniforms[j] == twin.uniform()
 
 
+def test_brownian_proposal_redraws_an_exact_zero():
+    # G = 0 would give an infinite time gap^2 / G^2: the scalar and the lane
+    # proposal both take the next normal instead, and the same one
+    from fptsim.rng import _brownian_fpt_lanes, _brownian_fpt_value
+    lanes = LaneStreams(RandomStream(49, 3).substream_keys(np.arange(3)))
+    twins = [RandomStream(49, 3).substream(i) for i in range(3)]
+    first = lanes.take(NORMAL)  # each lane's first refill
+    for j, twin in enumerate(twins):
+        assert first[j] == twin.normal()
+    twin = twins[1]
+    lanes._flat[NORMAL][lanes.pos[NORMAL][1]] = twin._nbuf[twin._ni] = 0.0
+    before = lanes.pos[NORMAL].copy()
+    got = _brownian_fpt_lanes(lanes, np.ones(3, dtype=bool), 2.0)
+    for j, twin in enumerate(twins):
+        at = twin._ni
+        want = _brownian_fpt_value(twin, 2.0)
+        assert float(got[j]).hex() == want.hex()
+        assert math.isfinite(want) and want > 0.0
+        assert lanes.pos[NORMAL][j] - before[j] == twin._ni - at == (2 if j == 1 else 1)
+
+
 # one operation on a LaneStreams of three lanes: (what, lane, kind, count, seed)
 LANE_OPS = st.tuples(st.sampled_from(["take1", "take3", "peek", "view", "attach"]),
                      st.integers(0, 2), st.integers(0, 2), st.integers(0, 1100),

@@ -557,8 +557,16 @@ LANE_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LANE_CONFIGS))
-def test_batch_is_bit_identical_to_single_draws(name):
+# at the default width an unsplit batch of 1000 runs on one wave of lanes;
+# at 128 every config queues items for the lanes accepted items free
+LANE_CASES = [pytest.param(name, width, id=name if width == samplers._LANE_WIDTH
+                           else f"{name}-width{width}")
+              for name in sorted(LANE_CONFIGS) for width in (128, samplers._LANE_WIDTH)]
+
+
+@pytest.mark.parametrize("name, width", LANE_CASES)
+def test_batch_is_bit_identical_to_single_draws(name, width, monkeypatch):
+    monkeypatch.setattr(samplers, "_LANE_WIDTH", width)
     cfg = LANE_CONFIGS[name]
     base = RandomStream(20261018, 8)
     n = 1000
@@ -668,31 +676,38 @@ def test_lanes_start_at_the_batch_size_up_to_the_width(name, n):
     assert len(lanes.T) == len(lanes.rng.end) == width
 
 
-@pytest.mark.parametrize("variant", ["a1", "a2"])
+@pytest.mark.parametrize("variant", ["a1", "a2", "a3"])
 def test_lane_decides_as_the_scalar_gamma_does(variant):
     # numpy's arctan is an ulp off libm's at some points, so neg-arctan's
     # field on lanes and its scalar gamma can differ; a threshold between the
-    # two must be decided as the scalar kernel decides it
+    # two must be decided as the scalar kernel decides it.  a3 lifts each
+    # lane's field by m * t0 / T and raises its ceiling by as much
     from fptsim.drift import GammaField, gamma_fn
     model = neg_arctan_drift()
+    lifted = variant == "a3"
+    cfg = SamplerConfig(x=0.0, L=1.0, model=model,
+                        cert=BoundCertificate(kappa=math.pi ** 2 / 8, m=0.5 if lifted else 0.0,
+                                              domain_hint=-100.0),
+                        variant=variant, t0=1.0 if lifted else None)
+    plan = samplers._prepare(cfg)
+    lanes = plan.scan.lanes(plan, 1, RandomStream(133), 0)
+    lanes._propose(np.ones(1, dtype=bool), -1)
+    lift, ceiling = lanes._bounds(0)
+    assert (lift > 0.0) == lifted
     ys = np.linspace(-6.0, 6.0, 20001)
-    vector = GammaField(model).eval_array(ys)
+    vector = GammaField(model).eval_array(ys) + lift
     gamma = gamma_fn(model)
-    scalar = np.array([gamma(float(y)) for y in ys])
+    scalar = np.array([gamma(float(y)) + lift for y in ys])
     differ = ((vector != scalar) & (scalar > 0.0)).nonzero()[0]
     if not differ.size:
         pytest.skip("numpy's and libm's arctan agree on this build")
-    cfg = SamplerConfig(x=0.0, L=1.0, model=model,
-                        cert=BoundCertificate(kappa=math.pi ** 2 / 8, domain_hint=-100.0),
-                        variant=variant)
-    plan = samplers._prepare(cfg)
-    lanes = plan.scan.lanes(plan, 1, RandomStream(133), 0)
     for j in differ:
         y = np.array([ys[j]])
         threshold = max(vector[j], scalar[j])
         assert (threshold <= vector[j]) != (threshold <= scalar[j])
         rejected = lanes._thin(y, np.array([threshold]))
-        assert rejected.tolist() == [threshold <= scalar[j]]
+        f = samplers._point_field(gamma, float(ys[j]), plan.shift, lift, ceiling)
+        assert rejected.tolist() == [threshold <= f]
 
 
 def test_lane_first_point_at_a_pin_takes_no_gaussian():
