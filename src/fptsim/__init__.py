@@ -1,14 +1,14 @@
 """Exact rejection sampling of first-passage times for one-dimensional diffusions."""
 
 from .bridge import (BridgeSkeleton, SequentialBridgeState, bessel_norm,
-                     bisect_insert, dump_skeleton_csv, sequential_advance)
+                     bisect_insert, sequential_advance)
 from .drift import (BoundCertificate, CertificateReport, DriftModel, GammaField,
-                    ScaleFunction, arctan_shift_drift, certify_bounds,
-                    constant_drift, custom_drift, default_domain_hint,
-                    eval_beta, eval_gamma, eval_scale_p, gamma_fn,
-                    lamperti_drift, model_from_spec, neg_arctan_drift,
-                    ou_drift, recurrence_diagnostic, scan_gamma_range,
-                    sine_drift, truncate_drift, truncated_ou_kappa)
+                    arctan_shift_drift, certify_bounds, constant_drift,
+                    custom_drift, default_domain_hint, eval_beta, eval_gamma,
+                    eval_scale_p, gamma_fn, lamperti_drift, model_from_spec,
+                    neg_arctan_drift, ou_drift, recurrence_diagnostic,
+                    scan_gamma_range, sine_drift, truncate_drift,
+                    truncated_ou_kappa)
 from .errors import (BudgetError, ConfigError, FptsimError, ModelError,
                      NumericError)
 from .harness import (DeltaReport, brownian_fpt_cdf, delta_compare, em_fpt_oracle,

@@ -142,11 +142,3 @@ def bessel_norm(drift_gap, horizon, t, beta_t):
     rx = (t / horizon) * drift_gap + beta_t[0]
     return math.sqrt(rx * rx + beta_t[1] * beta_t[1] + beta_t[2] * beta_t[2])
 
-
-def dump_skeleton_csv(skel, path):
-    """Write the skeleton knots as CSV rows (t, bx, by, bz, R_t)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("t,beta_x,beta_y,beta_z,R_t\n")
-        for t, v in zip(skel.times, skel.values):
-            row = (t, *v, bessel_norm(skel.drift_gap, skel.horizon, t, v))
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

@@ -14,10 +14,10 @@ Catalog entries carry closed-form ``beta`` and a fast scalar ``gamma`` for
 the samplers' inner loop; both are cross-checked against the generic
 compositions in the test suite.
 
-Importing this module, certifying bounds and evaluating the catalog's fields
-load numpy only.  scipy is imported where it is used: ``quad`` by the beta and
-scale-function quadratures and by the Lamperti ``eta``, ``brentq`` by the
-Lamperti inverse.  The certification grid's pass polishes its extrema with
+Importing this module, certifying bounds, evaluating the catalog's fields and
+the recurrence diagnostic load numpy only.  scipy is imported where it is
+used: ``quad`` by the beta and scale-function quadratures and by the Lamperti
+``eta``, ``brentq`` by the Lamperti inverse.  The certification grid's pass polishes its extrema with
 :func:`_bounded_minimum`, a pure-Python port of scipy's bounded Brent method.
 """
 
@@ -310,30 +310,9 @@ class GammaField:
 
     source: DriftModel
 
-    def eval(self, y):
-        return eval_gamma(self.source, y)
-
     def eval_array(self, ys):
         ys = np.asarray(ys, dtype=float)
         return (np.asarray(self.source.b(ys)) ** 2 + np.asarray(self.source.b_prime(ys))) / 2.0
-
-
-@dataclass(frozen=True)
-class ScaleFunction:
-    """The auxiliary functional v of the recurrence test; p itself is :func:`eval_scale_p`."""
-
-    source: DriftModel
-
-    def v(self, y):
-        # v(y) = int_0^y 2 p'(s) int_0^s dz/p'(z) ds  with p'(y) = exp(-beta(y))
-        def inner(s):
-            return _integrate(lambda z: math.exp(eval_beta(self.source, z)), 0.0, s,
-                              epsabs=1e-10, epsrel=1e-8, limit=200)
-
-        def integrand(s):
-            return 2.0 * math.exp(-eval_beta(self.source, s)) * inner(s)
-
-        return _integrate(integrand, 0.0, float(y), epsabs=1e-10, epsrel=1e-8, limit=200)
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +513,14 @@ def _scan_grid(gamma, lo, hi, grid_step):
         tail_g = gs_ext[-2:]
     # the 32 highest and 32 lowest turning points, polished within a grid step,
     # replace the grid's extreme where they go strictly beyond it
+    f = partial(eval_gamma, gamma.source)
     for _, y0 in sorted(extrema, key=lambda e: -e[0])[:32]:
-        y, g = _bounded_minimum(lambda v: -gamma.eval(v), max(lo, y0 - grid_step),
+        y, g = _bounded_minimum(lambda v: -f(v), max(lo, y0 - grid_step),
                                 min(hi, y0 + grid_step))
         if -g > gmax:
             gmax, gmax_y = -g, y
     for _, y0 in sorted(extrema, key=lambda e: e[0])[:32]:
-        y, g = _bounded_minimum(gamma.eval, max(lo, y0 - grid_step), min(hi, y0 + grid_step))
+        y, g = _bounded_minimum(f, max(lo, y0 - grid_step), min(hi, y0 + grid_step))
         if g < gmin:
             gmin, gmin_y = g, y
     return _GridScan(lo, hi, gmin, gmin_y, gmax, gmax_y)
@@ -672,43 +652,46 @@ class RecurrenceReport:
     v_deepest: Optional[float]
 
 
+def _from_zero(ys, fs):
+    """int_{ys[i]}^0 f for each point of a grid ys that ends at 0, by the trapezoid rule."""
+    out = np.zeros_like(ys)
+    out[:-1] = np.cumsum((0.5 * (fs[1:] + fs[:-1]) * np.diff(ys))[::-1])[::-1]
+    return out
+
+
+def _beta_grid(model, depth):
+    """(ys, beta(ys)) on the probes' grid of [-depth, 0]: the closed form, else a trapezoid of b."""
+    ys = np.linspace(-depth, 0.0, int(min(400001, max(4001, 40 * depth))) | 1)
+    if model.beta_closed is not None:
+        return ys, np.asarray(model.beta_closed(ys), dtype=float)
+    return ys, -_from_zero(ys, np.asarray(model.b(ys), dtype=float))
+
+
 def _log_abs_p_neg(model, depth):
     """log |p(-depth)| computed in log space so exp(-beta) cannot overflow."""
-    if model.beta_closed is not None:
-        npts = int(min(400001, max(4001, 40 * depth))) | 1
-        ys = np.linspace(-depth, 0.0, npts)
-        betas = np.asarray(model.beta_closed(ys), dtype=float)
-    else:
-        # accumulate beta segment by segment (beta is additive) to avoid
-        # re-integrating from 0 for every grid point
-        npts = 2001
-        ys = np.linspace(-depth, 0.0, npts)
-        betas = np.empty(npts)
-        betas[-1] = 0.0
-        for i in range(npts - 2, -1, -1):
-            seg = _integrate(lambda u: float(model.b(u)), ys[i], ys[i + 1])
-            betas[i] = betas[i + 1] - seg
+    ys, betas = _beta_grid(model, depth)
     neg = -betas
     m = float(neg.max())
     integral = float(np.trapezoid(np.exp(neg - m), ys))
     return m + math.log(integral)
 
 
-def recurrence_diagnostic(scale, probe_depth=10.0):
+def recurrence_diagnostic(model, probe_depth=10.0):
     """Heuristic check that the scale function diverges at -inf (so tau_L < inf).
 
     Advisory only: probes |p| at geometrically growing depths and looks for
     sustained growth; when p plateaus, probes whether v stops growing instead.
     Never blocks sampling.
     """
-    if not probe_depth > 0.0:
-        raise ConfigError(f"probe_depth must be positive, got {probe_depth}")
-    model = scale.source
+    if not 0.0 < probe_depth < math.inf:
+        raise ConfigError(f"probe_depth must be positive and finite, got {probe_depth}")
     depths = tuple(probe_depth * (10.0 ** j) for j in range(3))
     try:
         logs = tuple(_log_abs_p_neg(model, d) for d in depths)
     except (NumericError, OverflowError, ValueError):
         return RecurrenceReport("inconclusive (numeric trouble probing p)", depths, (), None)
+    if not all(map(math.isfinite, logs)):
+        return RecurrenceReport("inconclusive (numeric trouble probing p)", depths, logs, None)
 
     growing = logs[2] > logs[1] > logs[0]
     substantial = logs[2] - logs[0] > math.log(5.0)
@@ -718,11 +701,15 @@ def recurrence_diagnostic(scale, probe_depth=10.0):
             depths, logs, None)
 
     # p plateaus: fall back to the v criterion (bounded v also implies tau < inf).
-    # v at a finite depth is always finite, so look at its growth between probes.
+    # v at a finite depth is always finite, so look at its growth between probes:
+    # v(-d) = int_{-d}^0 2 exp(-beta(s)) int_s^0 exp(beta(z)) dz ds, read at d0 and
+    # 2 d0 (the middle and the start of a grid with an odd number of points)
     d0 = min(probe_depth, 10.0)
     try:
-        v1 = scale.v(-d0)
-        v2 = scale.v(-2.0 * d0)
+        ys, betas = _beta_grid(model, 2.0 * d0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = _from_zero(ys, 2.0 * np.exp(-betas) * _from_zero(ys, np.exp(betas)))
+        v1, v2 = float(v[len(v) // 2]), float(v[0])
         if not (math.isfinite(v1) and math.isfinite(v2)):
             raise NumericError("v overflowed")
     except Exception:

@@ -168,6 +168,8 @@ def geometric_iteration_gof(iterations, min_expected=5.0):
     n = len(iters)
     if n == 0 or iters.min() < 1:
         raise ConfigError("iteration counts must be >= 1")
+    if not 0.0 < min_expected < math.inf:
+        raise ConfigError(f"min_expected must be positive and finite, got {min_expected}")
     p_hat = 1.0 / float(iters.mean())
     # group the geometric support into cells with enough expected mass
     cells = []

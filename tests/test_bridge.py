@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from fptsim import (BridgeSkeleton, RandomStream, SequentialBridgeState,
-                    bessel_norm, bisect_insert, dump_skeleton_csv,
-                    sequential_advance)
+                    bessel_norm, bisect_insert, sequential_advance)
 from fptsim.bridge import bisect_lanes
 
 
@@ -210,16 +209,3 @@ def test_refinement_order_exchangeability():
             target = min(times[a], times[b]) * (T - max(times[a], times[b])) / T
             assert abs(c_seq - target) <= tol
 
-
-def test_skeleton_csv_dump(tmp_path):
-    s = RandomStream(11)
-    skel = BridgeSkeleton(2.0, 1.0)
-    for t in (0.5, 1.0, 1.5):
-        bisect_insert(skel, t, s)
-    path = tmp_path / "skel.csv"
-    dump_skeleton_csv(skel, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,beta_x,beta_y,beta_z,R_t"
-    assert len(lines) == 1 + 5
-    t, bx, by, bz, r = map(float, lines[2].split(","))
-    assert r == pytest.approx(bessel_norm(1.0, 2.0, t, (bx, by, bz)))

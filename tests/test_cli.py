@@ -256,6 +256,16 @@ assert main(["sample", "--model", "sine", "--level", "2", "--scan-from", "-50",
              "--n", "8", "--workers", "2", "--seed", "1"]) == 0
 """
 
+# the recurrence probes: p on the sine grid, the v branch of a drift away
+# from the level, and a drift with no closed-form beta
+NO_SCIPY_RECURRENCE = """
+import numpy as np
+from fptsim import constant_drift, custom_drift, recurrence_diagnostic, sine_drift
+bare = custom_drift(lambda y: 2.0 + np.sin(y), np.cos)
+for model, answer in ((sine_drift(), "yes"), (constant_drift(-1.0), "no"), (bare, "yes")):
+    assert recurrence_diagnostic(model).verdict.startswith("recurrent: " + answer)
+"""
+
 
 def _src_env():
     """The environment of a fresh interpreter that imports this fptsim."""
@@ -264,7 +274,8 @@ def _src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-@pytest.mark.parametrize("script", [NO_SCIPY_LIBRARY, NO_SCIPY_CLI], ids=["library", "cli"])
+@pytest.mark.parametrize("script", [NO_SCIPY_LIBRARY, NO_SCIPY_CLI, NO_SCIPY_RECURRENCE],
+                         ids=["library", "cli", "recurrence"])
 def test_import_certification_and_sampling_load_no_scipy(tmp_path, script):
     # scipy is imported by the quadrature, Lamperti and CDF helpers only;
     # a fresh interpreter shows what the set-up and sampling path loaded

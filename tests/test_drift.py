@@ -7,11 +7,11 @@ import pytest
 from scipy.integrate import quad
 
 from fptsim import (BoundCertificate, GammaField, ModelError, NumericError,
-                    ScaleFunction, arctan_shift_drift, certify_bounds,
-                    constant_drift, custom_drift, eval_beta, eval_gamma,
-                    eval_scale_p, gamma_fn, lamperti_drift, model_from_spec,
-                    neg_arctan_drift, ou_drift, recurrence_diagnostic,
-                    scan_gamma_range, sine_drift, truncate_drift, truncated_ou_kappa)
+                    arctan_shift_drift, certify_bounds, constant_drift,
+                    custom_drift, eval_beta, eval_gamma, eval_scale_p, gamma_fn,
+                    lamperti_drift, model_from_spec, neg_arctan_drift, ou_drift,
+                    recurrence_diagnostic, scan_gamma_range, sine_drift,
+                    truncate_drift, truncated_ou_kappa)
 from fptsim.drift import _XATOL, _bounded_minimum, _scan_grid
 from fptsim.errors import ConfigError
 
@@ -176,8 +176,6 @@ def test_scale_integrals_raise_when_quad_does_not_converge():
                          beta_closed=lambda y: 1.5 * np.log(np.abs(y - 1.0)))
     with pytest.raises(NumericError, match="did not converge"):
         eval_scale_p(model, 1.7)
-    with pytest.raises(NumericError, match="did not converge"):
-        ScaleFunction(model).v(1.7)
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +380,13 @@ def test_scanned_range_passes_as_its_own_claim(model, level, lo):
 @pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.label())
 def test_bounded_minimum_is_scipys_bounded_brent(model):
     from scipy.optimize import minimize_scalar
-    gamma = GammaField(model)
     pick = np.random.default_rng(sum(map(ord, model.label())))
     for _ in range(50):
         center = pick.uniform(-60.0, 1.0)
         a, b = sorted((center + pick.uniform(-1e-3, 1e-3, size=2)).tolist())
         for sign in (-1.0, 1.0):
             def f(y):
-                return sign * gamma.eval(y)
+                return sign * eval_gamma(model, y)
             x, fx = _bounded_minimum(f, a, b)
             res = minimize_scalar(f, bounds=(a, b), method="bounded",
                                   options={"xatol": _XATOL})
@@ -411,30 +408,91 @@ def test_scan_grid_refuses_grids_it_cannot_walk(lo, hi, step):
 
 
 def test_recurrence_unit_drift_recurrent():
-    report = recurrence_diagnostic(ScaleFunction(constant_drift(1.0)), 10.0)
+    report = recurrence_diagnostic(constant_drift(1.0), 10.0)
     assert "yes" in report.verdict
 
 
 def test_recurrence_negative_drift_transient():
-    report = recurrence_diagnostic(ScaleFunction(constant_drift(-1.0)), 10.0)
+    report = recurrence_diagnostic(constant_drift(-1.0), 10.0)
     assert "no" in report.verdict
+    # v(-d) = 2 (d - 1 + exp(-d)) for beta(y) = -y, probed at d = 20
+    assert report.v_deepest == pytest.approx(38.0 + 2.0 * math.exp(-20.0), rel=1e-5)
 
 
 def test_recurrence_sine_diverges():
-    report = recurrence_diagnostic(ScaleFunction(sine_drift()), 10.0)
+    report = recurrence_diagnostic(sine_drift(), 10.0)
     assert "yes" in report.verdict
+
+
+DIVERGES = "recurrent: yes (heuristic); p appears to diverge to -inf"
+V_GROWS = "recurrent: no (heuristic); p plateaus and v keeps growing"
+RECURRENCE_CASES = [
+    *[(model, DIVERGES) for model in CATALOG],
+    (constant_drift(0.0), DIVERGES),
+    (constant_drift(-1.0), V_GROWS),
+    # custom twins, with no closed-form beta
+    (custom_drift(lambda y: 2.0 + np.sin(y), np.cos, name="bare-sine"), DIVERGES),
+    (custom_drift(lambda y: 1.0 + 0.0 * y, lambda y: 0.0 * y, name="bare-mu=1"), DIVERGES),
+    (custom_drift(lambda y: -1.0 + 0.0 * y, lambda y: 0.0 * y, name="bare-mu=-1"), V_GROWS),
+]
+
+
+@pytest.mark.parametrize("model, verdict", RECURRENCE_CASES,
+                         ids=[m.label() for m, _ in RECURRENCE_CASES])
+def test_recurrence_verdicts(model, verdict):
+    report = recurrence_diagnostic(model, 10.0)
+    assert report.verdict == verdict
+    assert report.depths == (10.0, 100.0, 1000.0)
+    assert all(map(math.isfinite, report.log_abs_p))
+    assert (report.v_deepest is None) == (verdict == DIVERGES)
+
+
+@pytest.mark.parametrize("depth", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+def test_recurrence_refuses_a_probe_depth_that_is_not_positive_and_finite(depth):
+    with pytest.raises(ConfigError, match="probe_depth"):
+        recurrence_diagnostic(sine_drift(), depth)
+
+
+def test_recurrence_reports_a_nan_log_p_as_inconclusive():
+    # a closed-form beta that turns NaN below -50 once read as a plateau and
+    # gave "recurrent: no"; a NaN log|p| is numeric trouble, not a verdict
+    model = custom_drift(lambda y: 1.0 + 0.0 * np.asarray(y, dtype=float),
+                         lambda y: 0.0 * np.asarray(y, dtype=float),
+                         beta_closed=lambda y: np.where(np.asarray(y) < -50.0, np.nan, y))
+    report = recurrence_diagnostic(model, 10.0)
+    assert report.verdict == "inconclusive (numeric trouble probing p)"
+    assert math.isfinite(report.log_abs_p[0])
+    assert not any(map(math.isfinite, report.log_abs_p[1:]))
+    assert report.v_deepest is None
 
 
 @pytest.mark.parametrize("mu", [1.0, -1.0])
 def test_recurrence_without_closed_beta_matches_closed_form(mu):
-    # with no closed-form beta the probes integrate b segment by segment;
-    # they must reach the constant drift's verdict and nearly its log|p|
+    # with no closed-form beta the probes integrate b on the same grid;
+    # they must reach the constant drift's verdict and its log|p|
     bare = custom_drift(lambda y: mu + 0.0 * np.asarray(y, dtype=float),
                         lambda y: 0.0 * np.asarray(y, dtype=float))
-    got = recurrence_diagnostic(ScaleFunction(bare), 10.0)
-    want = recurrence_diagnostic(ScaleFunction(constant_drift(mu)), 10.0)
+    got = recurrence_diagnostic(bare, 10.0)
+    want = recurrence_diagnostic(constant_drift(mu), 10.0)
     assert got.verdict == want.verdict
-    assert got.log_abs_p == pytest.approx(want.log_abs_p, abs=0.05)
+    assert got.log_abs_p == pytest.approx(want.log_abs_p, abs=1e-3)
+
+
+@pytest.mark.parametrize("model", [constant_drift(-1.0), constant_drift(-0.5), sine_drift(),
+                                   neg_arctan_drift(), ou_drift(0.3, 1.0)],
+                         ids=lambda m: m.label())
+def test_recurrence_v_matches_nested_quadrature(model):
+    # v(-d) = int_{-d}^0 2 exp(-beta(s)) int_s^0 exp(beta(z)) dz ds, which the
+    # probe reads off two cumulative trapezoids of one beta grid
+    from fptsim.drift import _beta_grid, _from_zero
+    for depth in (5.0, 10.0, 20.0):
+        ys, betas = _beta_grid(model, depth)
+        grid_v = _from_zero(ys, 2.0 * np.exp(-betas) * _from_zero(ys, np.exp(betas)))[0]
+        beta = model.beta_closed
+        want, _ = quad(lambda s: 2.0 * math.exp(-beta(s)) * quad(
+            lambda z: math.exp(beta(z)), s, 0.0, epsabs=1e-10, epsrel=1e-10)[0],
+            -depth, 0.0, epsabs=1e-10, epsrel=1e-10, limit=200)
+        assert grid_v == pytest.approx(want, rel=2e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,8 @@ EMPTY_OR_INVALID = {
         np.array([]), constant_drift(1.0), 0.0, 2.0),
     "geometric-empty": lambda path: geometric_iteration_gof([]),
     "geometric-zero": lambda path: geometric_iteration_gof([0, 1, 2]),
+    "geometric-no-mass": lambda path: geometric_iteration_gof([1, 2, 3, 1, 1, 2] * 50,
+                                                              min_expected=0.0),
     "histogram-empty": lambda path: histogram_export(np.array([]), 5, path),
 }
 
