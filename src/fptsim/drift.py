@@ -17,8 +17,13 @@ compositions in the test suite.
 Importing this module, certifying bounds, evaluating the catalog's fields and
 the recurrence diagnostic load numpy only.  scipy is imported where it is
 used: ``quad`` by the beta and scale-function quadratures and by the Lamperti
-``eta``, ``brentq`` by the Lamperti inverse.  The certification grid's pass polishes its extrema with
-:func:`_bounded_minimum`, a pure-Python port of scipy's bounded Brent method.
+``eta``, ``brentq`` by the Lamperti inverse.
+
+Certification walks its grid in chunks of _GRID_CHUNK points and keeps only
+the grid's extremes and its 32 highest and 32 lowest turning points, so the
+scan's memory is O(chunk) whatever the grid's length or the field.  Those
+64 turning points are polished with :func:`_bounded_minimum`, a pure-Python
+port of scipy's bounded Brent method.
 """
 
 import math
@@ -32,7 +37,8 @@ from .errors import ConfigError, ModelError, NumericError
 
 _CERT_TOL = 1e-9              # slack allowed before a scan point counts as a violation
 _QUAD_TOL = 1e-10             # absolute tolerance of the beta quadrature
-_GRID_CHUNK = 1 << 19         # certification grid points evaluated per numpy call
+_GRID_CHUNK = 1 << 14         # grid points per numpy call: 128 KiB per array, the scan's O(chunk) memory
+_POLISHED = 32                # turning points polished at each end of gamma's range
 _GRID_MAX = 10**8             # most grid points one scan may take (the default grid has ~3e6)
 
 
@@ -489,7 +495,9 @@ def _scan_grid(gamma, lo, hi, grid_step):
     gmin, gmax = math.inf, -math.inf
     gmin_y = gmax_y = lo
     tail_y = tail_g = np.empty(0)
-    extrema = []              # (gamma, y) of each turning point of the sampled curve
+    # rows gamma, grid index and y of the turning points of the sampled curve
+    # kept so far: the _POLISHED highest, and the _POLISHED lowest
+    high = low = np.empty((3, 0))
     for start in range(0, n, _GRID_CHUNK):
         idx = np.arange(start, min(start + _GRID_CHUNK, n))
         ys = np.minimum(lo + idx * grid_step, hi)
@@ -508,22 +516,33 @@ def _scan_grid(gamma, lo, hi, grid_step):
         gs_ext = np.concatenate((tail_g, gs))
         d = np.diff(gs_ext)
         turn = np.where(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0] + 1
-        extrema.extend(zip(gs_ext[turn].tolist(), ys_ext[turn].tolist()))
+        found = np.stack((gs_ext[turn], turn + (start - len(tail_g)), ys_ext[turn]))
+        high = _most_extreme(high, found, -1.0)
+        low = _most_extreme(low, found, 1.0)
         tail_y = ys_ext[-2:]
         tail_g = gs_ext[-2:]
-    # the 32 highest and 32 lowest turning points, polished within a grid step,
+    # the highest and lowest turning points, polished within a grid step,
     # replace the grid's extreme where they go strictly beyond it
     f = partial(eval_gamma, gamma.source)
-    for _, y0 in sorted(extrema, key=lambda e: -e[0])[:32]:
+    for y0 in high[2].tolist():
         y, g = _bounded_minimum(lambda v: -f(v), max(lo, y0 - grid_step),
                                 min(hi, y0 + grid_step))
         if -g > gmax:
             gmax, gmax_y = -g, y
-    for _, y0 in sorted(extrema, key=lambda e: e[0])[:32]:
+    for y0 in low[2].tolist():
         y, g = _bounded_minimum(f, max(lo, y0 - grid_step), min(hi, y0 + grid_step))
         if g < gmin:
             gmin, gmin_y = g, y
     return _GridScan(lo, hi, gmin, gmin_y, gmax, gmax_y)
+
+
+def _most_extreme(kept, found, sign):
+    """The _POLISHED columns of ``kept`` and ``found`` (rows gamma, grid index,
+    y) with the least ``sign * gamma``, in that order, ties to the earlier
+    grid point.  Merged chunk by chunk, this is ``sorted(points, key=sign *
+    gamma)[:_POLISHED]`` of all the turning points in grid order."""
+    both = np.concatenate((kept, found), axis=1)
+    return both[:, np.lexsort((both[1], sign * both[0]))[:_POLISHED]]
 
 
 # scipy's own constants, so that every step rounds as scipy's does

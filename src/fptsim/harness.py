@@ -170,38 +170,59 @@ def geometric_iteration_gof(iterations, min_expected=5.0):
         raise ConfigError("iteration counts must be >= 1")
     if not 0.0 < min_expected < math.inf:
         raise ConfigError(f"min_expected must be positive and finite, got {min_expected}")
-    p_hat = 1.0 / float(iters.mean())
-    # group the geometric support into cells with enough expected mass
-    cells = []
-    k = 1
-    acc_prob = 0.0
-    start = 1
-    while True:
-        prob_k = p_hat * (1.0 - p_hat) ** (k - 1)
-        acc_prob += prob_k
-        tail = (1.0 - p_hat) ** k
-        if n * tail < min_expected:
-            cells.append((start, None, acc_prob + tail))
-            break
-        if n * acc_prob >= min_expected:
-            cells.append((start, k, acc_prob))
-            start = k + 1
-            acc_prob = 0.0
-        k += 1
-    observed = []
-    expected = []
-    for lo, hi, prob in cells:
-        if hi is None:
-            observed.append(int(np.sum(iters >= lo)))
-        else:
-            observed.append(int(np.sum((iters >= lo) & (iters <= hi))))
-        expected.append(n * prob)
-    observed = np.asarray(observed, dtype=float)
-    expected = np.asarray(expected, dtype=float)
+    cells = _geometric_cells(n, 1.0 / float(iters.mean()), min_expected)
+    # the counts below each cell's first point; the last cell runs to the end
+    below = np.searchsorted(np.sort(iters), [lo for lo, _, _ in cells])
+    observed = np.diff(np.append(below, n)).astype(float)
+    expected = n * np.array([prob for _, _, prob in cells])
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     dof = max(len(cells) - 2, 1)
     from scipy import stats as sstats
     return chi2, dof, float(sstats.chi2.sf(chi2, dof))
+
+
+def _geometric_cells(n, p_hat, min_expected):
+    """The support of Geometric(p_hat) grouped into cells of enough expected mass.
+
+    Returns (first, last, probability) per cell, the last cell open
+    (``last`` None).  Walking k = 1, 2, ...: the open cell starts once
+    ``n * (1 - p_hat)**k < min_expected``, and before that a cell ends at the
+    first k where n times its mass reaches min_expected.  Each cell's end is
+    found in closed form and then checked against its neighbours, so the
+    cells are the walk's without visiting every k.
+    """
+    q = 1.0 - p_hat
+    if not q < 1.0:
+        raise ConfigError(f"mean iteration count {1.0 / p_hat:g} is too large for a geometric fit")
+    log_q = math.log(q) if q > 0.0 else -math.inf
+    scale = p_hat / (1.0 - q)
+
+    def mass(first, k):
+        """p_hat * sum_{j=first}^{k} q**(j-1), summed in closed form."""
+        return scale * q ** (first - 1) * -math.expm1((k - first + 1) * log_q)
+
+    # the first k whose tail beyond it is light: the walk ends there, in the open cell
+    stop = max(1, math.ceil(math.log(min_expected / n) / log_q))
+    while stop > 1 and n * q ** (stop - 1) < min_expected:
+        stop -= 1
+    while not n * q ** stop < min_expected:
+        stop += 1
+    cells = []
+    first = 1
+    while first < stop:
+        need = min_expected / (n * mass(first, math.inf))
+        k = stop if need >= 1.0 else min(stop, first - 1 + max(
+            1, math.ceil(math.log1p(-need) / log_q)))
+        while k > first and n * mass(first, k - 1) >= min_expected:
+            k -= 1
+        while k < stop and not n * mass(first, k) >= min_expected:
+            k += 1
+        if k == stop:
+            break
+        cells.append((first, k, mass(first, k)))
+        first = k + 1
+    cells.append((first, None, mass(first, stop) + q ** stop))
+    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,7 @@ class _Lanes:
                 break
             self._step(step)
             step += 1
+        self.rng = None  # free the lane rows before the result is built
         return self._result()
 
     def _thin(self, y, threshold, tested=None):

@@ -1,9 +1,12 @@
 """Tests for the drift catalog and the derived fields beta, p, gamma."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fptsim import (BoundCertificate, GammaField, ModelError, NumericError,
@@ -12,7 +15,8 @@ from fptsim import (BoundCertificate, GammaField, ModelError, NumericError,
                     lamperti_drift, model_from_spec, neg_arctan_drift, ou_drift,
                     recurrence_diagnostic, scan_gamma_range, sine_drift,
                     truncate_drift, truncated_ou_kappa)
-from fptsim.drift import _XATOL, _bounded_minimum, _scan_grid
+from fptsim import drift
+from fptsim.drift import _POLISHED, _XATOL, _bounded_minimum, _most_extreme, _scan_grid
 from fptsim.errors import ConfigError
 
 CATALOG = [constant_drift(1.0), sine_drift(), arctan_shift_drift(),
@@ -400,6 +404,70 @@ def test_scan_grid_refuses_grids_it_cannot_walk(lo, hi, step):
     # too many points to scan in bounded time, or a step that lo + step rounds away
     with pytest.raises(ConfigError, match="grid"):
         _scan_grid(GammaField(constant_drift(1.0)), lo, hi, step)
+
+
+# b = 2 + sin(1700 y) / 2: a turning point every ~2 points of the default grid
+OSCILLATING = custom_drift(lambda y: 2.0 + 0.5 * np.sin(1700.0 * np.asarray(y, dtype=float)),
+                           lambda y: 850.0 * np.cos(1700.0 * np.asarray(y, dtype=float)),
+                           name="oscillating")
+
+
+def _tied_drift(step):
+    """A drift constant on each grid cell, cycling through 7 levels: many
+    turning points tie in gamma, on both sides of every chunk seam."""
+    def b(y):
+        return 1.0 + 0.25 * (np.rint(np.asarray(y, dtype=float) / step) % 7)
+    return custom_drift(b, lambda y: 0.0 * np.asarray(y, dtype=float), name="tied")
+
+
+SCAN_FIELDS = CATALOG + [OSCILLATING, _tied_drift(1e-3)]
+
+
+@pytest.mark.parametrize("model", SCAN_FIELDS, ids=lambda m: m.label())
+def test_scan_grid_does_not_depend_on_its_chunk(model, monkeypatch):
+    # 31001 points: two chunks at the default size, one at 1 << 19
+    scans = []
+    for chunk in (5, 64, drift._GRID_CHUNK, 1 << 19):
+        monkeypatch.setattr(drift, "_GRID_CHUNK", chunk)
+        scan = _scan_grid(GammaField(model), -30.0, 1.0, 1e-3)
+        scans.append(tuple(float(v).hex() for v in (scan.gmin, scan.gmin_y,
+                                                    scan.gmax, scan.gmax_y)))
+    assert scans.count(scans[0]) == len(scans)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 1.0, 3.0]), max_size=150),
+       st.lists(st.integers(1, 40), max_size=8), st.sampled_from([-1.0, 1.0]))
+def test_bounded_selection_is_the_sorted_prefix(values, cuts, sign):
+    # turning points found chunk by chunk, ties in gamma and in its sign
+    points = [(g, i, 0.25 * i - 7.0) for i, g in enumerate(values)]
+    kept = np.empty((3, 0))
+    at = 0
+    for size in cuts + [len(points)]:
+        found = np.array(points[at:at + size], dtype=float).reshape(-1, 3).T
+        kept = _most_extreme(kept, found, sign)
+        at += size
+    expected = sorted(points, key=lambda p: sign * p[0])[:_POLISHED]
+    assert [(g.hex(), int(i), y.hex()) for g, i, y in kept.T.tolist()] == \
+        [(g.hex(), i, y.hex()) for g, i, y in expected]
+
+
+def _traced_peak(run):
+    """The most memory, in bytes, that numpy and Python objects held during run()."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("model", [sine_drift(), OSCILLATING], ids=lambda m: m.label())
+def test_certification_memory_does_not_grow_with_the_grid(model):
+    # the default grid of L=2, ~3e6 points; the scan holds O(chunk) of it
+    claim = BoundCertificate(kappa=5.0, domain_hint=-3000.0)
+    peak = _traced_peak(lambda: certify_bounds(GammaField(model), claim, level=2.0))
+    assert peak < 8 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from fptsim import (BoundCertificate, RandomStream, SamplerConfig,
                     iteration_identity_check, iteration_identity_target,
                     ks_statistic, ou_drift, rho_distance_bound, sample_batch,
                     sine_drift, two_sample_ks, xi_normalization)
+from fptsim import harness
 from fptsim import rng as rng_module
 from fptsim import samplers
 from fptsim.errors import ConfigError, FptsimError
@@ -165,6 +166,60 @@ def test_geometric_gof_accepts_geometric_rejects_constant():
     assert p_geo > 0.01
     _, _, p_flat = geometric_iteration_gof(np.full(5000, 5))
     assert p_flat < 0.01
+
+
+def _walked_gof(iters, min_expected=5.0):
+    """Cells and (chi2, dof) of the fit found by walking the support one point
+    at a time: the reference for the closed-form cell ends."""
+    n = len(iters)
+    p_hat = 1.0 / float(iters.mean())
+    cells = []
+    k = 1
+    acc_prob = 0.0
+    start = 1
+    while True:
+        acc_prob += p_hat * (1.0 - p_hat) ** (k - 1)
+        tail = (1.0 - p_hat) ** k
+        if n * tail < min_expected:
+            cells.append((start, None, acc_prob + tail))
+            break
+        if n * acc_prob >= min_expected:
+            cells.append((start, k, acc_prob))
+            start = k + 1
+            acc_prob = 0.0
+        k += 1
+    observed = np.array([np.sum(iters >= lo) if hi is None else
+                         np.sum((iters >= lo) & (iters <= hi)) for lo, hi, _ in cells], dtype=float)
+    expected = n * np.array([prob for _, _, prob in cells])
+    return cells, float(np.sum((observed - expected) ** 2 / expected)), max(len(cells) - 2, 1)
+
+
+def _unit_a1_iterations(n, stream):
+    cfg = SamplerConfig(x=0.0, L=2.0, model=constant_drift(1.0),
+                        cert=BoundCertificate(kappa=0.5, domain_hint=-100.0), variant="a1")
+    return [d.stats.iterations for d in sample_batch(cfg, n, stream)]
+
+
+GOF_INPUTS = {
+    # the inputs the suite fits: geometric and constant counts, and sampled
+    # unit-drift a1 iteration counts as test_samplers and criterion 8d draw them
+    "geometric-0.2": lambda: np.random.default_rng(7).geometric(0.2, size=5000),
+    "constant-5": lambda: np.full(5000, 5),
+    "unit-a1-4000": lambda: _unit_a1_iterations(4000, RandomStream(104)),
+    "unit-a1-10000": lambda: _unit_a1_iterations(10**4, RandomStream(20260810, 10)),
+    **{f"constant-1e{e}": (lambda e=e: np.full(1000, 10**e)) for e in range(2, 7)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOF_INPUTS))
+def test_geometric_gof_cells_are_the_walks(name):
+    iters = np.asarray(GOF_INPUTS[name](), dtype=int)
+    walked, walked_chi2, walked_dof = _walked_gof(iters)
+    cells = harness._geometric_cells(len(iters), 1.0 / float(iters.mean()), 5.0)
+    assert [cell[:2] for cell in cells] == [cell[:2] for cell in walked]
+    chi2, dof, _ = geometric_iteration_gof(iters)
+    assert dof == walked_dof
+    assert chi2 == pytest.approx(walked_chi2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

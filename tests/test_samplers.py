@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fptsim import rng as rng_module
 from fptsim import samplers
 from fptsim import (BoundCertificate, BudgetError, ConfigError, FptDraw, ModelError,
                     NumericError, RandomStream, RunStats, SamplerConfig, constant_drift,
@@ -674,6 +676,22 @@ def test_lanes_start_at_the_batch_size_up_to_the_width(name, n):
     assert lanes.key.tolist() == list(range(width))
     assert lanes.next_key == width
     assert len(lanes.T) == len(lanes.rng.end) == width
+
+
+def test_lane_batch_frees_its_rows_before_building_draws():
+    # the lane rows (three kinds of 1032 floats per lane) are the batch's
+    # largest allocation; the draws are built from the log once they are gone
+    cfg = SamplerConfig(x=0.0, L=2.0, model=sine_drift(),
+                        cert=BoundCertificate(kappa=4.5416), variant="a2")
+    rows = 3 * samplers._LANE_WIDTH * rng_module._ROW * 8
+    tracemalloc.start()
+    try:
+        draws = sample_batch(cfg, 3000, RandomStream(1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(draws) == 3000
+    assert peak < 1.5 * rows
 
 
 @pytest.mark.parametrize("variant", ["a1", "a2", "a3"])
