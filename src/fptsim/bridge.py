@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import FptsimError
+from .errors import ConfigError
 
 # two query times closer than this are treated as the same knot
 _TIME_EPS = 1e-15
@@ -33,7 +33,7 @@ class SequentialBridgeState:
 
     def __init__(self, horizon):
         if not horizon > 0.0:
-            raise FptsimError(f"bridge horizon must be positive, got {horizon}")
+            raise ConfigError(f"bridge horizon must be positive, got {horizon}")
         self.horizon = horizon
         self.current_time = 0.0
         self.bx = 0.0
@@ -51,7 +51,7 @@ def sequential_advance(state, new_time, stream):
     t0 = state.current_time
     T = state.horizon
     if not t0 < new_time <= T:
-        raise ValueError(
+        raise ConfigError(
             f"bridge times must advance: current {t0}, requested {new_time}, horizon {T}")
     a = (T - new_time) / (T - t0)
     s = math.sqrt((T - new_time) * (new_time - t0) / (T - t0))
@@ -75,9 +75,9 @@ class BridgeSkeleton:
 
     def __init__(self, horizon, drift_gap):
         if not horizon > 0.0:
-            raise FptsimError(f"bridge horizon must be positive, got {horizon}")
+            raise ConfigError(f"bridge horizon must be positive, got {horizon}")
         if not drift_gap > 0.0:
-            raise FptsimError(f"drift gap must be positive, got {drift_gap}")
+            raise ConfigError(f"drift gap must be positive, got {drift_gap}")
         self.horizon = horizon
         self.drift_gap = drift_gap
         self.times = [0.0, horizon]
@@ -97,7 +97,7 @@ def bisect_insert(skel, u, stream):
     """
     T = skel.horizon
     if not 0.0 < u < T:
-        raise ValueError(f"insertion time must lie strictly inside (0, {T}), got {u}")
+        raise ConfigError(f"insertion time must lie strictly inside (0, {T}), got {u}")
     times = skel.times
     values = skel.values
     # the knots at 0 and T bound u, so t0 < u <= t1
@@ -138,7 +138,7 @@ def bisect_lanes(tl, vl, tr, vr, u, g):
 def bessel_norm(drift_gap, horizon, t, beta_t):
     """||(t/T) gap e1 + beta_t||, the Bessel-bridge functional the thinning tests use."""
     if not 0.0 <= t <= horizon:
-        raise ValueError(f"time {t} outside [0, {horizon}]")
+        raise ConfigError(f"time {t} outside [0, {horizon}]")
     rx = (t / horizon) * drift_gap + beta_t[0]
     return math.sqrt(rx * rx + beta_t[1] * beta_t[1] + beta_t[2] * beta_t[2])
 

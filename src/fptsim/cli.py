@@ -235,14 +235,17 @@ def _cmd_validate(args):
     # probability about 6.7e-4 per suite (Kolmogorov tail at 2)
     threshold = 2.0 / math.sqrt(args.n)
     gap = 2.0
-    # label, variant, gamma0, split_k; every suite is unit drift from 0 to 2 at kappa 0.5
-    suites = [("a1", "a1", None, 1), ("a2", "a2", None, 1),
-              ("a1-shift", "a1-shift", 0.5, 1), ("a1 split k=3", "a1", None, 3)]
-    for label, variant, gamma0, split_k in suites:
-        sub = argparse.Namespace(**vars(args), model="constant:mu=1", x=0.0, level=2.0,
-                                 variant=variant, kappa=0.5, gamma0=gamma0, m=None,
-                                 t0=None, rho=None)
-        config = _resolve(sub, split_k=split_k)
+    # every suite is unit drift from 0 to 2 under one certified claim, kappa =
+    # gamma0 = 0.5; only the shift variant reads gamma0
+    claim = argparse.Namespace(**vars(args), model="constant:mu=1", x=0.0, level=2.0,
+                               variant="a1-shift", kappa=0.5, gamma0=0.5, m=None,
+                               t0=None, rho=None)
+    certified = _resolve(claim)
+    # label, variant, split_k
+    suites = [("a1", "a1", 1), ("a2", "a2", 1), ("a1-shift", "a1-shift", 1),
+              ("a1 split k=3", "a1", 3)]
+    for label, variant, split_k in suites:
+        config = replace(certified, variant=variant, split_k=split_k)
         draws = sample_batch(config, args.n, RandomStream(args.seed, args.streams))
         ks = ks_statistic([d.value for d in draws], lambda t: ig_cdf(t, gap, 1.0))
         ok = ks < threshold

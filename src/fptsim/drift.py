@@ -22,8 +22,9 @@ used: ``quad`` by the beta and scale-function quadratures and by the Lamperti
 Certification walks its grid in chunks of _GRID_CHUNK points and keeps only
 the grid's extremes and its 32 highest and 32 lowest turning points, so the
 scan's memory is O(chunk) whatever the grid's length or the field.  Those
-64 turning points are polished with :func:`_bounded_minimum`, a pure-Python
-port of scipy's bounded Brent method.
+64 turning points are polished on refined grids of the same vectorised field
+(:func:`_refine`): 65 points within a grid step of each, then 32 times
+narrower around the best, until the spacing is below 1e-12.
 """
 
 import math
@@ -470,9 +471,9 @@ class _GridScan:
     lo: float
     hi: float
     gmin: float
-    gmin_y: float             # where gmin occurs: its first grid point, or the polished one
+    gmin_y: float             # where gmin occurs: its first grid point, or the refined one
     gmax: float
-    gmax_y: float             # where gmax occurs: its first grid point, or the polished one
+    gmax_y: float             # where gmax occurs: its first grid point, or the refined one
 
 
 def _scan_grid(gamma, lo, hi, grid_step):
@@ -521,18 +522,18 @@ def _scan_grid(gamma, lo, hi, grid_step):
         low = _most_extreme(low, found, 1.0)
         tail_y = ys_ext[-2:]
         tail_g = gs_ext[-2:]
-    # the highest and lowest turning points, polished within a grid step,
-    # replace the grid's extreme where they go strictly beyond it
-    f = partial(eval_gamma, gamma.source)
-    for y0 in high[2].tolist():
-        y, g = _bounded_minimum(lambda v: -f(v), max(lo, y0 - grid_step),
-                                min(hi, y0 + grid_step))
-        if -g > gmax:
-            gmax, gmax_y = -g, y
-    for y0 in low[2].tolist():
-        y, g = _bounded_minimum(f, max(lo, y0 - grid_step), min(hi, y0 + grid_step))
-        if g < gmin:
-            gmin, gmin_y = g, y
+    kept = high.shape[1]
+    if kept:
+        # the highest and lowest turning points, refined within a grid step,
+        # replace the grid's extreme where they go strictly beyond it
+        ys, gs = _refine(gamma, np.concatenate((high[2], low[2])),
+                         np.repeat((-1.0, 1.0), kept), lo, hi, grid_step)
+        k = int(np.argmax(gs[:kept]))
+        if gs[k] > gmax:
+            gmax, gmax_y = float(gs[k]), float(ys[k])
+        k = kept + int(np.argmin(gs[kept:]))
+        if gs[k] < gmin:
+            gmin, gmin_y = float(gs[k]), float(ys[k])
     return _GridScan(lo, hi, gmin, gmin_y, gmax, gmax_y)
 
 
@@ -545,75 +546,25 @@ def _most_extreme(kept, found, sign):
     return both[:, np.lexsort((both[1], sign * both[0]))[:_POLISHED]]
 
 
-# scipy's own constants, so that every step rounds as scipy's does
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_XATOL = 1e-12                # x tolerance of the polish of grid extrema
+def _refine(gamma, ys, sign, lo, hi, width):
+    """Each point of ys moved to where ``sign * gamma`` is least near it, and gamma there.
 
-
-def _bounded_minimum(f, a, b):
-    """(x, f(x)) at a local minimum of f on [a, b] by Brent's bounded method.
-
-    Step for step scipy's ``minimize_scalar(f, bounds=(a, b), method="bounded",
-    options={"xatol": _XATOL})``, with ``math`` in place of ``np.abs`` and
-    ``np.sign``, so it gives scipy's ``x`` and ``fun`` bit for bit without
-    loading scipy.optimize.
+    A round evaluates gamma on 65 points across +-width around every row's
+    best point so far (clipped to [lo, hi]) and keeps the best of them; the
+    next round searches 32 times narrower, i.e. one spacing either side of
+    it.  The rounds stop once width is below 1e-12.
     """
-    xf = nfc = fulc = a + _GOLDEN * (b - a)
-    fx = fnfc = ffulc = f(xf)
-    rat = e = 0.0
-    num = 1
-    while num < 500:          # scipy's default cap on evaluations
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if not abs(xf - xm) > tol2 - 0.5 * (b - a):
-            break
-        parabolic = False
-        if abs(e) > tol1:
-            # try a parabola through xf, nfc and fulc
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
-            if parabolic:
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-        if not parabolic:
-            # golden-section step into the larger part of [a, b]
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN * e
-        step = max(abs(rat), tol1)
-        x = xf + step if rat >= 0.0 else xf - step
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-    return xf, fx
+    offsets = np.linspace(-1.0, 1.0, 65)
+    rows = np.arange(len(ys))
+    while width >= 1e-12:
+        pts = np.clip(ys[:, None] + width * offsets, lo, hi)
+        gs = gamma.eval_array(pts.ravel()).reshape(pts.shape)
+        if not np.all(np.isfinite(gs)):
+            raise ModelError(f"gamma not finite at y={pts[~np.isfinite(gs)][0]}")
+        k = np.argmin(sign[:, None] * gs, axis=1)
+        ys = pts[rows, k]
+        width /= 32.0
+    return ys, gs[rows, k]
 
 
 def _certify_scan(gamma, claim, scan):

@@ -84,12 +84,18 @@ def truncated_brownian_fpt_cdf(t, gap, t0):
 # ---------------------------------------------------------------------------
 
 
+def _ks_sample(values, who):
+    """The sample sorted; ConfigError unless it is non-empty and finite."""
+    values = np.sort(np.asarray(values, dtype=float))
+    if len(values) == 0 or not np.isfinite(values).all():
+        raise ConfigError(f"{who} needs a non-empty sample of finite values")
+    return values
+
+
 def ks_statistic(values, cdf):
     """Exact sup-distance between the empirical CDF of values and a reference CDF."""
-    values = np.sort(np.asarray(values, dtype=float))
+    values = _ks_sample(values, "ks_statistic")
     n = len(values)
-    if n == 0:
-        raise ConfigError("ks_statistic needs a non-empty sample")
     ref = np.asarray(cdf(values), dtype=float)
     grid = np.arange(1, n + 1) / n
     return float(max(np.max(grid - ref), np.max(ref - (grid - 1.0 / n))))
@@ -97,10 +103,8 @@ def ks_statistic(values, cdf):
 
 def two_sample_ks(a, b):
     """Exact two-sample sup-distance, evaluated at every jump point."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if len(a) == 0 or len(b) == 0:
-        raise ConfigError("two_sample_ks needs non-empty samples")
+    a = _ks_sample(a, "two_sample_ks")
+    b = _ks_sample(b, "two_sample_ks")
     support = np.concatenate([a, b])
     fa = np.searchsorted(a, support, side="right") / len(a)
     fb = np.searchsorted(b, support, side="right") / len(b)

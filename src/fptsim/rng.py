@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FptsimError, NumericError
+from .errors import ConfigError, NumericError
 
 _MASK64 = (1 << 64) - 1
 _BUFLEN = 1024
@@ -121,7 +121,7 @@ class ProposalDraw:
 
     def __post_init__(self):
         if not self.value > 0.0:
-            raise FptsimError(f"proposal draw must be positive, got {self.value}")
+            raise NumericError(f"proposal draw must be positive, got {self.value}")
 
 
 class _Draws:
@@ -154,7 +154,7 @@ class _Draws:
     def exponential(self, mean):
         """Exponential with the given MEAN (i.e. rate 1/mean)."""
         if not mean > 0.0:
-            raise FptsimError(f"exponential mean must be positive, got {mean}")
+            raise ConfigError(f"exponential mean must be positive, got {mean}")
         i = self._ei
         if i >= len(self._ebuf):
             self._ebuf = self._refill(EXPONENTIAL)
@@ -165,7 +165,7 @@ class _Draws:
     def uniform(self, hi=1.0):
         """Uniform on [0, hi)."""
         if not hi > 0.0:
-            raise FptsimError(f"uniform bound must be positive, got {hi}")
+            raise ConfigError(f"uniform bound must be positive, got {hi}")
         i = self._ui
         if i >= len(self._ubuf):
             self._ubuf = self._refill(UNIFORM)
@@ -397,7 +397,7 @@ def _brownian_fpt_lanes(lanes, which, gap):
 def draw_brownian_fpt(stream, gap):
     """First-passage time of standard Brownian motion through a level gap > 0 away."""
     if not gap > 0.0:
-        raise FptsimError(f"gap must be positive, got {gap}")
+        raise ConfigError(f"gap must be positive, got {gap}")
     return ProposalDraw(_brownian_fpt_value(stream, gap))
 
 
@@ -436,7 +436,7 @@ def _inverse_gaussian_lanes(lanes, which, mu, lam):
 def draw_inverse_gaussian(stream, mu, lam):
     """Inverse-Gaussian IG(mu, lam) variate via the Michael-Schucany-Haas generator."""
     if not (mu > 0.0 and lam > 0.0):
-        raise FptsimError(f"IG parameters must be positive, got mu={mu}, lambda={lam}")
+        raise ConfigError(f"IG parameters must be positive, got mu={mu}, lambda={lam}")
     return ProposalDraw(_inverse_gaussian_value(stream, mu, lam))
 
 
@@ -492,5 +492,5 @@ def _truncated_brownian_fpt_lanes(lanes, which, gap, t0):
 def draw_truncated_brownian_fpt(stream, gap, t0):
     """Brownian first-passage time conditioned on occurring before t0."""
     if not (gap > 0.0 and t0 > 0.0):
-        raise FptsimError(f"gap and t0 must be positive, got gap={gap}, t0={t0}")
+        raise ConfigError(f"gap and t0 must be positive, got gap={gap}, t0={t0}")
     return ProposalDraw(_truncated_brownian_fpt_value(stream, gap, t0))

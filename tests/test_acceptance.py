@@ -163,6 +163,7 @@ def test_criterion_3_shift_ratio(sine_a1, sine_shift):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_split_cost(sine_a1, sine_split20):
     unsplit, t_unsplit = sine_a1
     split, t_split = sine_split20
@@ -222,6 +223,7 @@ def test_criterion_5_delta_example_2():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_conditional_sampler():
     model = neg_arctan_drift()
     cert = BoundCertificate(kappa=math.pi**2 / 8, m=0.5, domain_hint=-100.0)
@@ -243,6 +245,7 @@ def test_criterion_6_conditional_sampler():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_truncated_drift():
     ou = ou_drift(0.3, 1.0)
     cfg5 = SamplerConfig(x=0.0, L=1.0, model=ou,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fptsim import (BridgeSkeleton, RandomStream, SequentialBridgeState,
+from fptsim import (BridgeSkeleton, ConfigError, RandomStream, SequentialBridgeState,
                     bessel_norm, bisect_insert, sequential_advance)
 from fptsim.bridge import bisect_lanes
 
@@ -51,10 +51,14 @@ def test_sequential_requires_increasing_times():
     s = RandomStream(4)
     state = SequentialBridgeState(2.0)
     sequential_advance(state, 1.5, s)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         sequential_advance(state, 1.0, s)
-    with pytest.raises(ValueError):
+    assert type(err.value) is ConfigError
+    with pytest.raises(ValueError) as err:
         sequential_advance(state, 2.5, s)
+    assert type(err.value) is ConfigError
+    with pytest.raises(ConfigError, match="horizon"):
+        SequentialBridgeState(0.0)
 
 
 def test_bisect_midpoint_variance():
@@ -96,8 +100,12 @@ def test_bisect_rejects_times_outside_open_interval():
     s = RandomStream(8)
     skel = BridgeSkeleton(2.0, 1.0)
     for bad in (0.0, 2.0, -0.5, 3.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             bisect_insert(skel, bad, s)
+        assert type(err.value) is ConfigError
+    for horizon, gap in ((0.0, 1.0), (2.0, -1.0)):
+        with pytest.raises(ConfigError, match="must be positive"):
+            BridgeSkeleton(horizon, gap)
 
 
 class _Given:
@@ -156,6 +164,10 @@ def test_lane_draw_is_bisect_insert_bit_for_bit():
 def test_bessel_norm_endpoint_pins():
     assert bessel_norm(1.5, 2.0, 2.0, (0.0, 0.0, 0.0)) == 1.5
     assert bessel_norm(1.5, 2.0, 0.0, (0.0, 0.0, 0.0)) == 0.0
+    for t in (-0.5, 2.5):
+        with pytest.raises(ValueError) as err:
+            bessel_norm(1.5, 2.0, t, (0.0, 0.0, 0.0))
+        assert type(err.value) is ConfigError
 
 
 def test_bessel_norm_hand_value():

@@ -333,9 +333,16 @@ def test_nonpositive_grid_step_exits_2(tmp_path, monkeypatch, capsys, command):
     assert "--grid-step" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kappa", [["--kappa", "0.5"], []], ids=["kappa", "derived"])
-def test_sample_scans_the_grid_once(tmp_path, monkeypatch, kappa):
-    # deriving the bounds and certifying them share one pass over the grid
+@pytest.mark.parametrize("argv", [
+    ["sample", "--model", "constant:mu=1", "--level", "2", "--scan-from", "-50",
+     "--kappa", "0.5", "--n", "3", "--out", "s.csv"],
+    ["sample", "--model", "constant:mu=1", "--level", "2", "--scan-from", "-50",
+     "--n", "3", "--out", "s.csv"],
+    ["validate", "--scan-from", "-50", "--n", "200", "--seed", "1"],
+], ids=["kappa", "derived", "validate"])
+def test_sample_scans_the_grid_once(tmp_path, monkeypatch, argv):
+    # deriving the bounds and certifying them share one pass over the grid,
+    # and validate's four suites share one certified claim
     import fptsim.cli as cli
     import fptsim.drift as drift
     calls = []
@@ -347,8 +354,6 @@ def test_sample_scans_the_grid_once(tmp_path, monkeypatch, kappa):
 
     monkeypatch.setattr(drift, "_scan_grid", counted)
     monkeypatch.setattr(cli, "_scan_grid", counted)
-    argv = ["sample", "--model", "constant:mu=1", "--level", "2", "--scan-from", "-50",
-            *kappa, "--n", "3", "--out", "s.csv"]
     assert _run(tmp_path, monkeypatch, argv) == 0
     assert len(calls) == 1
 

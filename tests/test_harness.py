@@ -100,6 +100,14 @@ def test_ks_requires_data():
         ks_statistic([], lambda t: t)
     with pytest.raises(ValueError):
         two_sample_ks([], [1.0])
+    # a NaN or an infinity would give a wrong distance, not an error
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            ks_statistic([0.2, bad, 0.7], lambda t: t)
+        with pytest.raises(ConfigError, match="finite"):
+            two_sample_ks([1.0, 2.0, bad], [1.5, 2.5, 3.0])
+        with pytest.raises(ConfigError, match="finite"):
+            two_sample_ks([1.5, 2.5, 3.0], [1.0, bad])
 
 
 EMPTY_OR_INVALID = {
@@ -544,6 +552,7 @@ def test_em_oracle_unit_drift_matches_closed_form():
     assert ks_statistic(em, lambda t: ig_cdf(t, 2.0, 1.0)) < 0.015
 
 
+@pytest.mark.slow
 def test_em_oracle_driftless_matches_reflection():
     t_max = 50.0
     em = em_fpt_oracle(constant_drift(0.0), 0.0, 2.0, t_max=t_max, step=1e-3,

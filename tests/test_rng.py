@@ -7,7 +7,7 @@ import pytest
 from scipy import stats as sstats
 from scipy.integrate import quad
 
-from fptsim import (FptsimError, RandomStream, draw_brownian_fpt,
+from fptsim import (ConfigError, FptsimError, RandomStream, draw_brownian_fpt,
                     draw_inverse_gaussian, draw_truncated_brownian_fpt)
 from fptsim.rng import EXPONENTIAL, NORMAL, UNIFORM, LaneStreams, _keyed
 from fptsim.harness import brownian_fpt_cdf, ks_statistic, truncated_brownian_fpt_cdf, two_sample_ks
@@ -140,16 +140,21 @@ def test_gaussian_moments():
 
 def test_parameter_errors():
     s = RandomStream(1)
-    with pytest.raises(FptsimError):
+    with pytest.raises(FptsimError) as err:
         s.exponential(0.0)
-    with pytest.raises(FptsimError):
+    assert type(err.value) is ConfigError
+    with pytest.raises(FptsimError) as err:
         s.uniform(-1.0)
-    with pytest.raises(FptsimError):
+    assert type(err.value) is ConfigError
+    with pytest.raises(FptsimError) as err:
         draw_brownian_fpt(s, 0.0)
-    with pytest.raises(FptsimError):
+    assert type(err.value) is ConfigError
+    with pytest.raises(FptsimError) as err:
         draw_inverse_gaussian(s, 0.0, 1.0)
-    with pytest.raises(FptsimError):
+    assert type(err.value) is ConfigError
+    with pytest.raises(FptsimError) as err:
         draw_truncated_brownian_fpt(s, 1.0, 0.0)
+    assert type(err.value) is ConfigError
 
 
 class TestBrownianFpt:

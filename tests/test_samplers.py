@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from fptsim import rng as rng_module
 from fptsim import samplers
 from fptsim import (BoundCertificate, BudgetError, ConfigError, FptDraw, ModelError,
-                    NumericError, RandomStream, RunStats, SamplerConfig, constant_drift,
+                    NumericError, ProposalDraw, RandomStream, RunStats, SamplerConfig,
+                    constant_drift,
                     custom_drift, delta_compare, ig_cdf, neg_arctan_drift, optimal_split_count, ou_drift,
                     sample, sample_batch, sine_drift, truncate_drift,
                     truncated_ou_kappa, validate_config)
@@ -267,7 +268,8 @@ def test_total_points_is_derived_not_given():
 
 
 @pytest.mark.parametrize("build", [lambda: FptDraw(0.0, RunStats(1, (6,))),
-                                   lambda: RunStats(2, (6,))], ids=["FptDraw", "RunStats"])
+                                   lambda: RunStats(2, (6,)), lambda: ProposalDraw(0.0)],
+                         ids=["FptDraw", "RunStats", "ProposalDraw"])
 def test_draw_records_fail_with_a_typed_error(build):
     # a bare ValueError would escape the CLI's handler and the scalar rerun
     # of a failed lane batch, both of which catch FptsimError
@@ -644,6 +646,7 @@ def _partition_draws(name):
     return _partition_reference[name]
 
 
+@pytest.mark.slow
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(sorted(PARTITION_CONFIGS)),
        cuts=st.lists(st.integers(0, PARTITION_N), max_size=6))
