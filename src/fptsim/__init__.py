@@ -15,7 +15,7 @@ from .harness import (DeltaReport, brownian_fpt_cdf, delta_compare, em_fpt_oracl
                       geometric_iteration_gof, histogram_export, ig_cdf, ig_pdf,
                       iteration_identity_check, iteration_identity_target,
                       ks_statistic, rho_distance_bound, truncated_brownian_fpt_cdf,
-                      two_sample_ks, xi_normalization)
+                      two_sample_ks)
 from .rng import (ProposalDraw, RandomStream, draw_brownian_fpt,
                   draw_inverse_gaussian, draw_truncated_brownian_fpt)
 from .samplers import (FptDraw, RunStats, SamplerConfig, optimal_split_count,

@@ -14,10 +14,11 @@ Catalog entries carry closed-form ``beta`` and a fast scalar ``gamma`` for
 the samplers' inner loop; both are cross-checked against the generic
 compositions in the test suite.
 
-Importing this module, certifying bounds, evaluating the catalog's fields and
-the recurrence diagnostic load numpy only.  scipy is imported where it is
-used: ``quad`` by the beta and scale-function quadratures and by the Lamperti
-``eta``, ``brentq`` by the Lamperti inverse.
+Importing this module, certifying bounds, evaluating the catalog's fields, the
+Lamperti reduction and the recurrence diagnostic load numpy only.  scipy's
+``quad`` is imported by the beta and scale-function quadratures, when they are
+called for a model without a closed-form beta.  The Lamperti reduction takes
+closed-form callables, ``eta_inv`` among them, and composes them with numpy.
 
 Certification walks its grid in chunks of _GRID_CHUNK points and keeps only
 the grid's extremes and its 32 highest and 32 lowest turning points, so the
@@ -327,77 +328,33 @@ class GammaField:
 # ---------------------------------------------------------------------------
 
 
-def _elementwise(f):
-    def wrapped(y):
-        if np.ndim(y) == 0:
-            return f(float(y))
-        return np.array([f(float(v)) for v in np.asarray(y).ravel()]).reshape(np.shape(y))
-    return wrapped
+def lamperti_drift(b, b_prime, sigma, sigma_prime, sigma_second, eta_inv):
+    """Reduce dX = b dt + sigma dB to a unit diffusion through the Lamperti map.
 
-
-def lamperti_drift(b, sigma, sigma_prime, x_anchor):
-    """Reduce dX = b dt + sigma dB to unit diffusion via eta(y) = int_anchor^y du/sigma.
-
-    Returns the drift of the transformed process,
-    ``b0 = (b / sigma - sigma'/2) o eta^{-1}``; eta and its inverse are
-    realized by quadrature plus monotone root finding (tolerance 1e-10).
-    The returned model's derivative is a central finite difference of b0.
+    ``eta_inv`` is the closed-form inverse of eta, an antiderivative of
+    1/sigma; the caller maps its start and level through its own eta.  At
+    ``w = eta_inv(z)`` the unit drift is ``b0 = b/sigma - sigma'/2`` and, by
+    the chain rule with dw/dz = sigma, ``b0' = b' - b sigma'/sigma -
+    sigma sigma''/2``.  Every callable takes numpy arrays.  ModelError names
+    the first z where sigma(w) is not positive.
     """
-    x_anchor = float(x_anchor)
-
-    def check_sigma(u):
-        s = float(sigma(u))
-        if not s > 0.0:
-            raise ModelError(f"sigma must be positive on the working interval; sigma({u})={s}")
-        return s
-
-    def eta(y):
-        from scipy.integrate import quad
-        y = float(y)
-        if y == x_anchor:
-            return 0.0
-        # raw quad, not _integrate: the bracket search below may probe eta
-        # where the integral diverges (a sigma that vanishes at a finite
-        # point) and only compares the returned value with its target
-        value, _ = quad(lambda u: 1.0 / check_sigma(u), x_anchor, y,
-                        epsabs=1e-12, epsrel=1e-10, limit=400)
-        return value
-
-    def eta_inv(z):
-        z = float(z)
-        if z == 0.0:
-            return x_anchor
-        # eta is strictly increasing with eta(anchor) = 0, so the root lies on
-        # z's side of the anchor; widen only that side, since sigma need not be
-        # positive on the other (geometric BM: sigma(0) = 0)
-        side = 1.0 if z > 0.0 else -1.0
-        step = 1.0
-        for _ in range(200):
-            far = x_anchor + side * step
-            if side * (eta(far) - z) >= 0.0:
-                break
-            step *= 2.0
-        else:
-            raise NumericError(f"could not bracket eta^-1({z})")
-        from scipy.optimize import brentq
-        lo, hi = sorted((x_anchor, far))
-        return brentq(lambda w: eta(w) - z, lo, hi, xtol=1e-10, rtol=1e-12)
-
-    def b0(z):
+    def at(z, f):
+        z = np.asarray(z, dtype=float)
         w = eta_inv(z)
-        s = check_sigma(w)
-        return float(b(w)) / s - 0.5 * float(sigma_prime(w))
-
-    h = 1e-6
-
-    def b0_prime(z):
-        return (b0(z + h) - b0(z - h)) / (2.0 * h)
+        zs, s = np.broadcast_arrays(z, np.asarray(sigma(w), dtype=float))
+        bad = ~(s > 0.0)
+        if bad.any():
+            raise ModelError(f"sigma must be positive on the working interval; "
+                             f"sigma(eta_inv(z))={s[bad][0]} at z={zs[bad][0]}")
+        out = np.broadcast_to(f(w, s), zs.shape).astype(float)
+        return out if out.ndim else float(out)
 
     return DriftModel(
         kind="lamperti",
-        params={"x_anchor": x_anchor},
-        b=_elementwise(b0),
-        b_prime=_elementwise(b0_prime),
+        params={},
+        b=partial(at, f=lambda w, s: b(w) / s - 0.5 * sigma_prime(w)),
+        b_prime=partial(at, f=lambda w, s: (
+            b_prime(w) - b(w) * sigma_prime(w) / s - 0.5 * s * sigma_second(w))),
     )
 
 
@@ -658,7 +615,7 @@ def recurrence_diagnostic(model, probe_depth=10.0):
     depths = tuple(probe_depth * (10.0 ** j) for j in range(3))
     try:
         logs = tuple(_log_abs_p_neg(model, d) for d in depths)
-    except (NumericError, OverflowError, ValueError):
+    except (ModelError, NumericError, OverflowError, ValueError):
         return RecurrenceReport("inconclusive (numeric trouble probing p)", depths, (), None)
     if not all(map(math.isfinite, logs)):
         return RecurrenceReport("inconclusive (numeric trouble probing p)", depths, logs, None)

@@ -144,11 +144,13 @@ def iteration_identity_target(model, x, L, gamma0=0.0):
 def iteration_identity_check(iterations, model, x, L, gamma0=0.0, kappa=None):
     """Compare mean(I) against its identity and the exp((L-x) sqrt(2 kappa)) bound.
 
-    ``iterations`` holds one iteration count per draw.
+    ``iterations`` holds one iteration count per draw, each finite and at least 1.
     """
     iters = np.asarray(iterations, dtype=float)
     if iters.size == 0:
         raise ConfigError("iteration_identity_check needs iteration counts")
+    if not np.all(np.isfinite(iters) & (iters >= 1.0)):
+        raise ConfigError("iteration counts must be finite and at least 1")
     n = len(iters)
     mean = float(iters.mean())
     se = float(iters.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
@@ -551,6 +553,9 @@ def em_fpt_oracle(model, x, L, t_max, step, n, stream):
     crossing times, each at the right end of its step; paths alive at t_max
     are censored, so ``n - len(result)`` of them did not cross.
     """
+    if not all(map(math.isfinite, (x, L, step, t_max))):
+        raise ConfigError(f"em_fpt_oracle needs finite x, L, step and t_max, "
+                          f"got {(x, L, step, t_max)}")
     if not (step > 0.0 and t_max > 0.0):
         raise ConfigError("em_fpt_oracle needs positive step and t_max")
     if n < 0:
@@ -591,8 +596,12 @@ def rho_distance_bound(model, x, L, rho):
     This is the explicit two-barrier expression behind the truncation
     guarantee; it decays to 0 whenever the scale function diverges at -inf.
     """
+    if not all(map(math.isfinite, (x, L, rho))):
+        raise ConfigError(f"rho_distance_bound needs finite x, L and rho, got {(x, L, rho)}")
     if not rho > 0.0:
         raise ConfigError(f"rho must be positive, got {rho}")
+    if not -rho < x <= L:
+        raise ConfigError(f"the start x={x} must lie in (-rho, L] = ({-rho}, {L}]")
     try:
         p_level = eval_scale_p(model, L)
         p_start = eval_scale_p(model, x)
@@ -621,8 +630,3 @@ def histogram_export(values, bins, path):
         for lo, hi, d in zip(edges[:-1], edges[1:], density):
             writer.writerow([f"{lo:.17g}", f"{hi:.17g}", f"{d:.17g}"])
     return path
-
-
-def xi_normalization(model, x, L):
-    """The acceptance mass Xi = exp{-(beta(L)-beta(x))}; 1/mean(I) estimates it."""
-    return math.exp(-(eval_beta(model, L) - eval_beta(model, x)))

@@ -266,6 +266,20 @@ for model, answer in ((sine_drift(), "yes"), (constant_drift(-1.0), "no"), (bare
     assert recurrence_diagnostic(model).verdict.startswith("recurrent: " + answer)
 """
 
+# geometric BM through the Lamperti map: certified, sampled and probed
+NO_SCIPY_LAMPERTI = """
+import numpy as np
+from fptsim import (BoundCertificate, GammaField, RandomStream, SamplerConfig,
+                    certify_bounds, lamperti_drift, recurrence_diagnostic, sample_batch)
+gbm = lamperti_drift(lambda y: 0.5 * y, lambda y: 0.5 + 0.0 * y, lambda y: 0.5 * y,
+                     lambda y: 0.5 + 0.0 * y, lambda y: 0.0 * y, lambda z: np.exp(0.5 * z))
+cert = BoundCertificate(kappa=0.5, domain_hint=-100.0)
+assert certify_bounds(GammaField(gbm), cert, level=2.0).passed
+config = SamplerConfig(x=0.0, L=2.0, model=gbm, cert=cert, variant="a1")
+assert len(sample_batch(config, 40, RandomStream(1))) == 40
+assert recurrence_diagnostic(gbm).verdict.startswith("recurrent: yes")
+"""
+
 
 def _src_env():
     """The environment of a fresh interpreter that imports this fptsim."""
@@ -274,10 +288,11 @@ def _src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-@pytest.mark.parametrize("script", [NO_SCIPY_LIBRARY, NO_SCIPY_CLI, NO_SCIPY_RECURRENCE],
-                         ids=["library", "cli", "recurrence"])
+@pytest.mark.parametrize("script", [NO_SCIPY_LIBRARY, NO_SCIPY_CLI, NO_SCIPY_RECURRENCE,
+                                    NO_SCIPY_LAMPERTI],
+                         ids=["library", "cli", "recurrence", "lamperti"])
 def test_import_certification_and_sampling_load_no_scipy(tmp_path, script):
-    # scipy is imported by the quadrature, Lamperti and CDF helpers only;
+    # scipy is imported by the quadrature and CDF helpers only;
     # a fresh interpreter shows what the set-up and sampling path loaded
     check = ("\nimport sys\nloaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
              "\nassert not loaded, f'{len(loaded)} scipy modules loaded: {loaded[:4]}'\n")

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fptsim import (BoundCertificate, GammaField, ModelError, NumericError,
-                    arctan_shift_drift, certify_bounds, constant_drift,
-                    custom_drift, eval_beta, eval_gamma, eval_scale_p, gamma_fn,
+                    RandomStream, SamplerConfig, arctan_shift_drift,
+                    certify_bounds, constant_drift, custom_drift, eval_beta,
+                    eval_gamma, eval_scale_p, gamma_fn, ig_cdf, ks_statistic,
                     lamperti_drift, model_from_spec, neg_arctan_drift, ou_drift,
-                    recurrence_diagnostic, scan_gamma_range, sine_drift,
-                    truncate_drift, truncated_ou_kappa)
+                    recurrence_diagnostic, sample_batch, scan_gamma_range,
+                    sine_drift, truncate_drift, truncated_ou_kappa)
 from fptsim import drift
 from fptsim.drift import _POLISHED, _most_extreme, _scan_grid
 from fptsim.errors import ConfigError
@@ -59,10 +60,21 @@ def test_gamma_nonfinite_drift_raises_naming_point():
         eval_gamma(bad, 3.5)
 
 
+# dX = (2 + sin X) dt + hypot(1, X) dB: eta = asinh, so eta^-1 = sinh
+HYPOT_SINE = lamperti_drift(lambda y: 2.0 + np.sin(y), np.cos, lambda y: np.hypot(1.0, y),
+                            lambda y: y / np.hypot(1.0, y), lambda y: np.hypot(1.0, y) ** -3,
+                            np.sinh)
+
+
+def _gbm(mu, s):
+    """dX = mu X dt + s X dB: eta = log(y)/s, eta^-1(z) = exp(s z), unit drift mu/s - s/2."""
+    return lamperti_drift(lambda y: mu * y, lambda y: mu + 0.0 * y, lambda y: s * y,
+                          lambda y: s + 0.0 * y, lambda y: 0.0 * y, lambda z: np.exp(s * z))
+
+
 def _no_closed_form_models():
     return [custom_drift(sine_drift().b, sine_drift().b_prime),
-            lamperti_drift(lambda y: 2.0 + math.sin(y), lambda y: math.hypot(1.0, y),
-                           lambda y: y / math.hypot(1.0, y), x_anchor=0.0)]
+            HYPOT_SINE]
 
 
 @pytest.mark.parametrize("model", _no_closed_form_models(), ids=["custom", "lamperti"])
@@ -202,40 +214,75 @@ def test_bprime_matches_finite_differences():
 
 def test_lamperti_unit_sigma_is_identity():
     src = sine_drift()
-    model = lamperti_drift(src.b, lambda y: 1.0, lambda y: 0.0, x_anchor=0.0)
+    model = lamperti_drift(src.b, src.b_prime, np.ones_like, np.zeros_like, np.zeros_like,
+                           lambda z: z)
     for z in (-2.0, 0.0, 1.3):
         assert float(model.b(z)) == pytest.approx(float(src.b(z)), abs=1e-8)
 
 
 def test_lamperti_constant_sigma_zero_drift():
-    model = lamperti_drift(lambda y: 0.0, lambda y: 2.0, lambda y: 0.0, x_anchor=0.0)
+    model = lamperti_drift(np.zeros_like, np.zeros_like, lambda y: 2.0 + 0.0 * y,
+                           np.zeros_like, np.zeros_like, lambda z: 2.0 * z)
     for z in (-1.0, 0.5):
         assert float(model.b(z)) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_lamperti_quadratic_sigma_at_anchor():
-    model = lamperti_drift(lambda y: 0.0, lambda y: 1.0 + y * y,
-                           lambda y: 2.0 * y, x_anchor=0.0)
+    model = lamperti_drift(np.zeros_like, np.zeros_like, lambda y: 1.0 + y * y,
+                           lambda y: 2.0 * y, lambda y: 2.0 + 0.0 * y, np.tan)
     assert float(model.b(0.0)) == pytest.approx(0.0, abs=1e-10)
 
 
-# eta(0) diverges here; the bracket search's quad warns and its value only bounds z
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("z", [-5.0, -1.0, 0.5, 2.0, 4.0])
-def test_lamperti_inverse_brackets_only_the_root_side(z):
+def test_lamperti_closed_form_gbm(z):
     # geometric BM, dX = 0.3 X dt + X dB: eta(y) = log y, so eta^-1(z) = e^z and
-    # the unit drift is 0.3 - 1/2; sigma(0) = 0 lies left of the anchor 1
-    gbm = lamperti_drift(lambda y: 0.3 * y, lambda y: y, lambda y: 1.0, x_anchor=1.0)
+    # the unit drift is 0.3 - 1/2
+    gbm = _gbm(0.3, 1.0)
     assert float(gbm.b(z)) == pytest.approx(-0.2, abs=1e-10)
     # with b(y) = y^2 the unit drift is e^z - 1/2, which pins the inverse itself
-    square = lamperti_drift(lambda y: y * y, lambda y: y, lambda y: 1.0, x_anchor=1.0)
+    square = lamperti_drift(lambda y: y * y, lambda y: 2.0 * y, lambda y: y,
+                            np.ones_like, np.zeros_like, np.exp)
     assert float(square.b(z)) == pytest.approx(math.exp(z) - 0.5, abs=1e-9)
 
 
 def test_lamperti_rejects_nonpositive_sigma():
-    model = lamperti_drift(lambda y: 0.0, lambda y: -1.0, lambda y: 0.0, x_anchor=0.0)
+    model = lamperti_drift(np.zeros_like, np.zeros_like, lambda y: -1.0 + 0.0 * y,
+                           np.zeros_like, np.zeros_like, lambda z: -z)
     with pytest.raises(ModelError):
         model.b(0.0)
+
+
+def test_lamperti_derivative_is_the_closed_form():
+    # at w = sinh z, sigma = cosh z and sigma' = tanh z; so b0(z) is
+    # (2 + sin w)/cosh z - tanh(z)/2, differentiated here by hand
+    z = np.linspace(-20.0, 2.0, 2201)
+    w = np.sinh(z)
+    want = np.cos(w) - (2.0 + np.sin(w)) * np.tanh(z) / np.cosh(z) - 0.5 / np.cosh(z) ** 2
+    assert np.max(np.abs(HYPOT_SINE.b_prime(z) - want)) <= 1e-12
+    assert np.max(np.abs(HYPOT_SINE.b(z) - (2.0 + np.sin(w)) / np.cosh(z)
+                         + 0.5 * np.tanh(z))) <= 1e-12
+
+
+def test_lamperti_gbm_draws_the_inverse_gaussian_law():
+    # criterion 1 through the reduction: X0 = 1 and level e^2 are z = 0 and
+    # z = 2 under eta = 2 log y, where the unit drift is 0.5/0.5 - 0.5/2 = 0.75
+    model = _gbm(0.5, 0.5)
+    cert = BoundCertificate(kappa=0.5, domain_hint=-100.0)
+    assert certify_bounds(GammaField(model), cert, level=2.0).passed
+    config = SamplerConfig(x=0.0, L=2.0, model=model, cert=cert, variant="a1")
+    draws = sample_batch(config, 4000, RandomStream(20260810, 40))
+    values = np.array([d.value for d in draws])
+    assert ks_statistic(values, lambda t: ig_cdf(t, 2.0, 0.75)) < 0.025
+
+
+def test_lamperti_grid_reaching_nonpositive_sigma_names_the_point():
+    # exp(2z) underflows to 0 below z = -373, so sigma = 2 exp(2z) vanishes there
+    model = _gbm(3.0, 2.0)
+    with pytest.raises(ModelError, match=r"z=-500\.0"):
+        GammaField(model).eval_array(np.array([0.0, -100.0, -500.0, -1000.0]))
+    claim = BoundCertificate(kappa=2.0, domain_hint=-1000.0)
+    with pytest.raises(ModelError, match=r"z=-1000\.0"):
+        certify_bounds(GammaField(model), claim, level=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +571,8 @@ RECURRENCE_CASES = [
     (custom_drift(lambda y: 2.0 + np.sin(y), np.cos, name="bare-sine"), DIVERGES),
     (custom_drift(lambda y: 1.0 + 0.0 * y, lambda y: 0.0 * y, name="bare-mu=1"), DIVERGES),
     (custom_drift(lambda y: -1.0 + 0.0 * y, lambda y: 0.0 * y, name="bare-mu=-1"), V_GROWS),
+    # geometric BM through the Lamperti map: unit drift 0.75, no closed-form beta
+    (_gbm(0.5, 0.5), DIVERGES),
 ]
 
 
@@ -554,6 +603,14 @@ def test_recurrence_reports_a_nan_log_p_as_inconclusive():
     assert math.isfinite(report.log_abs_p[0])
     assert not any(map(math.isfinite, report.log_abs_p[1:]))
     assert report.v_deepest is None
+
+
+def test_recurrence_reports_model_trouble_as_inconclusive():
+    # sigma = 2 exp(2z) underflows to 0 on the deepest probe's grid, where the
+    # Lamperti reduction raises ModelError: numeric trouble, not a crash
+    report = recurrence_diagnostic(_gbm(3.0, 2.0), 10.0)
+    assert report.verdict == "inconclusive (numeric trouble probing p)"
+    assert report.log_abs_p == ()
 
 
 @pytest.mark.parametrize("mu", [1.0, -1.0])

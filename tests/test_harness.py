@@ -13,7 +13,7 @@ from fptsim import (BoundCertificate, RandomStream, SamplerConfig,
                     arctan_shift_drift, ig_cdf, ig_pdf,
                     iteration_identity_check, iteration_identity_target,
                     ks_statistic, ou_drift, rho_distance_bound, sample_batch,
-                    sine_drift, two_sample_ks, xi_normalization)
+                    sine_drift, two_sample_ks)
 from fptsim import harness
 from fptsim import rng as rng_module
 from fptsim import samplers
@@ -120,6 +120,20 @@ EMPTY_OR_INVALID = {
     "geometric-no-mass": lambda path: geometric_iteration_gof([1, 2, 3, 1, 1, 2] * 50,
                                                               min_expected=0.0),
     "histogram-empty": lambda path: histogram_export(np.array([]), 5, path),
+    # each of these once returned a number that read as an answer
+    "identity-nan-count": lambda path: iteration_identity_check(
+        [1, 2, math.nan], constant_drift(1.0), 0.0, 2.0),
+    "identity-zero-count": lambda path: iteration_identity_check(
+        [1, 0, 3], constant_drift(1.0), 0.0, 2.0),
+    "rho-bound-x-above-level": lambda path: rho_distance_bound(constant_drift(1.0), 3.0, 1.0, 5.0),
+    "rho-bound-x-below-cut": lambda path: rho_distance_bound(constant_drift(1.0), -5.0, 1.0, 5.0),
+    "rho-bound-nan-level": lambda path: rho_distance_bound(constant_drift(1.0), 0.0, math.nan, 5.0),
+    "rho-bound-inf-rho": lambda path: rho_distance_bound(constant_drift(1.0), 0.0, 1.0, math.inf),
+    **{f"em-oracle-{name}": lambda path, kw=kw: em_fpt_oracle(**{
+        "model": constant_drift(1.0), "x": 0.0, "L": 2.0, "t_max": 1.0, "step": 1e-2, "n": 10,
+        "stream": RandomStream(1), **kw})
+       for name, kw in [("nan-x", {"x": math.nan}), ("inf-level", {"L": math.inf}),
+                        ("inf-step", {"step": math.inf}), ("nan-t-max", {"t_max": math.nan})]},
 }
 
 
@@ -161,7 +175,7 @@ def test_xi_estimate_matches_normalization():
                         cert=BoundCertificate(kappa=0.5, domain_hint=-50.0))
     draws = sample_batch(cfg, 4000, RandomStream(62))
     iters = np.array([d.stats.iterations for d in draws], dtype=float)
-    xi = xi_normalization(cfg.model, 0.0, 2.0)
+    xi = 1.0 / iteration_identity_target(cfg.model, 0.0, 2.0)
     assert xi == pytest.approx(math.exp(-2.0), rel=1e-12)
     se = iters.std(ddof=1) / math.sqrt(len(iters))
     assert abs(1.0 / iters.mean() - xi) < 3.0 * se / iters.mean() ** 2
