@@ -558,6 +558,8 @@ def em_fpt_oracle(model, x, L, t_max, step, n, stream):
                           f"got {(x, L, step, t_max)}")
     if not (step > 0.0 and t_max > 0.0):
         raise ConfigError("em_fpt_oracle needs positive step and t_max")
+    if not x < L:
+        raise ConfigError(f"level L={L} must exceed the start x={x}")
     if n < 0:
         raise ConfigError(f"em_fpt_oracle needs n >= 0, got {n}")
     nsteps = int(math.ceil(t_max / step))

@@ -5,7 +5,7 @@ counter-based Philox bit generator.  A stream is addressed by a ``(seed,
 stream_id)`` pair (plus an optional substream path), which ``_derive_key``
 mixes into a Philox key: equal addresses replay bitwise-identical draw
 sequences, distinct addresses give statistically independent sequences.
-Replicas, split slices and helper processes therefore never share mutable
+Draws, replicas and helper processes therefore never share mutable
 generator state; they derive their own substreams.
 
 Scalar draws are served from internal buffers refilled in blocks, which keeps
@@ -24,7 +24,8 @@ re-keying one through its state, most of it seeding from OS entropy that
 the key then overrides.  Streams and lane rows take a generator from a
 process-wide idle pool at their first refill, re-key it, and give it back
 when they are done; each generator has one owner at a time, so concurrent
-threads never share one.
+threads never share one.  A LaneStreams of up to _POOLED_LANES lanes takes
+the memory of its rows from a pool of idle buffers in the same way.
 """
 
 import math
@@ -49,6 +50,12 @@ _TRUNC_ATTEMPT_CAP = 10**6
 
 # generators no stream or lane row holds (list.pop and list.append are atomic)
 _IDLE = []
+# flat float64 buffers no LaneStreams holds, each room for some lanes' rows
+_IDLE_ROWS = []
+# rows of at most this many lanes (~12.7 MB) go back to the idle pool; wider
+# ones are freed, so that a full-width batch frees its rows before it builds
+# its draws
+_POOLED_LANES = 512
 
 
 def _splitmix64(x):
@@ -102,6 +109,28 @@ def _release(gen):
     """Give a generator back to the pool; None is ignored."""
     if gen is not None:
         _IDLE.append(gen)
+
+
+def _pooled_rows(lanes):
+    """(buffer, rows): the rows of ``lanes`` lanes, all ones, at the start of a buffer.
+
+    Up to _POOLED_LANES lanes the buffer is an idle one with room for them,
+    or else a new one; a batch that allocated and freed its megabytes of
+    rows would leave the heap laid out differently from run to run, and
+    with it the process's peak memory.
+    """
+    size = 3 * lanes * _ROW
+    buf = None
+    if lanes <= _POOLED_LANES:
+        try:
+            buf = _IDLE_ROWS.pop()
+        except IndexError:
+            pass
+    if buf is None or len(buf) < size:
+        buf = np.empty(size)
+    rows = buf[:size].reshape(3, lanes, _ROW)
+    rows.fill(1.0)
+    return buf, rows
 
 
 def _block(gen, kind, out=None):
@@ -247,7 +276,7 @@ class LaneStreams:
     def __init__(self, keys):
         # the slack past each block is read, and its value ignored, by lanes
         # that do not consume; ones keep such reads finite and nonzero
-        self._rows = np.ones((3, len(keys), _ROW))
+        self._buf, self._rows = _pooled_rows(len(keys))
         self._flat = [rows.reshape(-1) for rows in self._rows]
         self._views = [memoryview(flat) for flat in self._flat]
         self._gens = [_keyed(key) for key in keys]
@@ -261,6 +290,8 @@ class LaneStreams:
     def __del__(self):
         for gen in self._gens:
             _release(gen)
+        if len(self._buf) <= 3 * _POOLED_LANES * _ROW:
+            _IDLE_ROWS.append(self._buf)
 
     def attach(self, lane, key):
         """Let a lane read the stream of a fresh key from its row on."""

@@ -21,7 +21,7 @@ Roberts 2006).  On top of those sit the variance reducers and extensions:
   from the field and compensate with an inverse-Gaussian proposal; the
   expected iteration count drops by the factor exp(-(L-x) sqrt(2 gamma0));
 * space splitting (``split_k``): chain k independent sub-level passages,
-  slice i on substream i of the draw's stream;
+  slices in turn on the draw's stream;
 * ``a3``: conditional sampling of tau given tau <= t0, tolerating
   gamma >= -m by lifting the field by m*t0/T, non-negative for every
   admissible proposal T <= t0;
@@ -44,13 +44,14 @@ arithmetic, so the determinism contract is one for both: draw i of a batch
 is ``sample`` on substream ``start + i``, bit for bit.  That holds whatever
 the batch size, partition or lane width, whichever pooled generator (see
 ``rng``) a stream or lane happens to draw with, and whatever other thread
-samples meanwhile.  A batch of n draws in k slices starts on
-min(n * k, _LANE_WIDTH) lanes, and the lane of an accepted item takes the
-next queued one.  The width is a module constant, 1024 lanes (~25 MB of
-lane buffers), not an option.  Batches too small to fill _LANE_MIN lanes,
-and the last few items of a batch, run on the scalar kernel, which stays
-the reference the lane kernel is tested against.  Every hand-off from
-lanes to scalar code reads the lane's draws through ``LaneStreams.lane``.
+samples meanwhile.  A batch of n draws starts on min(n, _LANE_WIDTH) lanes;
+a lane runs its draw's slices in turn on the draw's stream, and after the
+last one takes the next queued draw.  The width is a module constant, 1024
+lanes (~25 MB of lane buffers), not an option.  Batches too small to fill
+_LANE_MIN lanes, and the last few draws of a batch, run on the scalar
+kernel, which stays the reference the lane kernel is tested against.  Every
+hand-off from lanes to scalar code reads the lane's draws through
+``LaneStreams.lane``.
 
 Cost accounting follows the elementary random variates: ``N_i`` counts the
 scalar draws consumed by iteration i's thinning scan (a 3-d Gaussian counts
@@ -277,31 +278,34 @@ def _bessel(drift, value):
 class _Lanes:
     """The rejection loops of a batch, one numpy lane per item.
 
-    An item is one slice of one draw, ``key = draw * k + slice``, and reads
-    the substream the scalar path gives it, whose Philox key is derived up
-    front with every other item's.  Every step tests one Poisson point on
-    every lane; a subclass supplies the step of its scan order (``_step``)
-    and the scan state it keeps (``_init_scan``, ``_reset`` on a new
-    proposal, ``_arrive`` for its first point).  A rejected lane draws its
-    next proposal and first arrival in the same step; a lane whose item is
-    accepted takes the next item in key order.  The arithmetic is the
-    scalar kernel's, operation for operation, and where numpy's field lies
-    within _RECHECK_TOL of a thinning or breach decision the lane takes the
-    field from the scalar ``gamma`` instead, so each item yields the scalar
-    draw bit for bit.
+    An item is one slice of one draw, ``key = draw * k + slice``.  A lane
+    holds one draw and runs its slices in turn on the draw's substream, as
+    the scalar path does; the Philox key of every draw's substream is
+    derived up front.  Every step tests one Poisson point on every lane; a
+    subclass supplies the step of its scan order (``_step``) and the scan
+    state it keeps (``_init_scan``, ``_reset`` on a new proposal,
+    ``_arrive`` for its first point).  A rejected lane draws its next
+    proposal and first arrival in the same step; a lane whose item is
+    accepted goes on to the draw's next slice, with a fresh iteration
+    budget, or after the last slice takes the next queued draw.  The
+    arithmetic is the scalar kernel's, operation for operation, and where
+    numpy's field lies within _RECHECK_TOL of a thinning or breach decision
+    the lane takes the field from the scalar ``gamma`` instead, so each item
+    yields the scalar draw bit for bit.
 
     Scalar code reads a lane's draws through ``LaneStreams.lane``: once the
     queue is empty and fewer than _LANE_MIN lanes are live, each remaining
-    item finishes on the scalar kernel from its next proposal on.  An item
-    that fails (field breach, budget) raises at once; ``sample_batch`` then
-    reruns the batch on the scalar kernel, which raises the error met first
-    in draw order.
+    draw finishes on the scalar kernel, its current slice from its next
+    proposal on and then its later slices.  An item that fails (field
+    breach, budget) raises at once; ``sample_batch`` then reruns the batch
+    on the scalar kernel, which raises the error met first in draw order.
     """
 
     def __init__(self, plan, n, stream, start):
         self.plan = plan
         self.k = k = len(plan.slices)
-        self.next_key = min(_LANE_WIDTH, n * k)
+        self.n = n
+        self.next_draw = m = min(_LANE_WIDTH, n)
         self.value = np.empty(n * k)         # accepted proposal of each item
         self.log_keys = []                   # per iteration: its item and the
         self.log_tested = []                 # number of points it tested
@@ -309,12 +313,9 @@ class _Lanes:
         self.slice_params = [np.array(p) for p in zip(*(part.params for part in plan.slices))]
         self.slice_gap = np.array([part.gap for part in plan.slices])
         self.slice_level = np.array([part.level for part in plan.slices])
-        # the key of every item's substream, in item order
-        draws = start + np.arange(n)
-        self.stream_keys = stream.substream_keys(draws) if k == 1 else \
-            stream.substream_keys(draws[:, None], np.arange(1, k + 1))
-        self.key = np.arange(self.next_key, dtype=np.int32)
-        m = len(self.key)
+        # the key of every draw's substream, in draw order
+        self.stream_keys = stream.substream_keys(start + np.arange(n))
+        self.key = np.arange(0, m * k, k, dtype=np.int32)
         self.rng = LaneStreams(self.stream_keys[:m])
         self.gap = self.slice_gap[self.key % k]
         self.level = self.slice_level[self.key % k]
@@ -411,8 +412,8 @@ class _Lanes:
         return rejected
 
     def _handing_off(self):
-        """Whether the last items go to the scalar kernel: none queued, under _LANE_MIN lanes."""
-        return self.next_key >= len(self.value) and len(self.key) < _LANE_MIN
+        """Whether the last draws go to the scalar kernel: none queued, under _LANE_MIN lanes."""
+        return self.next_draw >= self.n and len(self.key) < _LANE_MIN
 
     def _propose(self, which, s):
         """A fresh proposal on each lane ``which`` marks; ``_arrive`` draws its first arrival."""
@@ -441,24 +442,36 @@ class _Lanes:
             which = self._accept(accepted, s) if accepted.size else None
 
     def _accept(self, lanes, s):
-        """Close the accepted items on the listed lanes; marks the lanes given a new item."""
+        """Close the accepted items on the listed lanes; marks the lanes that start a new item.
+
+        A draw's next slice runs on the same lane and stream, on the scalar
+        kernel once the lanes hand off; after its last slice the lane takes
+        the next queued draw and that draw's stream.
+        """
         lanes = self._alive(lanes)
         if not lanes.size:
             return None
         self._close(lanes, s)
         fresh = np.zeros(len(self.key), dtype=bool)
+        k = self.k
+        handing_off = self._handing_off()
         for j in lanes.tolist():
-            if self.next_key < len(self.value):
-                key = self.next_key
-                self.next_key += 1
-                self.key[j] = key
-                self.gap[j] = self.slice_gap[key % self.k]
-                self.level[j] = self.slice_level[key % self.k]
-                self.rejections[j] = 0
-                self.rng.attach(j, self.stream_keys[key])
-                fresh[j] = True
+            key = int(self.key[j]) + 1
+            if key % k == 0:
+                if self.next_draw >= self.n:
+                    self._kill(j)
+                    continue
+                key = self.next_draw * k
+                self.rng.attach(j, self.stream_keys[self.next_draw])
+                self.next_draw += 1
+            self.key[j] = key
+            self.gap[j] = self.slice_gap[key % k]
+            self.level[j] = self.slice_level[key % k]
+            self.rejections[j] = 0
+            if handing_off:
+                self._finish_scalar(j)
             else:
-                self._kill(j)
+                fresh[j] = True
         return fresh if fresh.any() else None
 
     def _close(self, lanes, s):
@@ -470,12 +483,20 @@ class _Lanes:
         self.value[self.key[lanes]] = T
 
     def _finish_scalar(self, j):
-        """Run lane j's item to its end on the scalar kernel, from its next proposal on."""
+        """Run lane j's draw to its end on the scalar kernel: the current slice
+        from its next proposal on, then the draw's later slices, on the lane's stream."""
         key = int(self.key[j])
-        T, points = _run_slice(self.plan, self.plan.slices[key % self.k], self.rng.lane(j),
-                               int(self.rejections[j]))
-        self.value[key] = T
-        self.log_keys.append(np.full(len(points), key))
+        stream = self.rng.lane(j)
+        done = int(self.rejections[j])
+        keys = []
+        points = []
+        for key in range(key, key - key % self.k + self.k):
+            T, part_points = _run_slice(self.plan, self.plan.slices[key % self.k], stream, done)
+            done = 0
+            self.value[key] = T
+            keys += [key] * len(part_points)
+            points += part_points
+        self.log_keys.append(np.array(keys))
         self.log_tested.append((np.array(points) - 1) // 5)
         self._kill(j)
 
@@ -772,17 +793,17 @@ def _run_slice(plan, part, stream, done=0):
 
 
 def _draw(plan, stream):
-    """One draw: the sum of the slices' passages, slice i on substream i.
+    """One draw: the sum of the slices' passages, run in turn on the caller's stream.
 
-    An unsplit draw runs its single slice on the caller's stream; stats
-    aggregate uniformly across slices (iterations add up, point lists
+    Each slice's rejection loop stops at a stopping time of the stream, so
+    the draws after it, buffered or not, are fresh for the next slice.
+    Stats aggregate uniformly across slices (iterations add up, point lists
     concatenate).
     """
-    split = len(plan.slices) > 1
     total = 0.0
     points = []
-    for i, part in enumerate(plan.slices, 1):
-        T, part_points = _run_slice(plan, part, stream.substream(i) if split else stream)
+    for part in plan.slices:
+        T, part_points = _run_slice(plan, part, stream)
         total += T
         points += part_points
     return FptDraw(total, RunStats(len(points), tuple(points)))
@@ -818,14 +839,14 @@ def sample_batch(config, n, stream, start=0):
 def _run_batch(lanes, scalar, plan, n, stream, start):
     """n draws of ``plan``: ``scalar(plan, stream.substream(start + i))`` for each i.
 
-    The lane kernel ``lanes`` (a _Lanes subclass) runs them when their items
-    fill _LANE_MIN lanes; it yields what ``scalar`` yields, so the scalar
-    kernel runs only smaller batches, and reruns a batch in which some draw
-    fails, to raise the failure met first in draw order.
+    The lane kernel ``lanes`` (a _Lanes subclass) runs them when they fill
+    _LANE_MIN lanes, one draw per lane; it yields what ``scalar`` yields,
+    so the scalar kernel runs only smaller batches, and reruns a batch in
+    which some draw fails, to raise the failure met first in draw order.
     """
     if not isinstance(stream, RandomStream):
         raise ConfigError(f"a batch draws on a RandomStream, got {type(stream).__name__}")
-    if plan.ceiling > 0.0 and n * len(plan.slices) >= _LANE_MIN:
+    if plan.ceiling > 0.0 and n >= _LANE_MIN:
         try:
             return lanes(plan, n, stream, start).run()
         except FptsimError:

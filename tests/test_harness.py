@@ -594,6 +594,15 @@ def test_em_oracle_batch_size():
     assert isinstance(empty, np.ndarray) and len(empty) == 0
 
 
+@pytest.mark.parametrize("x", [3.0, 2.0])
+def test_em_oracle_refuses_a_start_at_or_above_the_level(x):
+    # the bridge probability exp(-2 (L-x)(L-x') / step) is >= 1 there, so
+    # every path used to read as crossing at the first step
+    with pytest.raises(ConfigError, match="must exceed the start"):
+        em_fpt_oracle(constant_drift(1.0), x, 2.0, t_max=1.0, step=1e-2, n=5,
+                      stream=RandomStream(75))
+
+
 # ---------------------------------------------------------------------------
 # truncation distance bound
 # ---------------------------------------------------------------------------

@@ -320,6 +320,40 @@ def test_lane_view_draws_what_its_stream_draws():
         assert uniforms[j] == twin.uniform()
 
 
+def test_lane_streams_reuse_a_released_buffer_as_new():
+    # a LaneStreams takes its rows from the buffer of a released one: they
+    # start as ones whatever the last owner left there, and the lanes read
+    # their streams' draws
+    keys = RandomStream(50, 4).substream_keys(np.arange(4))
+    first = LaneStreams(keys + keys)
+    first.take(NORMAL)
+    for flat in first._flat:
+        flat[:] = 0.0
+    buf = first._buf
+    del first
+    lanes = LaneStreams(keys)
+    assert np.shares_memory(lanes._rows, buf)
+    assert (lanes._rows == 1.0).all()
+    twins = [RandomStream(50, 4).substream(i) for i in range(4)]
+    got = [lanes.take(kind) for kind in (NORMAL, EXPONENTIAL, UNIFORM)]
+    for j, twin in enumerate(twins):
+        assert [g[j] for g in got] == [twin.normal(), twin.exponential(1.0), twin.uniform()]
+
+
+def test_wide_lane_rows_are_freed_not_pooled():
+    # rows wider than _POOLED_LANES neither take a pooled buffer nor join the pool
+    from fptsim.rng import _IDLE_ROWS, _POOLED_LANES
+    small = LaneStreams(RandomStream(51, 4).substream_keys(np.arange(2)))
+    del small
+    pooled = list(_IDLE_ROWS)
+    wide = LaneStreams(RandomStream(51, 4).substream_keys(np.arange(_POOLED_LANES + 1)))
+    assert [b is p for b, p in zip(_IDLE_ROWS, pooled)] == [True] * len(pooled)
+    assert not any(np.shares_memory(wide._rows, buf) for buf in pooled)
+    del wide
+    assert [b is p for b, p in zip(_IDLE_ROWS, pooled)] == [True] * len(pooled)
+    assert len(_IDLE_ROWS) == len(pooled)
+
+
 def test_brownian_proposal_redraws_an_exact_zero():
     # G = 0 would give an infinite time gap^2 / G^2: the scalar and the lane
     # proposal both take the next normal instead, and the same one

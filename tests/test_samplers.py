@@ -445,6 +445,8 @@ LAYOUT_CONFIGS = {
                         variant="a3", t0=1.0),
     "split3": SamplerConfig(x=0.0, L=2.0, model=SINE, cert=SINE_CERT,
                             variant="a1", split_k=3),
+    "a2-split3": SamplerConfig(x=0.0, L=2.0, model=SINE, cert=SINE_CERT,
+                               variant="a2", split_k=3),
     "rho": SamplerConfig(x=0.0, L=1.0, model=ou_drift(0.3, 1.0),
                          cert=BoundCertificate(kappa=truncated_ou_kappa(0.3, 5.0, 1.0),
                                                domain_hint=-100.0),
@@ -480,9 +482,14 @@ PINNED_LAYOUT = {
         ("0x1.6e5e74004045dp-1", 4, 33),
     ],
     "split3": [
-        ("0x1.ae23fcad5a148p-1", 14, 128),
-        ("0x1.8387f0c68dbb5p-1", 23, 171),
-        ("0x1.742840ccab614p-2", 28, 231),
+        ("0x1.4dca2116f2d50p-1", 51, 392),
+        ("0x1.445f18a1e6153p+0", 18, 131),
+        ("0x1.8180c7eb33542p+0", 12, 69),
+    ],
+    "a2-split3": [
+        ("0x1.fdd65b3126362p-2", 9, 48),
+        ("0x1.c3d3513eb3b3bp-3", 17, 104),
+        ("0x1.3b876e3ce85fap+0", 15, 90),
     ],
     "rho": [
         ("0x1.e9a11f8d9f38dp-1", 3, 51),
@@ -556,7 +563,7 @@ LANE_CONFIGS = {
     "a2": SamplerConfig(x=0.0, L=2.0, model=SINE, cert=SINE_CERT, variant="a2"),
     "a2-shift": SamplerConfig(x=0.0, L=2.0, model=SINE, cert=SINE_CERT,
                               variant="a2-shift"),
-    "a2-split3": dataclasses.replace(LAYOUT_CONFIGS["split3"], variant="a2"),
+    "a2-split3": LAYOUT_CONFIGS["a2-split3"],
     "a2-rho": dataclasses.replace(LAYOUT_CONFIGS["rho"], variant="a2"),
 }
 
@@ -588,6 +595,77 @@ def test_batch_is_bit_identical_to_single_draws(name, width, monkeypatch):
         # iterations testing two or more points, which the height-ordered
         # lanes finish on the scalar kernel from their first knot on
         assert sum(n >= 11 for d in batch for n in d.stats.points_per_iteration) > 100
+
+
+@pytest.mark.parametrize("name", ["split3", "a2-split3"])
+def test_split_draw_runs_its_slices_in_turn_on_its_stream(name):
+    # the reference chain: each slice's rejection loop starts on the draw's
+    # stream where the previous slice's stopped, and no substream is read
+    cfg = LANE_CONFIGS[name]
+    plan = samplers._prepare(cfg)
+    base = RandomStream(20261018, 11)
+    for i in range(20):
+        stream = base.substream(i)
+        total = 0.0
+        points = []
+        for part in plan.slices:
+            T, part_points = samplers._run_slice(plan, part, stream)
+            total += T
+            points += part_points
+        chained = FptDraw(total, RunStats(len(points), tuple(points)))
+        assert sample(cfg, base.substream(i)) == chained
+
+
+@pytest.mark.parametrize("name", ["split3", "split20", "a2-split3"])
+def test_split_batch_keys_one_stream_per_draw(name, monkeypatch):
+    # a lane batch of n split draws derives n stream keys, not n * k, and
+    # keys each draw's generator once, however many slices run on it
+    n = 40
+    base = RandomStream(20261018, 12)
+    want = sorted(map(tuple, base.substream_keys(np.arange(n))))
+    derived = []
+    keyed = []
+    substream_keys = RandomStream.substream_keys
+    keyed_fn = rng_module._keyed
+
+    def derive(self, *words):
+        keys = substream_keys(self, *words)
+        derived.append(len(keys))
+        return keys
+
+    def key(words, gen=None):
+        keyed.append(tuple(words))
+        return keyed_fn(words, gen)
+
+    monkeypatch.setattr(RandomStream, "substream_keys", derive)
+    monkeypatch.setattr(rng_module, "_keyed", key)
+    draws = sample_batch(LANE_CONFIGS[name], n, base)
+    assert len(draws) == n
+    assert derived == [n]
+    assert sorted(keyed) == want
+
+
+@pytest.mark.parametrize("width", [16, samplers._LANE_WIDTH])
+@pytest.mark.parametrize("variant", ["a1", "a2"])
+def test_hand_off_mid_draw_is_bit_identical(variant, width, monkeypatch):
+    # 17 draws of split-5: the lanes hand off to the scalar kernel with
+    # draws part-way through, some at the start of a slice (between slices)
+    # and some with iterations of the slice already run (inside a slice)
+    monkeypatch.setattr(samplers, "_LANE_WIDTH", width)
+    cfg = SamplerConfig(x=0.0, L=2.0, model=SINE, cert=SINE_CERT, variant=variant, split_k=5)
+    handed = []
+    finish = samplers._Lanes._finish_scalar
+
+    def spy(self, j):
+        handed.append((int(self.key[j]) % self.k, int(self.rejections[j])))
+        finish(self, j)
+
+    monkeypatch.setattr(samplers._Lanes, "_finish_scalar", spy)
+    base = RandomStream(20261018, 15)
+    batch = sample_batch(cfg, 17, base, start=4)
+    assert batch == _scalar_batch(cfg, 17, base, start=4)
+    assert any(part > 0 and done == 0 for part, done in handed)
+    assert any(done > 0 for part, done in handed)
 
 
 def test_concurrent_batches_draw_what_serial_ones_do():
@@ -670,14 +748,16 @@ def test_batch_partition_invariance(name, cuts):
     ("a1", 100), ("a2", samplers._LANE_WIDTH), ("a1", samplers._LANE_WIDTH + 1),
     ("split20", 30), ("split20", 100)])
 def test_lanes_start_at_the_batch_size_up_to_the_width(name, n):
-    # a batch of n draws in k slices starts on min(n * k, _LANE_WIDTH) lanes,
-    # holding items 0, 1, ... in key order; the rest queue for a lane
+    # a batch of n draws starts on min(n, _LANE_WIDTH) lanes, holding the
+    # first slice of draws 0, 1, ... (item keys 0, k, 2k, ...); the rest
+    # queue for a lane
     cfg = LANE_CONFIGS[name]
+    k = cfg.split_k
     plan = samplers._prepare(cfg)
     lanes = plan.scan.lanes(plan, n, RandomStream(134), 0)
-    width = min(n * cfg.split_k, samplers._LANE_WIDTH)
-    assert lanes.key.tolist() == list(range(width))
-    assert lanes.next_key == width
+    width = min(n, samplers._LANE_WIDTH)
+    assert lanes.key.tolist() == list(range(0, width * k, k))
+    assert lanes.next_draw == width
     assert len(lanes.T) == len(lanes.rng.end) == width
 
 
