@@ -84,7 +84,7 @@ def truncated_brownian_fpt_cdf(t, gap, t0):
 # ---------------------------------------------------------------------------
 
 
-def _ks_sample(values, who):
+def _finite_sample(values, who):
     """The sample sorted; ConfigError unless it is non-empty and finite."""
     values = np.sort(np.asarray(values, dtype=float))
     if len(values) == 0 or not np.isfinite(values).all():
@@ -94,7 +94,7 @@ def _ks_sample(values, who):
 
 def ks_statistic(values, cdf):
     """Exact sup-distance between the empirical CDF of values and a reference CDF."""
-    values = _ks_sample(values, "ks_statistic")
+    values = _finite_sample(values, "ks_statistic")
     n = len(values)
     ref = np.asarray(cdf(values), dtype=float)
     grid = np.arange(1, n + 1) / n
@@ -103,8 +103,8 @@ def ks_statistic(values, cdf):
 
 def two_sample_ks(a, b):
     """Exact two-sample sup-distance, evaluated at every jump point."""
-    a = _ks_sample(a, "two_sample_ks")
-    b = _ks_sample(b, "two_sample_ks")
+    a = _finite_sample(a, "two_sample_ks")
+    b = _finite_sample(b, "two_sample_ks")
     support = np.concatenate([a, b])
     fa = np.searchsorted(a, support, side="right") / len(a)
     fb = np.searchsorted(b, support, side="right") / len(b)
@@ -618,9 +618,7 @@ def histogram_export(values, bins, path):
     """Write a density-normalized histogram as CSV rows (bin_left, bin_right, density)."""
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
-    values = np.asarray(values, dtype=float)
-    if len(values) == 0:
-        raise ConfigError("histogram_export needs a non-empty sample")
+    values = _finite_sample(values, "histogram_export")
     density, edges = np.histogram(values, bins=bins, density=True)
     if len(values) == 1:
         # degenerate support: histogram of a single point over its unit-width bin

@@ -242,14 +242,14 @@ class RandomStream(_Draws):
         """Derive an independent stream addressed by (seed, stream_id, *path)."""
         return RandomStream(self.seed, self.stream_id, self._path + path)
 
-    def substream_keys(self, *words):
-        """The key of ``substream(*path)`` for every path the integer arrays ``words`` broadcast to.
+    def substream_keys(self, index):
+        """The key of ``substream(i)`` for each i of the integer array ``index``, in its order.
 
-        The keys come in the arrays' C order; one numpy pass derives them all.
+        One numpy pass derives them all.
         """
-        words = [np.asarray(w, dtype=np.int64).astype(np.uint64) for w in words]
-        k0, k1 = _derive_key(self.seed, self.stream_id, (*self._path, *words))
-        return [list(key) for key in zip(k0.ravel().tolist(), k1.ravel().tolist())]
+        index = np.asarray(index, dtype=np.int64).astype(np.uint64)
+        k0, k1 = _derive_key(self.seed, self.stream_id, (*self._path, index))
+        return [list(key) for key in zip(k0.tolist(), k1.tolist())]
 
     # -- vectorized draws (used by the Euler-Maruyama oracle) -----------------
 
@@ -433,18 +433,14 @@ def draw_brownian_fpt(stream, gap):
 
 
 def _inverse_gaussian_value(stream, mu, lam):
-    # Michael-Schucany-Haas many-to-one transform: keep the smaller root with
-    # probability mu/(mu+X), else return the conjugate root mu^2/X.
+    # Michael-Schucany-Haas many-to-one transform: with r = mu*n^2/(2*lam),
+    # keep the smaller root X = mu/(1 + r + sqrt(r^2 + 2r)) with probability
+    # mu/(mu+X), else return the conjugate root mu^2/X.  X is written as mu^2
+    # over the larger root, a sum of positive terms, so it cancels at no r.
     n = stream.normal()
     n2 = n * n
-    x = mu + (mu * mu * n2) / (2.0 * lam) \
-        - (mu / (2.0 * lam)) * math.sqrt(4.0 * mu * lam * n2 + mu * mu * n2 * n2)
-    if not x > 0.0:
-        # for r = mu*n^2/(2*lam) of about 1e7 and more (a tiny gap*sqrt(gamma0))
-        # the root above cancels to 0 or below; this form of it, mu/(1 + r +
-        # sqrt(r^2 + 2r)), does not, and only those draws take it
-        r = (mu * n2) / (2.0 * lam)
-        x = mu / (1.0 + r + math.sqrt(r * (r + 2.0)))
+    r = (mu * n2) / (2.0 * lam)
+    x = mu / (1.0 + r + math.sqrt(r * (r + 2.0)))
     u = stream.uniform()
     if u <= mu / (mu + x):
         return x
@@ -455,11 +451,8 @@ def _inverse_gaussian_lanes(lanes, which, mu, lam):
     """_inverse_gaussian_value on the lanes of a LaneStreams that ``which`` marks."""
     n = lanes.take(NORMAL, which)
     n2 = n * n
-    x = mu + (mu * mu * n2) / (2.0 * lam) \
-        - (mu / (2.0 * lam)) * np.sqrt(4.0 * mu * lam * n2 + mu * mu * n2 * n2)
-    if not x.min() > 0.0:
-        r = (mu * n2) / (2.0 * lam)
-        x = np.where(x > 0.0, x, mu / (1.0 + r + np.sqrt(r * (r + 2.0))))
+    r = (mu * n2) / (2.0 * lam)
+    x = mu / (1.0 + r + np.sqrt(r * (r + 2.0)))
     u = lanes.take(UNIFORM, which)
     return np.where(u <= mu / (mu + x), x, (mu * mu) / x)
 

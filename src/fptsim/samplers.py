@@ -846,6 +846,9 @@ def _run_batch(lanes, scalar, plan, n, stream, start):
     """
     if not isinstance(stream, RandomStream):
         raise ConfigError(f"a batch draws on a RandomStream, got {type(stream).__name__}")
+    for name, value in (("n", n), ("start", start)):
+        if not isinstance(value, Integral):
+            raise ConfigError(f"a batch's {name} must be an integer, got {value!r}")
     if plan.ceiling > 0.0 and n >= _LANE_MIN:
         try:
             return lanes(plan, n, stream, start).run()

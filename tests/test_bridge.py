@@ -1,9 +1,12 @@
 """Tests for the pinned bridge skeleton and the Bessel-norm functional."""
 
+import bisect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fptsim import (BridgeSkeleton, ConfigError, RandomStream, SequentialBridgeState,
                     bessel_norm, bisect_insert, sequential_advance)
@@ -159,6 +162,62 @@ def test_lane_draw_is_bisect_insert_bit_for_bit():
         else:
             assert scalar in (vl, vr)
     assert 0 < np.count_nonzero(drawn) < len(cases)
+
+
+# a horizon over six decades, and insertion times as fractions of it
+_HORIZONS = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+_FRACTIONS = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(T=_HORIZONS, fractions=_FRACTIONS, seed=st.integers(0, 2**32 - 1))
+def test_bisect_keeps_its_pins_and_its_knots_in_order(T, fractions, seed):
+    skel = BridgeSkeleton(T, 1.0)
+    s = RandomStream(seed)
+    for f in fractions:
+        if 0.0 < f * T < T:
+            bisect_insert(skel, f * T, s)
+        assert (skel.times[0], skel.times[-1]) == (0.0, T)
+        assert skel.values[0] == skel.values[-1] == (0.0, 0.0, 0.0)
+        assert all(a < b for a, b in zip(skel.times, skel.times[1:]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(T=_HORIZONS, fractions=_FRACTIONS, seed=st.integers(0, 2**32 - 1))
+def test_sequential_advance_lands_on_zero_at_the_horizon(T, fractions, seed):
+    state = SequentialBridgeState(T)
+    s = RandomStream(seed)
+    for u in sorted({f * T for f in fractions} - {0.0, T}):
+        sequential_advance(state, u, s)
+    assert sequential_advance(state, T, s) == (0.0, 0.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(T=_HORIZONS, fractions=_FRACTIONS,
+       g=st.tuples(*[st.floats(-6.0, 6.0)] * 3))
+def test_bisection_adds_the_bridged_deviation_to_the_interpolation(T, fractions, g):
+    # with a stream whose Gaussians are g, a drawn knot lies sd * g off the
+    # chord of its neighbours, sd = sqrt((t1-u)(u-t0)/(t1-t0)), on lanes too
+    skel = BridgeSkeleton(T, 1.0)
+    for f in fractions:
+        u = f * T
+        if not 0.0 < u < T:
+            continue
+        i = bisect.bisect_left(skel.times, u)
+        t0, t1 = skel.times[i - 1], skel.times[i]
+        v0, v1 = np.array(skel.values[i - 1]), np.array(skel.values[i])
+        stream = _Given(g)
+        value = np.array(bisect_insert(skel, u, stream))
+        lanes, drawn = bisect_lanes(np.full(1, t0), v0[:, None], np.full(1, t1), v1[:, None],
+                                    np.full(1, u), np.array(g)[:, None])
+        assert bool(drawn[0]) == (stream.calls == 1)
+        if not drawn[0]:
+            continue
+        chord = v0 + (v1 - v0) * ((u - t0) / (t1 - t0))
+        sd = math.sqrt((t1 - u) * (u - t0) / (t1 - t0))
+        tol = 1e-14 * (1.0 + np.abs(chord) + sd * np.abs(g))
+        for got in (value, lanes[:, 0]):
+            assert np.all(np.abs(got - chord - sd * np.array(g)) <= tol)
 
 
 def test_bessel_norm_endpoint_pins():

@@ -14,8 +14,8 @@ from fptsim import (BoundCertificate, GammaField, ModelError, NumericError,
                     certify_bounds, constant_drift, custom_drift, eval_beta,
                     eval_gamma, eval_scale_p, gamma_fn, ig_cdf, ks_statistic,
                     lamperti_drift, model_from_spec, neg_arctan_drift, ou_drift,
-                    recurrence_diagnostic, sample_batch, scan_gamma_range,
-                    sine_drift, truncate_drift, truncated_ou_kappa)
+                    recurrence_diagnostic, rho_distance_bound, sample_batch,
+                    scan_gamma_range, sine_drift, truncate_drift, truncated_ou_kappa)
 from fptsim import drift
 from fptsim.drift import _POLISHED, _most_extreme, _scan_grid
 from fptsim.errors import ConfigError
@@ -183,6 +183,10 @@ def test_scale_p_strictly_increasing():
 def test_scale_p_overflow_reports_numeric_error():
     with pytest.raises(NumericError, match="smaller"):
         eval_scale_p(constant_drift(1.0), -1000.0)
+    # the rho bound passes it on: OU's p(-rho) is finite at depth 60, not at 80
+    assert 0.0 < rho_distance_bound(ou_drift(0.3, 1.0), 0.0, 1.0, 60.0) < 1e-250
+    with pytest.raises(NumericError, match="smaller rho"):
+        rho_distance_bound(ou_drift(0.3, 1.0), 0.0, 1.0, 80.0)
 
 
 def test_scale_integrals_raise_when_quad_does_not_converge():
@@ -340,6 +344,12 @@ class TestTruncateDrift:
         with pytest.raises(ConfigError):
             truncate_drift(self.OU, 0.0)
 
+    def test_requires_an_inner_drift_finite_at_the_cut(self):
+        nan_deep = custom_drift(lambda y: np.where(np.asarray(y) < -3.0, np.nan, 1.0),
+                                lambda y: 0.0 * np.asarray(y, dtype=float))
+        with pytest.raises(ModelError, match="cut point -5.0"):
+            truncate_drift(nan_deep, self.RHO)
+
 
 # ---------------------------------------------------------------------------
 # certification
@@ -489,6 +499,13 @@ def test_refined_range_is_scipys_bounded_brent(model, monkeypatch):
     polished = _scan_grid(GammaField(model), -50.0, 2.0, 1e-3)
     assert abs(refined.gmin - polished.gmin) <= 1e-12
     assert abs(refined.gmax - polished.gmax) <= 1e-12
+
+
+def test_scan_grid_names_the_first_grid_point_where_the_field_is_not_finite():
+    gamma = GammaField(custom_drift(lambda y: np.where(np.asarray(y) > 0.5, np.nan, 1.0),
+                                    lambda y: 0.0 * np.asarray(y, dtype=float)))
+    with pytest.raises(ModelError, match=r"gamma not finite at y=0\.5[01]"):
+        _scan_grid(gamma, -1.0, 1.0, 0.01)
 
 
 def test_refinement_checks_the_field_between_grid_points():

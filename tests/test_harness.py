@@ -120,6 +120,11 @@ EMPTY_OR_INVALID = {
     "geometric-no-mass": lambda path: geometric_iteration_gof([1, 2, 3, 1, 1, 2] * 50,
                                                               min_expected=0.0),
     "histogram-empty": lambda path: histogram_export(np.array([]), 5, path),
+    "histogram-no-bins": lambda path: histogram_export([1.0, 2.0], 0, path),
+    "histogram-nan": lambda path: histogram_export([1.0, math.nan], 5, path),
+    "geometric-mean-too-large": lambda path: geometric_iteration_gof([10**17] * 10),
+    "split-count-zero-gap": lambda path: samplers.optimal_split_count(0.0, 5.0),
+    "poisson-zero-rate": lambda path: poisson_time_points(RandomStream(1), 1.0, 0.0),
     # each of these once returned a number that read as an answer
     "identity-nan-count": lambda path: iteration_identity_check(
         [1, 2, math.nan], constant_drift(1.0), 0.0, 2.0),
@@ -129,11 +134,14 @@ EMPTY_OR_INVALID = {
     "rho-bound-x-below-cut": lambda path: rho_distance_bound(constant_drift(1.0), -5.0, 1.0, 5.0),
     "rho-bound-nan-level": lambda path: rho_distance_bound(constant_drift(1.0), 0.0, math.nan, 5.0),
     "rho-bound-inf-rho": lambda path: rho_distance_bound(constant_drift(1.0), 0.0, 1.0, math.inf),
+    "rho-bound-zero-rho": lambda path: rho_distance_bound(constant_drift(1.0), 0.0, 1.0, 0.0),
+    "rho-bound-negative-rho": lambda path: rho_distance_bound(constant_drift(1.0), 0.0, 1.0, -2.0),
     **{f"em-oracle-{name}": lambda path, kw=kw: em_fpt_oracle(**{
         "model": constant_drift(1.0), "x": 0.0, "L": 2.0, "t_max": 1.0, "step": 1e-2, "n": 10,
         "stream": RandomStream(1), **kw})
        for name, kw in [("nan-x", {"x": math.nan}), ("inf-level", {"L": math.inf}),
-                        ("inf-step", {"step": math.inf}), ("nan-t-max", {"t_max": math.nan})]},
+                        ("inf-step", {"step": math.inf}), ("nan-t-max", {"t_max": math.nan}),
+                        ("zero-step", {"step": 0.0}), ("negative-t-max", {"t_max": -1.0})]},
 }
 
 

@@ -1,5 +1,6 @@
 """Tests for the reproducible stream and the distribution-specific draws."""
 
+import decimal
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from scipy.integrate import quad
 
 from fptsim import (ConfigError, FptsimError, RandomStream, draw_brownian_fpt,
                     draw_inverse_gaussian, draw_truncated_brownian_fpt)
-from fptsim.rng import EXPONENTIAL, NORMAL, UNIFORM, LaneStreams, _keyed
+from fptsim.rng import (EXPONENTIAL, NORMAL, UNIFORM, LaneStreams, _inverse_gaussian_lanes,
+                        _inverse_gaussian_value, _keyed)
 from fptsim.harness import brownian_fpt_cdf, ks_statistic, truncated_brownian_fpt_cdf, two_sample_ks
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -221,6 +223,38 @@ class TestInverseGaussian:
         hits = sum(draw_inverse_gaussian(s, mu, lam).value <= mu for _ in range(n))
         se = math.sqrt(expect * (1 - expect) / n)
         assert abs(hits / n - expect) < 3 * se
+
+
+class _FixedDraws:
+    """A stream, and lanes of streams, whose every normal is n and every uniform 0,
+    so that the inverse-Gaussian generator returns its smaller root."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def normal(self):
+        return self.n
+
+    def uniform(self):
+        return 0.0
+
+    def take(self, kind, which):
+        return np.full(len(which), self.n if kind == NORMAL else 0.0)
+
+
+@pytest.mark.parametrize("r", [1e2, 1e4, 1e6, 1e7, 1e8])
+def test_inverse_gaussian_smaller_root_is_accurate_at_large_r(r):
+    # r = mu*n^2/(2*lam) grows as gap*sqrt(gamma0) shrinks; the root
+    # mu*(1 + r - sqrt(r^2 + 2r)) cancels there, its stable form does not
+    mu, lam = 2.0, 4.0
+    n = 2.0 * math.sqrt(r)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        rd = decimal.Decimal(mu) * decimal.Decimal(n) ** 2 / (2 * decimal.Decimal(lam))
+        want = float(decimal.Decimal(mu) / (1 + rd + (rd * (rd + 2)).sqrt()))
+    got = _inverse_gaussian_value(_FixedDraws(n), mu, lam)
+    assert abs(got - want) <= 1e-15 * want
+    lanes = _inverse_gaussian_lanes(_FixedDraws(n), np.ones(3, dtype=bool), mu, lam)
+    assert [v.hex() for v in lanes.tolist()] == [got.hex()] * 3
 
 
 class TestTruncatedBrownianFpt:

@@ -304,20 +304,35 @@ def test_batches_need_a_random_stream(run, n):
         (sample_batch if run == "sample_batch" else delta_compare)(cfg, n, _StreamLike(2))
 
 
+# a config field, or a batch's size ``n`` or offset ``start``: a float is
+# refused (a fractional offset once repeated the draws of its floor), as is
+# a count below 1, and a numpy integer works as the plain int
 @pytest.mark.parametrize("field, value", [("max_iterations", 1e6), ("split_k", 2.0),
                                           ("max_iterations", np.int64(10**6)),
-                                          ("split_k", np.int32(2))])
+                                          ("split_k", np.int32(2)),
+                                          ("max_iterations", 0), ("split_k", 0),
+                                          ("n", 20.0), ("start", 0.5), ("start", np.int64(5))])
 def test_integer_fields_take_integers_only(field, value):
-    cfg = SamplerConfig(x=0.0, L=2.0, model=UNIT, cert=CERT_HALF, **{field: value})
-    if isinstance(value, float):
-        for run in (lambda: sample(cfg, RandomStream(3)),
-                    lambda: sample_batch(cfg, 40, RandomStream(3))):
-            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
-                run()
-    else:  # numpy integers are integers
-        plain = dataclasses.replace(cfg, **{field: int(value)})
-        assert _values(sample_batch(cfg, 40, RandomStream(3))) == \
-            _values(sample_batch(plain, 40, RandomStream(3)))
+    cfg = SamplerConfig(x=0.0, L=2.0, model=UNIT, cert=CERT_HALF)
+
+    def batch(value):
+        if field in ("n", "start"):
+            return sample_batch(cfg, stream=RandomStream(3), **{"n": 40, "start": 0, field: value})
+        return sample_batch(dataclasses.replace(cfg, **{field: value}), 40, RandomStream(3))
+
+    if not isinstance(value, float) and value >= 1:  # numpy integers are integers
+        assert _values(batch(value)) == _values(batch(int(value)))
+        return
+    runs = [batch]
+    if field == "n":
+        runs.append(lambda value: delta_compare(cfg, value, RandomStream(3)))
+    elif field != "start":
+        runs.append(lambda value: sample(dataclasses.replace(cfg, **{field: value}),
+                                         RandomStream(3)))
+    match = f"{field} must be an integer" if isinstance(value, float) else f"{field} must be >= 1"
+    for run in runs:
+        with pytest.raises(ConfigError, match=match):
+            run(value)
 
 
 def test_total_points_identity_on_every_draw():
@@ -467,14 +482,14 @@ PINNED_LAYOUT = {
         ("0x1.d3c2f75fe551ap-1", 4, 33),
     ],
     "a1-shift": [
-        ("0x1.03e8b243a03d8p-2", 9, 83),
-        ("0x1.0276efd2897eep-1", 12, 124),
-        ("0x1.f93ec18515d44p-2", 26, 247),
+        ("0x1.03e8b243a03d5p-2", 9, 83),
+        ("0x1.0276efd2897edp-1", 12, 124),
+        ("0x1.f93ec18515d42p-2", 26, 247),
     ],
     "a2-shift": [
-        ("0x1.e0a388d45e480p-3", 3, 16),
-        ("0x1.194695d8a723ep-1", 3, 21),
-        ("0x1.22585bcf9d84ap-1", 12, 89),
+        ("0x1.e0a388d45e478p-3", 3, 16),
+        ("0x1.194695d8a723dp-1", 3, 21),
+        ("0x1.22585bcf9d84dp-1", 12, 89),
     ],
     "a3": [
         ("0x1.fd5b0baa25d2ep-2", 1, 2),
@@ -628,8 +643,8 @@ def test_split_batch_keys_one_stream_per_draw(name, monkeypatch):
     substream_keys = RandomStream.substream_keys
     keyed_fn = rng_module._keyed
 
-    def derive(self, *words):
-        keys = substream_keys(self, *words)
+    def derive(self, index):
+        keys = substream_keys(self, index)
         derived.append(len(keys))
         return keys
 
@@ -874,7 +889,7 @@ def test_proposals_draw_on_their_support_and_alike_on_lanes(gap, gamma0, t0, see
     laws = (samplers._BROWNIAN, samplers._INVERSE_GAUSSIAN, samplers._TRUNCATED)
     for path, law in enumerate(laws):
         params = law.params(gap, gamma0, t0)
-        lanes = LaneStreams(base.substream_keys(np.full(4, path), np.arange(4)))
+        lanes = LaneStreams(base.substream(path).substream_keys(np.arange(4)))
         twins = [base.substream(path, j) for j in range(4)]
         for _ in range(5):
             got = law.lanes(lanes, which, *params)
