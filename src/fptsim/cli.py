@@ -33,6 +33,7 @@ from .drift import (BoundCertificate, GammaField, _certify_scan, _scan_grid,
 from .errors import BudgetError, ConfigError, FptsimError
 from .harness import (delta_compare, histogram_export, ig_cdf, iteration_identity_check,
                       ks_statistic)
+from . import rng
 from .rng import RandomStream
 from .samplers import VARIANTS, SamplerConfig, sample_batch, validate_config
 
@@ -187,6 +188,12 @@ def _worker_rows(spec, config, seed, streams, lo, hi):
     return _block_rows(replace(config, model=model_from_spec(spec)), seed, streams, lo, hi)
 
 
+def _share_cpus(workers):
+    # each of the pool's workers gets c // w of the c CPUs it may use, so
+    # workers that fill the machine make their refill waves on one thread
+    rng._CPUS = len(os.sched_getaffinity(0)) // workers
+
+
 def _run_batch(args, config):
     n = args.n
     if args.workers <= 1:
@@ -197,7 +204,8 @@ def _run_batch(args, config):
     job = partial(_worker_rows, args.model, replace(config, model=None),
                   args.seed, args.streams)
     rows = []
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    with ProcessPoolExecutor(max_workers=args.workers, initializer=_share_cpus,
+                             initargs=(args.workers,)) as pool:
         for part in pool.map(job, los, his):
             rows.extend(part)
     return rows

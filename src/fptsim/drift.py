@@ -259,8 +259,11 @@ def model_from_spec(spec):
 
 def eval_gamma(model, y):
     """(b^2 + b')/2 at y; ModelError if the drift is not finite there."""
-    bv = float(model.b(y))
-    bp = float(model.b_prime(y))
+    return _gamma_of(y, float(model.b(y)), float(model.b_prime(y)))
+
+
+def _gamma_of(y, bv, bp):
+    """(bv^2 + bp)/2, the field at y where b = bv and b' = bp; ModelError unless both are finite."""
     if not (math.isfinite(bv) and math.isfinite(bp)):
         raise ModelError(f"drift evaluation not finite at y={y} (b={bv}, b'={bp}); "
                          "the bound certificate does not hold there")
@@ -336,25 +339,44 @@ def lamperti_drift(b, b_prime, sigma, sigma_prime, sigma_second, eta_inv):
     ``w = eta_inv(z)`` the unit drift is ``b0 = b/sigma - sigma'/2`` and, by
     the chain rule with dw/dz = sigma, ``b0' = b' - b sigma'/sigma -
     sigma sigma''/2``.  Every callable takes numpy arrays.  ModelError names
-    the first z where sigma(w) is not positive.
+    the first z where sigma(w) is not positive.  The scalar gamma maps z
+    once and takes b0 and b0' from the same w and sigma(w); it gives what
+    :func:`eval_gamma` gives, bit for bit, and raises the same errors.
     """
+    def unit_b(w, s):
+        return b(w) / s - 0.5 * sigma_prime(w)
+
+    def unit_b_prime(w, s):
+        return b_prime(w) - b(w) * sigma_prime(w) / s - 0.5 * s * sigma_second(w)
+
+    def not_positive(s, z):
+        return ModelError(f"sigma must be positive on the working interval; "
+                          f"sigma(eta_inv(z))={s} at z={z}")
+
     def at(z, f):
         z = np.asarray(z, dtype=float)
         w = eta_inv(z)
         zs, s = np.broadcast_arrays(z, np.asarray(sigma(w), dtype=float))
         bad = ~(s > 0.0)
         if bad.any():
-            raise ModelError(f"sigma must be positive on the working interval; "
-                             f"sigma(eta_inv(z))={s[bad][0]} at z={zs[bad][0]}")
+            raise not_positive(s[bad][0], zs[bad][0])
         out = np.broadcast_to(f(w, s), zs.shape).astype(float)
         return out if out.ndim else float(out)
+
+    def gamma_scalar(z):
+        z = float(z)
+        w = eta_inv(z)
+        s = float(sigma(w))
+        if not s > 0.0:
+            raise not_positive(s, z)
+        return _gamma_of(z, float(unit_b(w, s)), float(unit_b_prime(w, s)))
 
     return DriftModel(
         kind="lamperti",
         params={},
-        b=partial(at, f=lambda w, s: b(w) / s - 0.5 * sigma_prime(w)),
-        b_prime=partial(at, f=lambda w, s: (
-            b_prime(w) - b(w) * sigma_prime(w) / s - 0.5 * s * sigma_second(w))),
+        b=partial(at, f=unit_b),
+        b_prime=partial(at, f=unit_b_prime),
+        gamma_scalar=gamma_scalar,
     )
 
 

@@ -26,9 +26,23 @@ process-wide idle pool at their first refill, re-key it, and give it back
 when they are done; each generator has one owner at a time, so concurrent
 threads never share one.  A LaneStreams of up to _POOLED_LANES lanes takes
 the memory of its rows from a pool of idle buffers in the same way.
+
+A stream's key is kept as the words its Philox runs on (``_philox_key``);
+:meth:`RandomStream.substream_keys` derives and converts the keys of a whole
+batch in one numpy pass, so keying a generator only sets its state.
+
+A :meth:`LaneStreams.take` that refills _WAVE_MIN lanes or more at once, in a
+process allowed two CPUs or more (_CPUS), makes half of the wave's blocks on
+a helper thread that it starts and joins itself.  numpy fills a block
+without holding the GIL, each row and its generator are touched by one
+thread only, and every block is the one its lane's stream would make, so
+the lanes read the same values bit for bit; no thread outlives the call.
 """
 
 import math
+import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +71,16 @@ _IDLE_ROWS = []
 # its draws
 _POOLED_LANES = 512
 
+# a take that refills this many lanes or more makes half of their blocks on a
+# helper thread: ~0.6 ms of work or more, against a thread's ~0.1 ms start and join
+_WAVE_MIN = 64
+# the CPUs this process may use; the CLI gives each of w workers c // w of them
+_CPUS = len(os.sched_getaffinity(0))
+
+with np.errstate(invalid="ignore"):
+    # what numpy casts a key word that float64 rounds up to 2**64 into (0 on x86-64)
+    _WRAPPED = int(np.array([2.0**64]).astype(np.uint64)[0])
+
 
 def _splitmix64(x):
     """One SplitMix64 step; used to derive well-mixed Philox keys.
@@ -82,24 +106,46 @@ def _derive_key(seed, stream_id, path):
     return [_splitmix64(s), _splitmix64(s ^ 0xA5A5A5A5A5A5A5A5)]
 
 
+def _rounded(word):
+    """A key word as numpy casts it through float64 and back to uint64."""
+    word = int(float(word))
+    return word if word <= _MASK64 else _WRAPPED
+
+
+def _philox_key(k0, k1):
+    """The words ``Philox(key=[k0, k1])`` runs on, for a ``_derive_key`` pair.
+
+    Philox takes the key list through ``np.asarray``: two words on one side
+    of 2**63 stay exact, while a pair with one word on each side becomes
+    float64, both words rounded to 53 bits.
+    """
+    if (k0 ^ k1) >> 63:
+        return [_rounded(k0), _rounded(k1)]
+    return [k0, k1]
+
+
+def _philox_keys(k0, k1):
+    """``_philox_key`` of each pair of the uint64 arrays k0 and k1, in one numpy pass."""
+    mixed = ((k0 ^ k1) >> 63).astype(bool)
+    with np.errstate(invalid="ignore"):  # a word rounded up to 2**64, as in Philox
+        k0, k1 = [np.where(mixed, k.astype(np.float64).astype(np.uint64), k) for k in (k0, k1)]
+    return [list(key) for key in zip(k0.tolist(), k1.tolist())]
+
+
 def _keyed(key, gen=None):
-    """``gen``, or else a pooled generator, where ``Philox(key=key)`` starts.
+    """``gen``, or else a pooled generator, keyed with ``key``'s words at counter 0.
 
     The pooled generator is an idle one, or a new one when none is idle.
-    ``key`` is a ``_derive_key`` list.  Philox takes such a list through
-    ``np.asarray``, which turns a pair with one word on each side of 2**63
-    into float64, rounding both words to 53 bits; the pooled generator is
-    keyed with the words so converted, so it gives the same values.
+    ``key`` is a ``_philox_key`` list, so the generator gives what
+    ``Philox(key=key)`` gives.
     """
     if gen is None:
         try:
             gen = _IDLE.pop()
         except IndexError:
             gen = np.random.Generator(np.random.Philox(0))
-    with np.errstate(invalid="ignore"):  # a word rounded up to 2**64, as in Philox
-        words = np.asarray(key).astype(np.uint64).tolist()
     gen.bit_generator.state = {"bit_generator": "Philox",
-                               "state": {"counter": (0, 0, 0, 0), "key": words},
+                               "state": {"counter": (0, 0, 0, 0), "key": key},
                                "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                                "has_uint32": 0, "uinteger": 0}
     return gen
@@ -140,6 +186,39 @@ def _block(gen, kind, out=None):
     """
     draw = getattr(gen, _BLOCK_DRAWS[kind])
     return draw(_BUFLEN) if out is None else draw(out=out)
+
+
+def _blocks(kind, rows):
+    """``_block`` for each (generator, row) pair of ``rows``.
+
+    A wave of _WAVE_MIN pairs or more, when _CPUS allows, is split in two:
+    a helper thread makes the first half while this one makes the second,
+    and the helper is joined before this returns or raises.  An error met
+    on the helper is raised here.
+    """
+    if len(rows) < _WAVE_MIN or _CPUS < 2:
+        for gen, row in rows:
+            _block(gen, kind, row)
+        return
+    half = len(rows) // 2
+    failed = []
+
+    def fill():
+        try:
+            for gen, row in rows[:half]:
+                _block(gen, kind, row)
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    helper = threading.Thread(target=fill)
+    helper.start()
+    try:
+        for gen, row in rows[half:]:
+            _block(gen, kind, row)
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
 
 
 @dataclass
@@ -207,17 +286,23 @@ class RandomStream(_Draws):
     """Single-owner stream of reproducible random scalars.
 
     Never share an instance across concurrent workers; allocate one
-    substream per worker/replicate instead via :meth:`substream`.
+    substream per worker/replicate instead via :meth:`substream`.  The seed,
+    stream id and path words are integers; any other value raises
+    ConfigError rather than address the stream of its floor.
     """
 
     __slots__ = ("_own", "seed", "stream_id", "_path", "_key")
 
     def __init__(self, seed, stream_id=0, _path=()):
         self._own = None  # the pooled generator, from the first refill on
+        for word in (seed, stream_id, *_path):
+            # the exact type first: an abstract-class check costs ~0.5 us
+            if type(word) is not int and not isinstance(word, numbers.Integral):
+                raise ConfigError(f"stream addresses are integers, got {word!r}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._path = tuple(int(p) for p in _path)
-        self._key = _derive_key(self.seed, self.stream_id, self._path)
+        self._key = _philox_key(*_derive_key(self.seed, self.stream_id, self._path))
         self._nbuf = []
         self._ni = 0
         self._ebuf = []
@@ -245,11 +330,15 @@ class RandomStream(_Draws):
     def substream_keys(self, index):
         """The key of ``substream(i)`` for each i of the integer array ``index``, in its order.
 
-        One numpy pass derives them all.
+        One numpy pass derives them all, as the words their Philox runs on
+        (see ``_philox_key``).  An index array of any non-integer dtype raises
+        ConfigError.
         """
-        index = np.asarray(index, dtype=np.int64).astype(np.uint64)
-        k0, k1 = _derive_key(self.seed, self.stream_id, (*self._path, index))
-        return [list(key) for key in zip(k0.tolist(), k1.tolist())]
+        index = np.asarray(index)
+        if not np.issubdtype(index.dtype, np.integer):
+            raise ConfigError(f"substream indices are integers, got dtype {index.dtype}")
+        k0, k1 = _derive_key(self.seed, self.stream_id, (*self._path, index.astype(np.uint64)))
+        return _philox_keys(k0, k1)
 
     # -- vectorized draws (used by the Euler-Maruyama oracle) -----------------
 
@@ -312,7 +401,10 @@ class LaneStreams:
 
         Without ``which`` every lane consumes; ``count=3`` gives the draws
         as a (3, lanes) array.  Lanes that do not consume get values to
-        ignore and stay where they are.
+        ignore and stay where they are.  The lanes whose reads run past
+        their blocks refill together; a wave of _WAVE_MIN of them or more
+        makes half of its blocks on a helper thread when the process may
+        use two CPUs (see ``_blocks``), which changes no value read.
         """
         pos = self.pos[kind]
         flat = self._flat[kind]
@@ -325,8 +417,7 @@ class LaneStreams:
         if room < 0:
             over = nxt > self.end
             if np.count_nonzero(over):
-                for j in over.nonzero()[0]:
-                    nxt[j] = self._refill(kind, vals, j, int(pos[j]), int(self.end[j]), count)
+                self._refill(kind, vals, over.nonzero()[0], pos, nxt, count)
             room = int((self.end - nxt).min())
         self._room[kind] = room
         self.pos[kind] = nxt
@@ -354,17 +445,26 @@ class LaneStreams:
         """A stream that draws on one lane, as the lane's own stream does (see :class:`_LaneStream`)."""
         return _LaneStream(self, lane)
 
-    def _refill(self, kind, vals, j, at, end, count):
-        """Finish lane j's read across a refill; returns its new position."""
-        row = self._rows[kind, end // _ROW]
-        left = end - at
-        head = row[at - end + _BUFLEN:_BUFLEN].copy()
-        _block(self._gens[end // _ROW], kind, row[:_BUFLEN])
+    def _refill(self, kind, vals, lanes, pos, nxt, count):
+        """Finish the reads of ``lanes``, which run past their blocks, across a refill.
+
+        A lane's head, what it reads of its old block, is copied before the
+        wave of new blocks is made (see ``_blocks``); then the lanes' values
+        and new positions are spliced in.
+        """
+        ends = self.end[lanes]
+        rows = (ends // _ROW).tolist()
+        blocks = [self._rows[kind, r, :_BUFLEN] for r in rows]
+        if count > 1:
+            left = (ends - pos[lanes]).tolist()
+            heads = [block[_BUFLEN - k:].copy() for block, k in zip(blocks, left)]
+        _blocks(kind, [(self._gens[r], block) for r, block in zip(rows, blocks)])
         if count == 1:
-            vals[j] = row[0]
+            vals[lanes] = self._rows[kind, rows, 0]
         else:
-            vals[:, j] = np.concatenate((head, row[:count - left]))
-        return end - _BUFLEN + count - left
+            for j, block, head, k in zip(lanes.tolist(), blocks, heads, left):
+                vals[:, j] = np.concatenate((head, block[:count - k]))
+        nxt[lanes] = pos[lanes] + count - _BUFLEN
 
 
 class _LaneStream(_Draws):

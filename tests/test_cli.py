@@ -464,3 +464,13 @@ def test_package_has_every_name_the_benchmark_reads():
              for name in re.findall(r"\bF\.([A-Za-z_]\w*)", path.read_text())}
     assert names
     assert sorted(name for name in names if not hasattr(fptsim, name)) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pool_workers_share_the_cpus(workers, monkeypatch):
+    # each of w workers makes its refill waves on c // w of the c CPUs, so
+    # workers that fill the machine start no refill helper
+    from fptsim import cli, rng
+    monkeypatch.setattr(rng, "_CPUS", rng._CPUS)
+    cli._share_cpus(workers)
+    assert rng._CPUS == len(os.sched_getaffinity(0)) // workers

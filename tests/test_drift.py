@@ -60,16 +60,21 @@ def test_gamma_nonfinite_drift_raises_naming_point():
         eval_gamma(bad, 3.5)
 
 
-# dX = (2 + sin X) dt + hypot(1, X) dB: eta = asinh, so eta^-1 = sinh
-HYPOT_SINE = lamperti_drift(lambda y: 2.0 + np.sin(y), np.cos, lambda y: np.hypot(1.0, y),
-                            lambda y: y / np.hypot(1.0, y), lambda y: np.hypot(1.0, y) ** -3,
-                            np.sinh)
+# dX = (2 + sin X) dt + hypot(1, X) dB: eta = asinh, so eta^-1 = sinh;
+# lamperti_drift's arguments b, b', sigma, sigma', sigma'', eta^-1
+HYPOT_SINE_PARTS = (lambda y: 2.0 + np.sin(y), np.cos, lambda y: np.hypot(1.0, y),
+                    lambda y: y / np.hypot(1.0, y), lambda y: np.hypot(1.0, y) ** -3, np.sinh)
+HYPOT_SINE = lamperti_drift(*HYPOT_SINE_PARTS)
+
+
+def _gbm_parts(mu, s):
+    """dX = mu X dt + s X dB: eta = log(y)/s, eta^-1(z) = exp(s z), unit drift mu/s - s/2."""
+    return (lambda y: mu * y, lambda y: mu + 0.0 * y, lambda y: s * y,
+            lambda y: s + 0.0 * y, lambda y: 0.0 * y, lambda z: np.exp(s * z))
 
 
 def _gbm(mu, s):
-    """dX = mu X dt + s X dB: eta = log(y)/s, eta^-1(z) = exp(s z), unit drift mu/s - s/2."""
-    return lamperti_drift(lambda y: mu * y, lambda y: mu + 0.0 * y, lambda y: s * y,
-                          lambda y: s + 0.0 * y, lambda y: 0.0 * y, lambda z: np.exp(s * z))
+    return lamperti_drift(*_gbm_parts(mu, s))
 
 
 def _no_closed_form_models():
@@ -247,6 +252,48 @@ def test_lamperti_closed_form_gbm(z):
     square = lamperti_drift(lambda y: y * y, lambda y: 2.0 * y, lambda y: y,
                             np.ones_like, np.zeros_like, np.exp)
     assert float(square.b(z)) == pytest.approx(math.exp(z) - 0.5, abs=1e-9)
+
+
+LAMPERTI_PARTS = {"gbm": _gbm_parts(0.5, 0.5), "hypot-sine": HYPOT_SINE_PARTS}
+
+
+def _counting_lamperti(name, count):
+    """The model of LAMPERTI_PARTS[name], its sigma and eta_inv counting their calls in ``count``."""
+    def counted(what, f):
+        def g(y):
+            count[what] += 1
+            return f(y)
+        return g
+
+    b, b_prime, sigma, sigma_prime, sigma_second, eta_inv = LAMPERTI_PARTS[name]
+    return lamperti_drift(b, b_prime, counted("sigma", sigma), sigma_prime, sigma_second,
+                          counted("eta_inv", eta_inv))
+
+
+@pytest.mark.parametrize("name", sorted(LAMPERTI_PARTS))
+def test_lamperti_scalar_gamma_is_eval_gamma(name):
+    # bit for bit on a grid, with one eta_inv and one sigma call per point
+    count = {"eta_inv": 0, "sigma": 0}
+    model = _counting_lamperti(name, count)
+    zs = np.linspace(-20.0, 2.0, 441).tolist()
+    want = [eval_gamma(model, z).hex() for z in zs]
+    count.update(eta_inv=0, sigma=0)
+    assert [gamma_fn(model)(z).hex() for z in zs] == want
+    assert count == {"eta_inv": len(zs), "sigma": len(zs)}
+
+
+@pytest.mark.parametrize("sigma, eta_inv, z", [(lambda y: -1.0 + 0.0 * y, lambda z: -z, 0.0),
+                                               (lambda y: np.nan + 0.0 * y, lambda z: z, -0.25),
+                                               (lambda y: 1.0 + 0.0 * y, lambda z: z, 0.5)],
+                         ids=["sigma-negative", "sigma-nan", "drift-not-finite"])
+def test_lamperti_scalar_gamma_raises_what_eval_gamma_raises(sigma, eta_inv, z):
+    model = lamperti_drift(lambda y: np.inf + 0.0 * y, np.zeros_like, sigma,
+                           np.ones_like, np.zeros_like, eta_inv)
+    with pytest.raises(ModelError) as want:
+        eval_gamma(model, z)
+    with pytest.raises(ModelError) as got:
+        gamma_fn(model)(z)
+    assert str(got.value) == str(want.value)
 
 
 def test_lamperti_rejects_nonpositive_sigma():

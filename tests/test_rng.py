@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from fptsim import (ConfigError, FptsimError, RandomStream, draw_brownian_fpt,
                     draw_inverse_gaussian, draw_truncated_brownian_fpt)
 from fptsim.rng import (EXPONENTIAL, NORMAL, UNIFORM, LaneStreams, _inverse_gaussian_lanes,
-                        _inverse_gaussian_value, _keyed)
+                        _inverse_gaussian_value, _keyed, _philox_key, _philox_keys)
 from fptsim.harness import brownian_fpt_cdf, ks_statistic, truncated_brownian_fpt_cdf, two_sample_ks
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,12 +79,50 @@ def test_pooled_generator_runs_the_philox_of_the_key(key):
     # a pooled generator keyed through its state gives what a Philox built
     # from the key list gives, numpy's rounding of a key with one word on
     # each side of 2**63 included
-    pooled = _keyed(key)
+    pooled = _keyed(_philox_key(*key))
     pooled.random(7)  # a pooled generator starts over when re-keyed
-    pooled = _keyed(key, pooled)
+    pooled = _keyed(_philox_key(*key), pooled)
     fresh = np.random.Generator(np.random.Philox(key=key))
     assert pooled.standard_normal(40).tolist() == fresh.standard_normal(40).tolist()
     assert pooled.random(40).tolist() == fresh.random(40).tolist()
+
+
+# key words where float64 rounding turns: around 2**53, to 2**63 from below,
+# across 2**63, and up to 2**64
+EDGE_WORDS = [0, 1, 2**53 + 1, 2**63 - 2**9 - 1, 2**63 - 2**9, 2**63 - 1, 2**63, 2**63 + 1,
+              2**63 + 2**10, 2**64 - 2**10 - 1, 2**64 - 2**10, 2**64 - 1]
+WORDS = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(keys=st.lists(st.tuples(WORDS, WORDS), min_size=1, max_size=30))
+def test_batch_key_conversion_is_the_per_key_one(keys):
+    # the Philox words of a batch of keys, converted in one numpy pass, and
+    # those of each key alone are what np.asarray makes of the key list
+    with np.errstate(invalid="ignore"):  # a word rounded up to 2**64
+        want = [np.asarray(key).astype(np.uint64).tolist() for key in keys]
+    k0, k1 = (np.array(words, dtype=np.uint64) for words in zip(*keys))
+    assert _philox_keys(k0, k1) == want
+    assert [_philox_key(*key) for key in keys] == want
+
+
+@pytest.mark.parametrize("address", [lambda: RandomStream(1).substream(0.5),
+                                     lambda: RandomStream(1.9),
+                                     lambda: RandomStream(1).substream_keys(np.array([0.5, 1.7]))],
+                         ids=["path-word", "seed", "index-array"])
+def test_fractional_stream_address_is_refused(address):
+    # a fractional address used to draw what its floor draws
+    with pytest.raises(ConfigError, match="integer"):
+        address()
+
+
+def test_numpy_integer_addresses_are_the_int_ones():
+    a = RandomStream(np.int64(5), np.uint8(2)).substream(np.int32(13))
+    b = RandomStream(5, 2).substream(13)
+    assert [a.normal() for _ in range(5)] == [b.normal() for _ in range(5)]
+    keys = RandomStream(5, 2).substream_keys(np.array([13, 14], dtype=np.uint16))
+    assert keys == RandomStream(5, 2).substream_keys([13, 14])
+    assert keys[0] == b._key
 
 
 # a step on a few streams that come and go: read one kind, or drop the stream

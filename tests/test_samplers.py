@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -698,6 +699,85 @@ def test_concurrent_batches_draw_what_serial_ones_do():
     try:
         with ThreadPoolExecutor(2) as pool:
             threaded = [f.result() for f in [pool.submit(run, *job) for job in jobs]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def _refill_waves(monkeypatch, cpus, wave_min):
+    """Let the lane streams refill on ``cpus`` CPUs, with a helper for waves of ``wave_min`` lanes or more;
+    returns the ids of the threads that make blocks, one per block."""
+    monkeypatch.setattr(rng_module, "_CPUS", cpus)
+    monkeypatch.setattr(rng_module, "_WAVE_MIN", wave_min)
+    makers = []
+    block = rng_module._block
+
+    def spy(gen, kind, out=None):
+        makers.append(threading.get_ident())
+        return block(gen, kind, out)
+
+    monkeypatch.setattr(rng_module, "_block", spy)
+    return makers
+
+
+WAVE_VARIANTS = ["a1", "a2", "a1-shift", "a2-shift", "a3", "split20", "rho"]
+
+
+@pytest.mark.parametrize("name", WAVE_VARIANTS + ["compare"])
+def test_refill_waves_on_a_helper_draw_what_one_thread_draws(name, monkeypatch):
+    # every refill wave split between two threads, or none: the same draws
+    # and comparator totals, and no thread left running; the comparator
+    # refills one lane at a time, through lane views, so it makes no wave
+    base = RandomStream(20261018, 16)
+    before = threading.active_count()
+    runs = []
+    for wave_min in (1, 10**9):
+        makers = _refill_waves(monkeypatch, 2, wave_min)
+        if name == "compare":
+            runs.append(delta_compare(LANE_CONFIGS["a1"], 40, base))
+        else:
+            runs.append(sample_batch(LANE_CONFIGS[name], 200, base, start=5))
+        helped = set(makers) - {threading.main_thread().ident}
+        assert bool(helped) == (wave_min == 1 and name != "compare")
+        assert threading.active_count() == before
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failed_refill_fails_the_batch_on_any_thread(cpus, monkeypatch):
+    # a generator that fails while it makes a block fails the batch with its
+    # own error, on one thread as on a wave's helper, and leaves no thread
+    _refill_waves(monkeypatch, cpus, 1)
+    block = rng_module._block
+
+    def failing(gen, kind, out=None):
+        if cpus == 1 or threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("generator failed")
+        return block(gen, kind, out)
+
+    monkeypatch.setattr(rng_module, "_block", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="generator failed"):
+        sample_batch(LANE_CONFIGS["a3"], 100, RandomStream(20261018, 17))
+    assert threading.active_count() == before
+
+
+def test_concurrent_batches_with_refill_helpers_draw_what_serial_ones_do(monkeypatch):
+    # batches in three threads, each splitting every refill wave with helpers
+    # of its own, switching often: each gives what it gives alone
+    _refill_waves(monkeypatch, 2, 1)
+    jobs = [(LANE_CONFIGS[name], 20261018, 20 + i)
+            for i, name in enumerate(["a1", "a3", "rho", "a2"])]
+
+    def run(cfg, seed, stream_id):
+        return sample_batch(cfg, 100, RandomStream(seed, stream_id), start=3)
+
+    serial = [run(*job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            threaded = [f.result(timeout=300) for f in [pool.submit(run, *job) for job in jobs]]
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
