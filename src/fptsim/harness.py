@@ -24,6 +24,7 @@ them as numpy lanes, and every replicate's totals are the scalar
 import csv
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -170,10 +171,10 @@ def geometric_iteration_gof(iterations, min_expected=5.0):
     p_hat is fitted by the sample mean, so the chi-square loses one extra
     degree of freedom.  Returns (chi2, dof, p_value).
     """
-    iters = np.asarray(iterations, dtype=int)
+    iters = np.asarray(iterations, dtype=float)
     n = len(iters)
-    if n == 0 or iters.min() < 1:
-        raise ConfigError("iteration counts must be >= 1")
+    if n == 0 or not np.all(np.isfinite(iters) & (iters >= 1.0) & (iters == np.floor(iters))):
+        raise ConfigError("iteration counts must be whole numbers >= 1")
     if not 0.0 < min_expected < math.inf:
         raise ConfigError(f"min_expected must be positive and finite, got {min_expected}")
     cells = _geometric_cells(n, 1.0 / float(iters.mean()), min_expected)
@@ -560,8 +561,8 @@ def em_fpt_oracle(model, x, L, t_max, step, n, stream):
         raise ConfigError("em_fpt_oracle needs positive step and t_max")
     if not x < L:
         raise ConfigError(f"level L={L} must exceed the start x={x}")
-    if n < 0:
-        raise ConfigError(f"em_fpt_oracle needs n >= 0, got {n}")
+    if not isinstance(n, Integral) or n < 0:
+        raise ConfigError(f"em_fpt_oracle needs an integer n >= 0, got {n!r}")
     nsteps = int(math.ceil(t_max / step))
     b = model.b
     sqrt_h = math.sqrt(step)

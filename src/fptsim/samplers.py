@@ -33,11 +33,11 @@ Roberts 2006).  On top of those sit the variance reducers and extensions:
 Which kernel runs what: ``sample`` always runs the scalar kernels, one
 Python loop per Poisson point, and accepts any object with RandomStream's
 draw methods.  ``sample_batch`` runs every variant, both scan orders, on
-the lane kernel: numpy arrays that advance many (draw, slice) items by one
-Poisson point per step.  The time-ordered step tests every point on lanes.
-The height-ordered step tests only the first point of each iteration,
-whose bridge value lies between the pins; the rare iteration that goes on
-past it runs on the scalar kernel over the lane's own draws.
+the lane kernel: numpy arrays that advance many draws, one per lane, by
+one Poisson point per step.  The time-ordered step tests every point on
+lanes.  The height-ordered step tests only the first point of each
+iteration, whose bridge value lies between the pins; the rare iteration
+that goes on past it runs on the scalar kernel over the lane's own draws.
 
 The lane kernel reads the same substreams in the same order with the same
 arithmetic, so the determinism contract is one for both: draw i of a batch
@@ -276,38 +276,39 @@ def _bessel(drift, value):
 
 
 class _Lanes:
-    """The rejection loops of a batch, one numpy lane per item.
+    """The rejection loops of a batch, one numpy lane per draw.
 
-    An item is one slice of one draw, ``key = draw * k + slice``.  A lane
-    holds one draw and runs its slices in turn on the draw's substream, as
-    the scalar path does; the Philox key of every draw's substream is
-    derived up front.  Every step tests one Poisson point on every lane; a
-    subclass supplies the step of its scan order (``_step``) and the scan
-    state it keeps (``_init_scan``, ``_reset`` on a new proposal,
-    ``_arrive`` for its first point).  A rejected lane draws its next
-    proposal and first arrival in the same step; a lane whose item is
-    accepted goes on to the draw's next slice, with a fresh iteration
+    Lane j runs draw ``key[j]``, now in its slice ``part[j]``, and runs the
+    draw's slices in turn on the draw's substream, as the scalar path does;
+    the Philox key of every draw's substream is derived up front.  Every
+    step tests one Poisson point on every lane; a subclass supplies the step
+    of its scan order (``_step``) and the scan state it keeps
+    (``_init_scan``, ``_reset`` on a new proposal, ``_arrive`` for its first
+    point).  A rejected lane draws its next proposal and first arrival in
+    the same step; a lane whose slice accepts adds the passage to its
+    draw's value and goes on to the next slice, with a fresh iteration
     budget, or after the last slice takes the next queued draw.  The
     arithmetic is the scalar kernel's, operation for operation, and where
     numpy's field lies within _RECHECK_TOL of a thinning or breach decision
-    the lane takes the field from the scalar ``gamma`` instead, so each item
+    the lane takes the field from the scalar ``gamma`` instead, so each lane
     yields the scalar draw bit for bit.
 
     Scalar code reads a lane's draws through ``LaneStreams.lane``: once the
     queue is empty and fewer than _LANE_MIN lanes are live, each remaining
-    draw finishes on the scalar kernel, its current slice from its next
-    proposal on and then its later slices.  An item that fails (field
-    breach, budget) raises at once; ``sample_batch`` then reruns the batch
-    on the scalar kernel, which raises the error met first in draw order.
+    draw finishes on the scalar kernel (``_run_slices``), its current slice
+    from its next proposal on and then its later slices.  A draw that fails
+    (field breach, budget) raises at once; ``sample_batch`` then reruns the
+    batch on the scalar kernel, which raises the error met first in draw
+    order.
     """
 
     def __init__(self, plan, n, stream, start):
         self.plan = plan
-        self.k = k = len(plan.slices)
+        self.k = len(plan.slices)
         self.n = n
         self.next_draw = m = min(_LANE_WIDTH, n)
-        self.value = np.empty(n * k)         # accepted proposal of each item
-        self.log_keys = []                   # per iteration: its item and the
+        self.value = np.zeros(n)             # each draw's sum of accepted passages
+        self.log_keys = []                   # per iteration: its draw and the
         self.log_tested = []                 # number of points it tested
         self.lifted = plan.lift_mass != 0.0
         self.slice_params = [np.array(p) for p in zip(*(part.params for part in plan.slices))]
@@ -315,14 +316,15 @@ class _Lanes:
         self.slice_level = np.array([part.level for part in plan.slices])
         # the key of every draw's substream, in draw order
         self.stream_keys = stream.substream_keys(start + np.arange(n))
-        self.key = np.arange(0, m * k, k, dtype=np.int32)
+        self.key = np.arange(m, dtype=np.int32)     # the draw each lane runs
+        self.part = np.zeros(m, dtype=np.int32)     # and its slice
         self.rng = LaneStreams(self.stream_keys[:m])
-        self.gap = self.slice_gap[self.key % k]
-        self.level = self.slice_level[self.key % k]
+        self.gap = self.slice_gap[self.part]
+        self.level = self.slice_level[self.part]
         self.T = np.ones(m)
         self.start = np.zeros(m, dtype=np.int32)   # step of the iteration's first test
         self.rejections = np.zeros(m, dtype=np.intp)
-        self.state = ["key", "gap", "level", "T", "start", "rejections"]
+        self.state = ["key", "part", "gap", "level", "T", "start", "rejections"]
         if self.lifted:
             self.lift = np.zeros(m)
             self.ceiling = np.ones(m)
@@ -421,8 +423,7 @@ class _Lanes:
         if self.k == 1:
             params = plan.slices[0].params
         else:
-            part = self.key % self.k
-            params = [p[part] for p in self.slice_params]
+            params = [p[self.part] for p in self.slice_params]
         T = plan.proposal.lanes(self.rng, which, *params)
         np.copyto(self.T, T, where=which)
         if self.lifted:
@@ -442,7 +443,7 @@ class _Lanes:
             which = self._accept(accepted, s) if accepted.size else None
 
     def _accept(self, lanes, s):
-        """Close the accepted items on the listed lanes; marks the lanes that start a new item.
+        """Close the accepted slices on the listed lanes; marks the lanes that start a new one.
 
         A draw's next slice runs on the same lane and stream, on the scalar
         kernel once the lanes hand off; after its last slice the lane takes
@@ -453,20 +454,20 @@ class _Lanes:
             return None
         self._close(lanes, s)
         fresh = np.zeros(len(self.key), dtype=bool)
-        k = self.k
         handing_off = self._handing_off()
         for j in lanes.tolist():
-            key = int(self.key[j]) + 1
-            if key % k == 0:
+            part = int(self.part[j]) + 1
+            if part == self.k:
                 if self.next_draw >= self.n:
                     self._kill(j)
                     continue
-                key = self.next_draw * k
+                part = 0
+                self.key[j] = self.next_draw
                 self.rng.attach(j, self.stream_keys[self.next_draw])
                 self.next_draw += 1
-            self.key[j] = key
-            self.gap[j] = self.slice_gap[key % k]
-            self.level[j] = self.slice_level[key % k]
+            self.part[j] = part
+            self.gap[j] = self.slice_gap[part]
+            self.level[j] = self.slice_level[part]
             self.rejections[j] = 0
             if handing_off:
                 self._finish_scalar(j)
@@ -475,28 +476,17 @@ class _Lanes:
         return fresh if fresh.any() else None
 
     def _close(self, lanes, s):
-        """Record the accepted proposal of the items on the listed lanes."""
+        """Add the accepted passage on each listed lane to its draw's value, in slice order."""
         self._log(lanes, s)
-        T = self.T[lanes]
-        if self.plan.t0 is not None and (T > self.plan.t0).any():
-            raise ModelError("conditional draw escaped its support (0, t0]")
-        self.value[self.key[lanes]] = T
+        self.value[self.key[lanes]] += self.T[lanes]
 
     def _finish_scalar(self, j):
         """Run lane j's draw to its end on the scalar kernel: the current slice
         from its next proposal on, then the draw's later slices, on the lane's stream."""
         key = int(self.key[j])
-        stream = self.rng.lane(j)
-        done = int(self.rejections[j])
-        keys = []
-        points = []
-        for key in range(key, key - key % self.k + self.k):
-            T, part_points = _run_slice(self.plan, self.plan.slices[key % self.k], stream, done)
-            done = 0
-            self.value[key] = T
-            keys += [key] * len(part_points)
-            points += part_points
-        self.log_keys.append(np.array(keys))
+        self.value[key], points = _run_slices(self.plan, self.rng.lane(j), int(self.part[j]),
+                                              int(self.rejections[j]), float(self.value[key]))
+        self.log_keys.append(np.full(len(points), key))
         self.log_tested.append((np.array(points) - 1) // 5)
         self._kill(j)
 
@@ -522,18 +512,14 @@ class _Lanes:
     def _result(self):
         """The batch's draws, built from the iteration log."""
         keys = np.concatenate(self.log_keys)
-        if len(self.value) <= 1 << 16:
+        if self.n <= 1 << 16:
             keys = keys.astype(np.uint16)  # a stable sort of 16-bit keys is a radix sort
+        # a draw's iterations are logged in the order they ran, slice by slice
         points = (5 * np.concatenate(self.log_tested)[np.argsort(keys, kind="stable")] + 1).tolist()
-        counts = np.bincount(keys, minlength=len(self.value))
-        counts = counts.reshape(-1, self.k).sum(axis=1).tolist()
-        value = self.value.reshape(-1, self.k)
-        total = value[:, 0].copy()
-        for part in range(1, self.k):
-            total += value[:, part]
+        counts = np.bincount(keys, minlength=self.n).tolist()
         draws = []
         at = 0
-        for v, c in zip(total.tolist(), counts):
+        for v, c in zip(self.value.tolist(), counts):
             draws.append(FptDraw(v, RunStats(c, tuple(points[at:at + c]))))
             at += c
         return draws
@@ -736,7 +722,6 @@ class _Plan:
     ceiling: float
     shift: float
     lift_mass: float
-    t0: Optional[float]
     max_iterations: int
     slices: tuple
 
@@ -757,8 +742,7 @@ def _prepare(config):
     return _Plan(scan=variant.scan, proposal=variant.proposal, gamma=gamma_fn(model),
                  field=GammaField(model).eval_array, ceiling=cert.kappa - gamma0,
                  shift=gamma0, lift_mass=cert.m * config.t0 if variant.lifted else 0.0,
-                 t0=config.t0, max_iterations=config.max_iterations,
-                 slices=tuple(slices))
+                 max_iterations=config.max_iterations, slices=tuple(slices))
 
 
 def _run_slice(plan, part, stream, done=0):
@@ -784,35 +768,45 @@ def _run_slice(plan, part, stream, done=0):
         accepted, n = scan(stream, T, gap, level, gamma, ceiling + lift, shift, lift)
         points.append(n)
         if accepted:
-            if plan.t0 is not None and T > plan.t0:
-                raise ModelError("conditional draw escaped its support (0, t0]")
             return T, points
     raise BudgetError(
         f"no acceptance within {plan.max_iterations} iterations",
         stats=RunStats(plan.max_iterations - done, tuple(points)))
 
 
-def _draw(plan, stream):
-    """One draw: the sum of the slices' passages, run in turn on the caller's stream.
+def _run_slices(plan, stream, first=0, done=0, total=0.0):
+    """A draw's slices from ``first`` on, in turn on ``stream``; returns the
+    passages' sum and the N_i list.
 
     Each slice's rejection loop stops at a stopping time of the stream, so
     the draws after it, buffered or not, are fresh for the next slice.
+    The lane kernel hands a draw over mid-way: ``done`` iterations of slice
+    ``first`` already ran, and ``total`` sums the slices before it, so the
+    passages add up in slice order whoever ran them.
+    """
+    points = []
+    for part in plan.slices[first:]:
+        T, part_points = _run_slice(plan, part, stream, done)
+        done = 0
+        total += T
+        points += part_points
+    return total, points
+
+
+def _draw(plan, stream):
+    """One draw: the sum of the slices' passages, run in turn on the caller's stream.
+
     Stats aggregate uniformly across slices (iterations add up, point lists
     concatenate).
     """
-    total = 0.0
-    points = []
-    for part in plan.slices:
-        T, part_points = _run_slice(plan, part, stream)
-        total += T
-        points += part_points
+    total, points = _run_slices(plan, stream)
     return FptDraw(total, RunStats(len(points), tuple(points)))
 
 
 def optimal_split_count(gap, kappa):
     """Slice count floor(gap*sqrt(2*kappa)) + 1 that tames the iteration growth."""
-    if not (gap > 0.0 and kappa > 0.0):
-        raise ConfigError("optimal_split_count needs gap > 0 and kappa > 0")
+    if not (gap > 0.0 and kappa > 0.0 and gap * math.sqrt(2.0 * kappa) < math.inf):
+        raise ConfigError("optimal_split_count needs gap > 0 and kappa > 0, and a finite count")
     return int(math.floor(gap * math.sqrt(2.0 * kappa))) + 1
 
 

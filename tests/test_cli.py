@@ -83,6 +83,18 @@ def test_split_scan_schema_and_sweep(tmp_path, monkeypatch):
     assert [r[0] for r in rows[1:]] == ["2", "3", "4"]
 
 
+def test_split_scan_verbose_reports_each_slice_count(tmp_path, monkeypatch, capsys):
+    code = _run(tmp_path, monkeypatch,
+                ["split-scan", *BASE, "--k", "1..3", "--n", "30", "--seed", "5",
+                 "--out", "sc.csv", "--verbose"])
+    assert code == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("k=")]
+    assert [line.split(":")[0] for line in lines] == ["k=1", "k=2", "k=3"]
+    means = [float(row[1]) for row in _rows(tmp_path / "sc.csv")[1:]]
+    for line, mean in zip(lines, means):
+        assert f"mean N_sigma {mean:.4g} +- " in line
+
+
 def test_bench_runs_and_reports(tmp_path, monkeypatch, capsys):
     code = _run(tmp_path, monkeypatch,
                 ["bench", *BASE, "--variant", "a1", "--n", "400", "--seed", "2",

@@ -495,6 +495,15 @@ def test_scan_grid_refuses_grids_it_cannot_walk(lo, hi, step):
         _scan_grid(GammaField(constant_drift(1.0)), lo, hi, step)
 
 
+def test_scan_refuses_an_empty_grid_or_a_zero_step():
+    # a grid from the level to itself, and a step that never moves
+    with pytest.raises(ConfigError, match="below the level"):
+        scan_gamma_range(sine_drift(), 2.0, lo=2.0)
+    claim = BoundCertificate(kappa=5.0, domain_hint=-50.0)
+    with pytest.raises(ConfigError, match="grid_step"):
+        certify_bounds(GammaField(sine_drift()), claim, grid_step=0.0, level=2.0)
+
+
 # b = 2 + sin(1700 y) / 2: a turning point every ~2 points of the default grid
 OSCILLATING = custom_drift(lambda y: 2.0 + 0.5 * np.sin(1700.0 * np.asarray(y, dtype=float)),
                            lambda y: 850.0 * np.cos(1700.0 * np.asarray(y, dtype=float)),

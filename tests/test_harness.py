@@ -123,13 +123,16 @@ EMPTY_OR_INVALID = {
     "histogram-no-bins": lambda path: histogram_export([1.0, 2.0], 0, path),
     "histogram-nan": lambda path: histogram_export([1.0, math.nan], 5, path),
     "geometric-mean-too-large": lambda path: geometric_iteration_gof([10**17] * 10),
+    "geometric-nan": lambda path: geometric_iteration_gof([1, 2, math.nan, 1] * 50),
     "split-count-zero-gap": lambda path: samplers.optimal_split_count(0.0, 5.0),
+    "split-count-inf-gap": lambda path: samplers.optimal_split_count(math.inf, 1.0),
     "poisson-zero-rate": lambda path: poisson_time_points(RandomStream(1), 1.0, 0.0),
     # each of these once returned a number that read as an answer
     "identity-nan-count": lambda path: iteration_identity_check(
         [1, 2, math.nan], constant_drift(1.0), 0.0, 2.0),
     "identity-zero-count": lambda path: iteration_identity_check(
         [1, 0, 3], constant_drift(1.0), 0.0, 2.0),
+    "geometric-fractional": lambda path: geometric_iteration_gof([1.7, 2.9, 3.2, 1.1] * 50),
     "rho-bound-x-above-level": lambda path: rho_distance_bound(constant_drift(1.0), 3.0, 1.0, 5.0),
     "rho-bound-x-below-cut": lambda path: rho_distance_bound(constant_drift(1.0), -5.0, 1.0, 5.0),
     "rho-bound-nan-level": lambda path: rho_distance_bound(constant_drift(1.0), 0.0, math.nan, 5.0),
@@ -141,7 +144,8 @@ EMPTY_OR_INVALID = {
         "stream": RandomStream(1), **kw})
        for name, kw in [("nan-x", {"x": math.nan}), ("inf-level", {"L": math.inf}),
                         ("inf-step", {"step": math.inf}), ("nan-t-max", {"t_max": math.nan}),
-                        ("zero-step", {"step": 0.0}), ("negative-t-max", {"t_max": -1.0})]},
+                        ("zero-step", {"step": 0.0}), ("negative-t-max", {"t_max": -1.0}),
+                        ("fractional-n", {"n": 2.5})]},
 }
 
 
@@ -247,9 +251,11 @@ def test_geometric_gof_cells_are_the_walks(name):
     walked, walked_chi2, walked_dof = _walked_gof(iters)
     cells = harness._geometric_cells(len(iters), 1.0 / float(iters.mean()), 5.0)
     assert [cell[:2] for cell in cells] == [cell[:2] for cell in walked]
-    chi2, dof, _ = geometric_iteration_gof(iters)
+    chi2, dof, p_value = geometric_iteration_gof(iters)
     assert dof == walked_dof
     assert chi2 == pytest.approx(walked_chi2, rel=1e-12)
+    # whole-number counts read as floats fit as the integers do
+    assert geometric_iteration_gof(iters.astype(float)) == (chi2, dof, p_value)
 
 
 # ---------------------------------------------------------------------------

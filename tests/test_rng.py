@@ -11,7 +11,8 @@ from scipy.integrate import quad
 from fptsim import (ConfigError, FptsimError, RandomStream, draw_brownian_fpt,
                     draw_inverse_gaussian, draw_truncated_brownian_fpt)
 from fptsim.rng import (EXPONENTIAL, NORMAL, UNIFORM, LaneStreams, _inverse_gaussian_lanes,
-                        _inverse_gaussian_value, _keyed, _philox_key, _philox_keys)
+                        _inverse_gaussian_value, _keyed, _philox_key, _philox_keys,
+                        _truncated_brownian_fpt_lanes, _truncated_brownian_fpt_value)
 from fptsim.harness import brownian_fpt_cdf, ks_statistic, truncated_brownian_fpt_cdf, two_sample_ks
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -318,6 +319,26 @@ class TestTruncatedBrownianFpt:
         vals = [draw_truncated_brownian_fpt(s, 2.0, 0.5).value for _ in range(10**4)]
         assert all(0.0 < v <= 0.5 for v in vals)
         assert ks_statistic(vals, lambda t: truncated_brownian_fpt_cdf(t, 2.0, 0.5)) < 0.02
+
+    def test_rounding_past_t0_is_clamped(self):
+        # an exponential and a uniform of 0 accept z = a = gap^2/t0 at once,
+        # and gap^2/a rounds to one ulp above t0: both kernels return t0
+        gap, t0 = 4.890096716420745, 5.235216568147999
+        assert (gap * gap) / ((gap * gap) / t0) > t0
+
+        class Zeros:
+            def exponential(self, mean):
+                return 0.0
+
+            def uniform(self):
+                return 0.0
+
+            def take(self, kind, which, count=1):
+                return np.zeros(len(which))
+
+        assert _truncated_brownian_fpt_value(Zeros(), gap, t0) == t0
+        which = np.ones(3, dtype=bool)
+        assert _truncated_brownian_fpt_lanes(Zeros(), which, gap, t0).tolist() == [t0] * 3
 
 
 def test_lane_streams_masked_triple_read():

@@ -673,7 +673,7 @@ def test_hand_off_mid_draw_is_bit_identical(variant, width, monkeypatch):
     finish = samplers._Lanes._finish_scalar
 
     def spy(self, j):
-        handed.append((int(self.key[j]) % self.k, int(self.rejections[j])))
+        handed.append((int(self.part[j]), int(self.rejections[j])))
         finish(self, j)
 
     monkeypatch.setattr(samplers._Lanes, "_finish_scalar", spy)
@@ -843,15 +843,14 @@ def test_batch_partition_invariance(name, cuts):
     ("a1", 100), ("a2", samplers._LANE_WIDTH), ("a1", samplers._LANE_WIDTH + 1),
     ("split20", 30), ("split20", 100)])
 def test_lanes_start_at_the_batch_size_up_to_the_width(name, n):
-    # a batch of n draws starts on min(n, _LANE_WIDTH) lanes, holding the
-    # first slice of draws 0, 1, ... (item keys 0, k, 2k, ...); the rest
-    # queue for a lane
+    # a batch of n draws starts on min(n, _LANE_WIDTH) lanes, holding draws
+    # 0, 1, ... at their first slice; the rest queue for a lane
     cfg = LANE_CONFIGS[name]
-    k = cfg.split_k
     plan = samplers._prepare(cfg)
     lanes = plan.scan.lanes(plan, n, RandomStream(134), 0)
     width = min(n, samplers._LANE_WIDTH)
-    assert lanes.key.tolist() == list(range(0, width * k, k))
+    assert lanes.key.tolist() == list(range(width))
+    assert lanes.part.tolist() == [0] * width
     assert lanes.next_draw == width
     assert len(lanes.T) == len(lanes.rng.end) == width
 
