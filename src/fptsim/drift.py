@@ -14,11 +14,10 @@ Catalog entries carry closed-form ``beta`` and a fast scalar ``gamma`` for
 the samplers' inner loop; both are cross-checked against the generic
 compositions in the test suite.
 
-Importing this module, certifying bounds, evaluating the catalog's fields, the
-Lamperti reduction and the recurrence diagnostic load numpy only.  scipy's
-``quad`` is imported by the beta and scale-function quadratures, when they are
-called for a model without a closed-form beta.  The Lamperti reduction takes
-closed-form callables, ``eta_inv`` among them, and composes them with numpy.
+This module loads numpy only.  Its one quadrature is trapezoid sums on grids
+that end at 0: cumulative ones for the recurrence probes (:func:`_beta_grid`),
+and Simpson's rule by one Richardson step for ``eval_beta`` and ``eval_scale_p``
+(:func:`_simpson`).  The Lamperti reduction composes closed-form callables.
 
 Certification walks its grid in chunks of _GRID_CHUNK points and keeps only
 the grid's extremes and its 32 highest and 32 lowest turning points, so the
@@ -38,7 +37,6 @@ import numpy as np
 from .errors import ConfigError, ModelError, NumericError
 
 _CERT_TOL = 1e-9              # slack allowed before a scan point counts as a violation
-_QUAD_TOL = 1e-10             # absolute tolerance of the beta quadrature
 _GRID_CHUNK = 1 << 14         # grid points per numpy call: 128 KiB per array, the scan's O(chunk) memory
 _POLISHED = 32                # turning points polished at each end of gamma's range
 _GRID_MAX = 10**8             # most grid points one scan may take (the default grid has ~3e6)
@@ -277,42 +275,37 @@ def gamma_fn(model):
     return partial(eval_gamma, model)
 
 
-def _integrate(f, a, b, epsabs=_QUAD_TOL, epsrel=0.0, limit=50):
-    """int_a^b f(u) du by scipy ``quad``; NumericError if it reports non-convergence."""
-    from scipy.integrate import quad
-    value, _, _, *trouble = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
-                                 full_output=1)
-    if trouble:
-        raise NumericError(f"quadrature did not converge on [{a}, {b}]: "
-                           f"{trouble[0].splitlines()[0]}")
-    return value
-
-
 def eval_beta(model, y):
     """beta(y) = int_0^y b(u) du, closed form when the model carries one."""
     if model.beta_closed is not None:
         return float(model.beta_closed(y))
-    return _integrate(lambda u: float(model.b(u)), 0.0, float(y))
+    return _simpson(y, lambda ys: np.asarray(model.b(ys), dtype=float))
 
 
 def eval_scale_p(model, y):
-    """Scale function p(y) = int_0^y exp(-beta(u)) du."""
+    """Scale function p(y) = int_0^y exp(-beta(u)) du, beta taken on each of the
+    Richardson step's grids, so that the step cancels beta's error too."""
+    return _simpson(y, lambda ys: np.exp(-_beta_on(model, ys)))
+
+
+def _simpson(y, integrand):
+    """int_0^y f by Simpson's rule, where ``integrand(ys)`` is f on a grid ys from y to 0.
+
+    The grid has 4j + 1 points, ~400 per unit (4001 to 400001).  Trapezoid
+    sums T on every point, every other point and every fourth point give two
+    Simpson values (4 T_h - T_2h) / 3.  NumericError ("did not converge")
+    unless both are finite and agree within 1e-6 of int_0^y |f|.
+    """
     y = float(y)
-    if y == 0.0:
-        return 0.0
-
-    def integrand(u):
-        return math.exp(-eval_beta(model, u))
-
-    try:
-        value = _integrate(integrand, 0.0, y, epsabs=1e-12, epsrel=1e-10, limit=400)
-    except OverflowError as exc:
-        raise NumericError(
-            f"exp(-beta) overflowed while integrating to y={y}; try a smaller |y|") from exc
-    if not math.isfinite(value):
-        raise NumericError(
-            f"scale-function integral not finite at y={y}; try a smaller |y|")
-    return value
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ys = np.linspace(y, 0.0, 4 * int(min(100000, max(1000, 100 * abs(y)))) + 1)
+        fs = [integrand(ys[::s]) for s in (1, 2, 4)]
+        t1, t2, t4 = (-float(np.trapezoid(f, ys[::s])) for f, s in zip(fs, (1, 2, 4)))
+        fine, coarse = (4.0 * t1 - t2) / 3.0, (4.0 * t2 - t4) / 3.0
+        if not abs(fine - coarse) <= 1e-6 * abs(float(np.trapezoid(np.abs(fs[0]), ys))):
+            raise NumericError(f"quadrature did not converge on [0, {y}]: Simpson's rule gave "
+                               f"{fine:.9g} and {coarse:.9g} at steps h, 2h; try a smaller |y|")
+    return fine
 
 
 @dataclass(frozen=True)
@@ -457,8 +450,8 @@ class _GridScan:
 
 def _scan_grid(gamma, lo, hi, grid_step):
     """The range of gamma on the certification grid, walked in chunks so memory stays bounded."""
-    if not grid_step > 0.0:
-        raise ConfigError(f"grid_step must be positive, got {grid_step}")
+    if not 0.0 < grid_step < math.inf:
+        raise ConfigError(f"grid_step must be positive and finite, got {grid_step}")
     lo = float(lo)
     hi = float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -609,11 +602,16 @@ def _from_zero(ys, fs):
 
 
 def _beta_grid(model, depth):
-    """(ys, beta(ys)) on the probes' grid of [-depth, 0]: the closed form, else a trapezoid of b."""
+    """(ys, beta(ys)) on the probes' grid of [-depth, 0], ~40 points per unit."""
     ys = np.linspace(-depth, 0.0, int(min(400001, max(4001, 40 * depth))) | 1)
+    return ys, _beta_on(model, ys)
+
+
+def _beta_on(model, ys):
+    """beta on a grid ys that ends at 0: the closed form, else a cumulative trapezoid of b."""
     if model.beta_closed is not None:
-        return ys, np.asarray(model.beta_closed(ys), dtype=float)
-    return ys, -_from_zero(ys, np.asarray(model.b(ys), dtype=float))
+        return np.asarray(model.beta_closed(ys), dtype=float)
+    return -_from_zero(ys, np.asarray(model.b(ys), dtype=float))
 
 
 def _log_abs_p_neg(model, depth):

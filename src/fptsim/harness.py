@@ -10,7 +10,7 @@ without a closed form.
 Importing this module, and with it ``fptsim``, loads numpy only.  The
 reference CDFs (``ig_cdf``, ``brownian_fpt_cdf`` and its truncated form) and
 ``geometric_iteration_gof`` import ``scipy.stats`` when they are called;
-``rho_distance_bound`` reaches scipy's ``quad`` through the scale function.
+nothing else here does.
 
 The comparator is the one heavy user here.  Its scalar side is one loop,
 ``_coupled_iteration``: both scans walk one lazily drawn set of Poisson
@@ -145,13 +145,9 @@ def iteration_identity_target(model, x, L, gamma0=0.0):
 def iteration_identity_check(iterations, model, x, L, gamma0=0.0, kappa=None):
     """Compare mean(I) against its identity and the exp((L-x) sqrt(2 kappa)) bound.
 
-    ``iterations`` holds one iteration count per draw, each finite and at least 1.
+    ``iterations`` holds one iteration count per draw, each a whole number >= 1.
     """
-    iters = np.asarray(iterations, dtype=float)
-    if iters.size == 0:
-        raise ConfigError("iteration_identity_check needs iteration counts")
-    if not np.all(np.isfinite(iters) & (iters >= 1.0)):
-        raise ConfigError("iteration counts must be finite and at least 1")
+    iters = _whole_numbers(iterations, "iteration counts")
     n = len(iters)
     mean = float(iters.mean())
     se = float(iters.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
@@ -165,16 +161,23 @@ def iteration_identity_check(iterations, model, x, L, gamma0=0.0, kappa=None):
     return IterationReport(mean, target, se, z, bound, mean <= bound + 3.0 * se, n)
 
 
+def _whole_numbers(values, what):
+    """values as floats; ConfigError unless there are some and each is a whole number >= 1."""
+    values = np.asarray(values, dtype=float)
+    if not (values.size and np.all(np.isfinite(values) & (values >= 1)
+                                   & (values == np.floor(values)))):
+        raise ConfigError(f"{what} must be whole numbers >= 1")
+    return values
+
+
 def geometric_iteration_gof(iterations, min_expected=5.0):
     """Chi-square goodness of fit of iteration counts against Geometric(p_hat).
 
     p_hat is fitted by the sample mean, so the chi-square loses one extra
     degree of freedom.  Returns (chi2, dof, p_value).
     """
-    iters = np.asarray(iterations, dtype=float)
+    iters = _whole_numbers(iterations, "iteration counts")
     n = len(iters)
-    if n == 0 or not np.all(np.isfinite(iters) & (iters >= 1.0) & (iters == np.floor(iters))):
-        raise ConfigError("iteration counts must be whole numbers >= 1")
     if not 0.0 < min_expected < math.inf:
         raise ConfigError(f"min_expected must be positive and finite, got {min_expected}")
     cells = _geometric_cells(n, 1.0 / float(iters.mean()), min_expected)
@@ -611,14 +614,13 @@ def rho_distance_bound(model, x, L, rho):
         p_cut = eval_scale_p(model, -rho)
     except NumericError as exc:
         raise NumericError(
-            f"scale function overflowed at depth {rho}; try a smaller rho") from exc
+            f"scale function not integrable to depth {rho}; try a smaller rho") from exc
     return 2.0 * (p_level - p_start) / (p_level - p_cut)
 
 
 def histogram_export(values, bins, path):
     """Write a density-normalized histogram as CSV rows (bin_left, bin_right, density)."""
-    if bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {bins}")
+    bins = int(_whole_numbers(bins, f"bins ({bins})"))
     values = _finite_sample(values, "histogram_export")
     density, edges = np.histogram(values, bins=bins, density=True)
     if len(values) == 1:

@@ -858,8 +858,8 @@ def poisson_time_points(stream, horizon, kappa):
     engines consume; the increment overshooting the horizon is drawn (its
     count is the caller's business) but not returned.
     """
-    if not kappa > 0.0:
-        raise ConfigError("poisson_time_points needs kappa > 0")
+    if not (0.0 < kappa < math.inf and 0.0 <= horizon < math.inf):
+        raise ConfigError(f"need finite kappa > 0 and horizon >= 0, got {kappa} and {horizon}")
     mean = 1.0 / kappa
     times = []
     t = stream.exponential(mean)

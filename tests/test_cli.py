@@ -205,7 +205,7 @@ def test_shift_without_floor_exits_2(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flag, value", [("--kappa", "nan"), ("--level", "inf"),
-                                         ("--scan-from", "nan")])
+                                         ("--scan-from", "nan"), ("--grid-step", "inf")])
 def test_non_finite_bounds_and_grid_ends_exit_2(tmp_path, monkeypatch, capsys, flag, value):
     code = _run(tmp_path, monkeypatch,
                 ["sample", *BASE, flag, value, "--n", "32", "--seed", "1"])
@@ -292,6 +292,19 @@ assert len(sample_batch(config, 40, RandomStream(1))) == 40
 assert recurrence_diagnostic(gbm).verdict.startswith("recurrent: yes")
 """
 
+# beta and the scale function by the numpy quadrature, read by the rho bound
+# and the iteration identity
+NO_SCIPY_QUADRATURE = """
+import numpy as np
+from fptsim import (custom_drift, eval_beta, eval_scale_p, iteration_identity_target,
+                    ou_drift, rho_distance_bound)
+bare = custom_drift(lambda y: 2.0 + np.sin(y), np.cos)
+assert abs(eval_beta(bare, -3.0) - (-5.0 - np.cos(3.0))) < 1e-9
+assert eval_scale_p(ou_drift(0.3, 1.0), -5.0) < -5.0
+assert 0.0 < rho_distance_bound(ou_drift(0.3, 1.0), 0.0, 1.0, 5.0) < 1.0
+assert iteration_identity_target(bare, 0.0, 2.0) > 1.0
+"""
+
 
 def _src_env():
     """The environment of a fresh interpreter that imports this fptsim."""
@@ -301,10 +314,10 @@ def _src_env():
 
 
 @pytest.mark.parametrize("script", [NO_SCIPY_LIBRARY, NO_SCIPY_CLI, NO_SCIPY_RECURRENCE,
-                                    NO_SCIPY_LAMPERTI],
-                         ids=["library", "cli", "recurrence", "lamperti"])
+                                    NO_SCIPY_LAMPERTI, NO_SCIPY_QUADRATURE],
+                         ids=["library", "cli", "recurrence", "lamperti", "quadrature"])
 def test_import_certification_and_sampling_load_no_scipy(tmp_path, script):
-    # scipy is imported by the quadrature and CDF helpers only;
+    # scipy is imported by the CDF and chi-square helpers only;
     # a fresh interpreter shows what the set-up and sampling path loaded
     check = ("\nimport sys\nloaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
              "\nassert not loaded, f'{len(loaded)} scipy modules loaded: {loaded[:4]}'\n")

@@ -203,6 +203,45 @@ def test_scale_integrals_raise_when_quad_does_not_converge():
         eval_scale_p(model, 1.7)
 
 
+def _quiet(f, *args):
+    """f(*args), or None when it raises NumericError."""
+    try:
+        return f(*args)
+    except NumericError:
+        return None
+
+
+def test_quadrature_is_loud_where_its_grid_misses_the_drift():
+    # a spike of width 1e-4 on a point of the finest grid, between points of
+    # the coarsest: a quadrature that misses it gives beta(-1) = -0.995
+    def b(y):
+        y = np.asarray(y, dtype=float)
+        return 1.0 + 0.01 * y + 3.0 * np.exp(-(((y + 0.5005) / 1e-4) ** 2))
+
+    spike = custom_drift(b, lambda y: 0.0 * np.asarray(y, dtype=float))
+    for f, want in ((eval_beta, -0.99553174), (eval_scale_p, -1.7152629)):
+        got = _quiet(f, spike, -1.0)
+        assert got is None or got == pytest.approx(want, rel=1e-6)
+    # b = 2 + sin(1700 y) / 2: ~4 radians per grid step at y = -20
+    fast = custom_drift(lambda y: 2.0 + 0.5 * np.sin(1700.0 * np.asarray(y, dtype=float)),
+                        lambda y: 850.0 * np.cos(1700.0 * np.asarray(y, dtype=float)))
+    for y in (-20.0, -5.0, -1.0, 2.0):
+        got = _quiet(eval_beta, fast, y)
+        assert got is None or got == pytest.approx(2.0 * y + (1.0 - math.cos(1700.0 * y)) / 3400.0,
+                                                   rel=1e-6)
+
+
+@pytest.mark.parametrize("model", CATALOG + [constant_drift(0.0), constant_drift(-1.0)],
+                         ids=lambda m: m.label())
+def test_quadrature_without_closed_beta_matches_closed_form(model):
+    # the same drift with its beta left out: beta by Simpson's rule, and p by
+    # the Richardson step over beta's trapezoids as well as p's
+    bare = custom_drift(model.b, model.b_prime)
+    for y in (-20.0, -5.0, -1.0, 2.0):
+        assert eval_beta(bare, y) == pytest.approx(eval_beta(model, y), rel=1e-12, abs=1e-12)
+        assert eval_scale_p(bare, y) == pytest.approx(eval_scale_p(model, y), rel=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # derivative consistency and Lamperti reduction
 # ---------------------------------------------------------------------------
@@ -487,10 +526,11 @@ def test_scanned_range_passes_as_its_own_claim(model, level, lo):
 
 
 @pytest.mark.parametrize("lo, hi, step", [(-1e300, 2.0, 1e-3), (-50.0, 2.0, 1e-300),
-                                          (-1e12, -1e12 + 0.01, 1e-5)],
-                         ids=["wide", "fine", "below-spacing"])
+                                          (-1e12, -1e12 + 0.01, 1e-5), (-50.0, 2.0, math.inf)],
+                         ids=["wide", "fine", "below-spacing", "inf-step"])
 def test_scan_grid_refuses_grids_it_cannot_walk(lo, hi, step):
-    # too many points to scan in bounded time, or a step that lo + step rounds away
+    # too many points to scan in bounded time, a step that lo + step rounds
+    # away, or one that is not finite (0 * inf once put NaN on the grid)
     with pytest.raises(ConfigError, match="grid"):
         _scan_grid(GammaField(constant_drift(1.0)), lo, hi, step)
 

@@ -127,12 +127,20 @@ EMPTY_OR_INVALID = {
     "split-count-zero-gap": lambda path: samplers.optimal_split_count(0.0, 5.0),
     "split-count-inf-gap": lambda path: samplers.optimal_split_count(math.inf, 1.0),
     "poisson-zero-rate": lambda path: poisson_time_points(RandomStream(1), 1.0, 0.0),
+    "poisson-inf-rate": lambda path: poisson_time_points(RandomStream(1), 1.0, math.inf),
+    "poisson-inf-horizon": lambda path: poisson_time_points(RandomStream(1), math.inf, 5.0),
+    "poisson-nan-horizon": lambda path: poisson_time_points(RandomStream(1), math.nan, 5.0),
+    "poisson-negative-horizon": lambda path: poisson_time_points(RandomStream(1), -1.0, 5.0),
+    "histogram-fractional-bins": lambda path: histogram_export([1.0, 2.0], 2.5, path),
+    "histogram-nan-bins": lambda path: histogram_export([1.0, 2.0], math.nan, path),
     # each of these once returned a number that read as an answer
     "identity-nan-count": lambda path: iteration_identity_check(
         [1, 2, math.nan], constant_drift(1.0), 0.0, 2.0),
     "identity-zero-count": lambda path: iteration_identity_check(
         [1, 0, 3], constant_drift(1.0), 0.0, 2.0),
     "geometric-fractional": lambda path: geometric_iteration_gof([1.7, 2.9, 3.2, 1.1] * 50),
+    "identity-fractional-count": lambda path: iteration_identity_check(
+        [1.5, 2.5, 3.5], constant_drift(1.0), 0.0, 2.0),
     "rho-bound-x-above-level": lambda path: rho_distance_bound(constant_drift(1.0), 3.0, 1.0, 5.0),
     "rho-bound-x-below-cut": lambda path: rho_distance_bound(constant_drift(1.0), -5.0, 1.0, 5.0),
     "rho-bound-nan-level": lambda path: rho_distance_bound(constant_drift(1.0), 0.0, math.nan, 5.0),
