@@ -152,6 +152,8 @@ def _resolve_claim(args, scan):
 
 
 def _resolve(args, split_k=1):
+    # a seed or stream id outside [0, 2**64) is refused before any scan or worker
+    RandomStream(args.seed, args.streams)
     model = model_from_spec(args.model)
     effective = truncate_drift(model, args.rho) if args.rho is not None else model
     gamma = GammaField(effective)
@@ -190,7 +192,8 @@ def _worker_rows(spec, config, seed, streams, lo, hi):
 
 def _share_cpus(workers):
     # each of the pool's workers gets c // w of the c CPUs it may use, so
-    # workers that fill the machine make their refill waves on one thread
+    # workers that fill the machine make their refill waves and walk their
+    # certification grids on one thread
     rng._CPUS = len(os.sched_getaffinity(0)) // workers
 
 

@@ -21,25 +21,41 @@ and Simpson's rule by one Richardson step for ``eval_beta`` and ``eval_scale_p``
 
 Certification walks its grid in chunks of _GRID_CHUNK points and keeps only
 the grid's extremes and its 32 highest and 32 lowest turning points, so the
-scan's memory is O(chunk) whatever the grid's length or the field.  Those
-64 turning points are polished on refined grids of the same vectorised field
-(:func:`_refine`): 65 points within a grid step of each, then 32 times
-narrower around the best, until the spacing is below 1e-12.
+scan's memory is O(chunk) whatever the grid's length or the field.  A grid
+of _SPLIT_CHUNKS chunks or more, in a process allowed two CPUs, is walked in
+two halves at once: a helper thread takes the first half of the chunks
+(``rng._in_halves``), and the halves merge into what one walk finds, bit for
+bit.  The drift callables are then called from two threads at once, so they
+must be pure functions of their argument, as the catalog's, the truncated
+and the Lamperti models are.  The 64 kept turning points are polished on
+refined grids of the same vectorised field (:func:`_refine`): 65 points
+within a grid step of each, then 32 times narrower around the best, until
+the spacing is below 1e-12.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import rng
 from .errors import ConfigError, ModelError, NumericError
 
 _CERT_TOL = 1e-9              # slack allowed before a scan point counts as a violation
 _GRID_CHUNK = 1 << 14         # grid points per numpy call: 128 KiB per array, the scan's O(chunk) memory
+_SPLIT_CHUNKS = 4             # a grid of this many chunks or more is walked in two halves at once:
+                              # ~2 ms of sine's field, against a thread's ~0.1 ms start and join
 _POLISHED = 32                # turning points polished at each end of gamma's range
 _GRID_MAX = 10**8             # most grid points one scan may take (the default grid has ~3e6)
+_NO_TURNS = np.empty((3, 0))  # rows gamma, grid index and y of no turning point
+
+try:  # glibc's; where the C library has none, a split scan keeps its helper's heap
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +464,96 @@ class _GridScan:
     gmax_y: float             # where gmax occurs: its first grid point, or the refined one
 
 
+@dataclass
+class _Walk:
+    """What a walk over the consecutive grid points start, start + 1, ... found.
+
+    ``high`` and ``low`` hold the _POLISHED highest and lowest turning points
+    of the sampled curve among the walk's points whose two neighbours it
+    also walked (see :func:`_most_extreme`); ``head`` and ``tail`` hold
+    (y, gamma) of its first and last two points, for the turning points at
+    a seam.
+    """
+
+    start: int
+    gmin: float
+    gmin_y: float             # the first grid point where gmin occurs
+    gmax: float
+    gmax_y: float             # the first grid point where gmax occurs
+    high: np.ndarray
+    low: np.ndarray
+    head: list
+    tail: list
+
+    def then(self, right):
+        """The walk over this one's points and then ``right``'s, as one walk
+        finds it: extremes tied in gamma keep the earlier grid point."""
+        # the points either side of the seam turn on their neighbours across it
+        seam = self.tail + right.head
+        first = right.start - len(self.tail)
+        found = [(g, first + i, y) for i, (y, g) in enumerate(seam)
+                 if 0 < i < len(seam) - 1 and _turn(seam[i - 1][1], g, seam[i + 1][1])]
+        found = np.array(found).reshape(-1, 3).T
+        least = right if right.gmin < self.gmin else self
+        most = right if right.gmax > self.gmax else self
+        return _Walk(self.start, least.gmin, least.gmin_y, most.gmax, most.gmax_y,
+                     _most_extreme(self.high, np.concatenate((right.high, found), axis=1), -1.0),
+                     _most_extreme(self.low, np.concatenate((right.low, found), axis=1), 1.0),
+                     (self.head + right.head)[:2], (self.tail + right.tail)[-2:])
+
+
+def _turn(g0, g1, g2):
+    """Whether the sampled curve turns at a point of value g1 between g0 and g2."""
+    a = g1 - g0
+    b = g2 - g1
+    return a > 0.0 and b < 0.0 or a < 0.0 and b > 0.0
+
+
+def _walk(gamma, lo, hi, grid_step, n, first, last):
+    """The :class:`_Walk` over chunks first, ..., last - 1 of the grid of n points.
+
+    ModelError names the walk's first grid point where gamma is not finite.
+    """
+    walk = None
+    # the grid points and their differences go into arrays made once per
+    # walk: a chunk allocates only what gamma's evaluation does, and the
+    # heap has fewer megabytes to give back and fault in again
+    base = np.arange(_GRID_CHUNK, dtype=float)
+    grid = np.empty(_GRID_CHUNK)
+    diff = np.empty(_GRID_CHUNK)
+    for start in range(first * _GRID_CHUNK, min(last * _GRID_CHUNK, n), _GRID_CHUNK):
+        m = min(_GRID_CHUNK, n - start)
+        ys = np.add(base[:m], start, out=grid[:m])
+        ys *= grid_step
+        ys += lo
+        np.minimum(ys, hi, out=ys)
+        gs = gamma.eval_array(ys)
+        kmin = int(np.argmin(gs))
+        kmax = int(np.argmax(gs))
+        # each stops at the first NaN, and an infinity is one's extreme
+        if not (math.isfinite(gs[kmin]) and math.isfinite(gs[kmax])):
+            raise ModelError(f"gamma not finite at y={ys[~np.isfinite(gs)][0]}")
+        # _turn at every point with both neighbours in the chunk
+        d = np.subtract(gs[1:], gs[:-1], out=diff[:m - 1])
+        up = d > 0.0
+        down = d < 0.0
+        turn = ((up[:-1] & down[1:]) | (down[:-1] & up[1:])).nonzero()[0] + 1
+        found = np.stack((gs[turn], turn + start, ys[turn]))
+        part = _Walk(start, float(gs[kmin]), float(ys[kmin]), float(gs[kmax]), float(ys[kmax]),
+                     _most_extreme(_NO_TURNS, found, -1.0), _most_extreme(_NO_TURNS, found, 1.0),
+                     list(zip(ys[:2].tolist(), gs[:2].tolist())),
+                     list(zip(ys[-2:].tolist(), gs[-2:].tolist())))
+        walk = part if walk is None else walk.then(part)
+    return walk
+
+
 def _scan_grid(gamma, lo, hi, grid_step):
-    """The range of gamma on the certification grid, walked in chunks so memory stays bounded."""
+    """The range of gamma on the certification grid, walked in chunks so memory stays bounded.
+
+    A grid of _SPLIT_CHUNKS chunks or more is walked in two halves at once
+    (see ``rng._in_halves``); :meth:`_Walk.then` joins them into what one
+    walk finds, and the error raised is the first in grid order.
+    """
     if not 0.0 < grid_step < math.inf:
         raise ConfigError(f"grid_step must be positive and finite, got {grid_step}")
     lo = float(lo)
@@ -465,35 +569,15 @@ def _scan_grid(gamma, lo, hi, grid_step):
     if lo + grid_step == lo:
         raise ConfigError(f"grid_step {grid_step} is below the float spacing at {lo}")
     n = int(math.ceil(span)) + 1
-    gmin, gmax = math.inf, -math.inf
-    gmin_y = gmax_y = lo
-    tail_y = tail_g = np.empty(0)
-    # rows gamma, grid index and y of the turning points of the sampled curve
-    # kept so far: the _POLISHED highest, and the _POLISHED lowest
-    high = low = np.empty((3, 0))
-    for start in range(0, n, _GRID_CHUNK):
-        idx = np.arange(start, min(start + _GRID_CHUNK, n))
-        ys = np.minimum(lo + idx * grid_step, hi)
-        gs = gamma.eval_array(ys)
-        if not np.all(np.isfinite(gs)):
-            bad = ys[~np.isfinite(gs)][0]
-            raise ModelError(f"gamma not finite at y={bad}")
-        k = int(np.argmin(gs))
-        if gs[k] < gmin:
-            gmin, gmin_y = float(gs[k]), float(ys[k])
-        k = int(np.argmax(gs))
-        if gs[k] > gmax:
-            gmax, gmax_y = float(gs[k]), float(ys[k])
-        # carry the last two points over so turning points at a chunk seam count
-        ys_ext = np.concatenate((tail_y, ys))
-        gs_ext = np.concatenate((tail_g, gs))
-        d = np.diff(gs_ext)
-        turn = np.where(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0] + 1
-        found = np.stack((gs_ext[turn], turn + (start - len(tail_g)), ys_ext[turn]))
-        high = _most_extreme(high, found, -1.0)
-        low = _most_extreme(low, found, 1.0)
-        tail_y = ys_ext[-2:]
-        tail_g = gs_ext[-2:]
+    halves = rng._in_halves(partial(_walk, gamma, lo, hi, grid_step, n),
+                            -(-n // _GRID_CHUNK), _SPLIT_CHUNKS)
+    walk = reduce(_Walk.then, halves)
+    if len(halves) > 1 and _malloc_trim is not None:
+        # the helper thread's malloc arena would keep the ~1 MB of chunks it
+        # freed for the next thread to use it; give their pages back (~0.3 ms)
+        _malloc_trim(0)
+    gmin, gmin_y, gmax, gmax_y = walk.gmin, walk.gmin_y, walk.gmax, walk.gmax_y
+    high, low = walk.high, walk.low
     kept = high.shape[1]
     if kept:
         # the highest and lowest turning points, refined within a grid step,
@@ -512,8 +596,11 @@ def _scan_grid(gamma, lo, hi, grid_step):
 def _most_extreme(kept, found, sign):
     """The _POLISHED columns of ``kept`` and ``found`` (rows gamma, grid index,
     y) with the least ``sign * gamma``, in that order, ties to the earlier
-    grid point.  Merged chunk by chunk, this is ``sorted(points, key=sign *
-    gamma)[:_POLISHED]`` of all the turning points in grid order."""
+    grid point; ``kept`` is such a selection already.  Merged chunk by
+    chunk, this is ``sorted(points, key=sign * gamma)[:_POLISHED]`` of all
+    the turning points in grid order."""
+    if not found.shape[1]:
+        return kept
     both = np.concatenate((kept, found), axis=1)
     return both[:, np.lexsort((both[1], sign * both[0]))[:_POLISHED]]
 

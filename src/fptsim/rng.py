@@ -33,10 +33,11 @@ batch in one numpy pass, so keying a generator only sets its state.
 
 A :meth:`LaneStreams.take` that refills _WAVE_MIN lanes or more at once, in a
 process allowed two CPUs or more (_CPUS), makes half of the wave's blocks on
-a helper thread that it starts and joins itself.  numpy fills a block
-without holding the GIL, each row and its generator are touched by one
-thread only, and every block is the one its lane's stream would make, so
-the lanes read the same values bit for bit; no thread outlives the call.
+a helper thread (``_in_halves``, which the certification scan uses too).
+numpy fills a block without holding the GIL, each row and its generator are
+touched by one thread only, and every block is the one its lane's stream
+would make, so the lanes read the same values bit for bit; no thread
+outlives the call.
 """
 
 import math
@@ -74,7 +75,9 @@ _POOLED_LANES = 512
 # a take that refills this many lanes or more makes half of their blocks on a
 # helper thread: ~0.6 ms of work or more, against a thread's ~0.1 ms start and join
 _WAVE_MIN = 64
-# the CPUs this process may use; the CLI gives each of w workers c // w of them
+# the CPUs this process may use, the one switch of ``_in_halves``: refill waves
+# and certification scans use a helper thread only when it is 2 or more; the
+# CLI gives each of w workers c // w of them
 _CPUS = len(os.sched_getaffinity(0))
 
 with np.errstate(invalid="ignore"):
@@ -158,12 +161,15 @@ def _release(gen):
 
 
 def _pooled_rows(lanes):
-    """(buffer, rows): the rows of ``lanes`` lanes, all ones, at the start of a buffer.
+    """(buffer, rows): the rows of ``lanes`` lanes at the start of a buffer.
 
     Up to _POOLED_LANES lanes the buffer is an idle one with room for them,
     or else a new one; a batch that allocated and freed its megabytes of
     rows would leave the heap laid out differently from run to run, and
-    with it the process's peak memory.
+    with it the process's peak memory.  A new buffer is all ones.  In a
+    reused one only the slack past each block is set to ones: it is all a
+    lane reads before its first refill, and the rest holds values an
+    earlier batch left, finite like the ones.
     """
     size = 3 * lanes * _ROW
     buf = None
@@ -173,9 +179,9 @@ def _pooled_rows(lanes):
         except IndexError:
             pass
     if buf is None or len(buf) < size:
-        buf = np.empty(size)
+        buf = np.ones(size)
     rows = buf[:size].reshape(3, lanes, _ROW)
-    rows.fill(1.0)
+    rows[:, :, _BUFLEN:] = 1.0
     return buf, rows
 
 
@@ -188,37 +194,47 @@ def _block(gen, kind, out=None):
     return draw(_BUFLEN) if out is None else draw(out=out)
 
 
-def _blocks(kind, rows):
-    """``_block`` for each (generator, row) pair of ``rows``.
+def _in_halves(run, n, least):
+    """``[run(0, n)]``, or ``[run(0, half), run(half, n)]`` on two threads.
 
-    A wave of _WAVE_MIN pairs or more, when _CPUS allows, is split in two:
-    a helper thread makes the first half while this one makes the second,
-    and the helper is joined before this returns or raises.  An error met
-    on the helper is raised here.
+    With ``n >= least`` and _CPUS 2 or more, a helper thread runs the first
+    half while this one runs the second.  The helper is started and joined
+    within the call, and the halves' results come back in order.  If a half
+    raises, so does this call, with the first half's error when both do:
+    the one a single pass from 0 to n would meet first.
     """
-    if len(rows) < _WAVE_MIN or _CPUS < 2:
-        for gen, row in rows:
-            _block(gen, kind, row)
-        return
-    half = len(rows) // 2
+    if n < least or _CPUS < 2:
+        return [run(0, n)]
+    half = n // 2
+    left = []
     failed = []
 
-    def fill():
+    def first():
         try:
-            for gen, row in rows[:half]:
-                _block(gen, kind, row)
+            left.append(run(0, half))
         except BaseException as exc:  # re-raised on the calling thread
             failed.append(exc)
 
-    helper = threading.Thread(target=fill)
+    helper = threading.Thread(target=first)
     helper.start()
     try:
-        for gen, row in rows[half:]:
-            _block(gen, kind, row)
+        right = run(half, n)
     finally:
         helper.join()
-    if failed:
-        raise failed[0]
+        if failed:
+            raise failed[0]
+    return [left[0], right]
+
+
+def _blocks(kind, rows):
+    """``_block`` for each (generator, row) pair of ``rows``; a wave of
+    _WAVE_MIN pairs or more makes its first half on a helper thread (see
+    ``_in_halves``)."""
+    def fill(lo, hi):
+        for gen, row in rows[lo:hi]:
+            _block(gen, kind, row)
+
+    _in_halves(fill, len(rows), _WAVE_MIN)
 
 
 @dataclass
@@ -288,7 +304,9 @@ class RandomStream(_Draws):
     Never share an instance across concurrent workers; allocate one
     substream per worker/replicate instead via :meth:`substream`.  The seed,
     stream id and path words are integers; any other value raises
-    ConfigError rather than address the stream of its floor.
+    ConfigError rather than address the stream of its floor.  The seed and
+    stream id lie in [0, 2**64), where each names a stream of its own; a
+    path word is taken modulo 2**64.
     """
 
     __slots__ = ("_own", "seed", "stream_id", "_path", "_key")
@@ -299,6 +317,9 @@ class RandomStream(_Draws):
             # the exact type first: an abstract-class check costs ~0.5 us
             if type(word) is not int and not isinstance(word, numbers.Integral):
                 raise ConfigError(f"stream addresses are integers, got {word!r}")
+        for word in (seed, stream_id):
+            if not 0 <= word <= _MASK64:
+                raise ConfigError(f"seeds and stream ids lie in [0, 2**64), got {word!r}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._path = tuple(int(p) for p in _path)

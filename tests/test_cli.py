@@ -164,6 +164,19 @@ def test_invalid_combination_exits_2(tmp_path, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("address", [["--seed", "-1"], ["--streams", "-3"],
+                                     ["--seed", str(2**64)], ["--streams", str(2**64 + 5)]],
+                         ids=["seed-neg", "streams-neg", "seed-wide", "streams-wide"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_stream_address_outside_64_bits_exits_2(address, workers, tmp_path, monkeypatch, capsys):
+    # such an address used to be taken modulo 2**64 and draw another's draws
+    code = _run(tmp_path, monkeypatch,
+                ["sample", *BASE, "--variant", "a1", "--n", "5", "--workers", workers, *address])
+    assert code == 2
+    assert "seeds and stream ids lie in [0, 2**64)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_m_outside_a3_exits_2(tmp_path, monkeypatch, capsys):
     code = _run(tmp_path, monkeypatch,
                 ["sample", *BASE, "--variant", "a1", "--m", "0.3", "--n", "5", "--seed", "1"])

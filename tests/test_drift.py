@@ -1,6 +1,7 @@
 """Tests for the drift catalog and the derived fields beta, p, gamma."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from fptsim import (BoundCertificate, GammaField, ModelError, NumericError,
                     lamperti_drift, model_from_spec, neg_arctan_drift, ou_drift,
                     recurrence_diagnostic, rho_distance_bound, sample_batch,
                     scan_gamma_range, sine_drift, truncate_drift, truncated_ou_kappa)
-from fptsim import drift
+from fptsim import drift, rng
 from fptsim.drift import _POLISHED, _most_extreme, _scan_grid
 from fptsim.errors import ConfigError
 
@@ -571,6 +572,118 @@ def test_scan_grid_does_not_depend_on_its_chunk(model, monkeypatch):
         scans.append(tuple(float(v).hex() for v in (scan.gmin, scan.gmin_y,
                                                     scan.gmax, scan.gmax_y)))
     assert scans.count(scans[0]) == len(scans)
+
+
+def _walks(monkeypatch, cpus, split_chunks=drift._SPLIT_CHUNKS):
+    """Scan on ``cpus`` CPUs, splitting grids of ``split_chunks`` chunks or more;
+    returns the (thread id, first chunk, last chunk) of each half-grid walk."""
+    monkeypatch.setattr(rng, "_CPUS", cpus)
+    monkeypatch.setattr(drift, "_SPLIT_CHUNKS", split_chunks)
+    walks = []
+    walk = drift._walk
+
+    def spy(gamma, lo, hi, grid_step, n, first, last):
+        walks.append((threading.get_ident(), first, last))
+        return walk(gamma, lo, hi, grid_step, n, first, last)
+
+    monkeypatch.setattr(drift, "_walk", spy)
+    return walks
+
+
+def _hex_range(scan):
+    return tuple(float(v).hex() for v in (scan.gmin, scan.gmin_y, scan.gmax, scan.gmax_y))
+
+
+@pytest.mark.parametrize("chunk", [5, 64, drift._GRID_CHUNK, 1 << 19])
+@pytest.mark.parametrize("model", SCAN_FIELDS, ids=lambda m: m.label())
+def test_scan_on_two_cores_is_the_scan_on_one(model, chunk, monkeypatch):
+    # the two halves of the chunks walked at once, on the caller and a helper,
+    # merge into the one-core range bit for bit; the grid has two chunks or more
+    monkeypatch.setattr(drift, "_GRID_CHUNK", chunk)
+    lo = -30.0 if chunk < 1 << 19 else -600.0
+    scans = []
+    for cpus in (1, 2):
+        walks = _walks(monkeypatch, cpus, split_chunks=2)
+        scans.append(_hex_range(_scan_grid(GammaField(model), lo, 1.0, 1e-3)))
+        assert len({ident for ident, _, _ in walks}) == cpus
+    assert scans[0] == scans[1]
+    assert walks[0][1:] == (0, walks[1][1]) and walks[1][2] > walks[1][1]
+
+
+# gamma = b^2/2 on 0, 1, ..., 19 in four chunks of 5: it turns only at the last
+# grid point of the first half (9, a peak) and the first of the second (10, a trough)
+SEAM_B = np.array([1.0 + 0.01 * i for i in range(20)])
+SEAM_B[9], SEAM_B[10] = 3.0, 0.5
+SEAM = custom_drift(lambda y: np.interp(y, np.arange(20.0), SEAM_B),
+                    lambda y: 0.0 * np.asarray(y, dtype=float), name="seam")
+
+
+def test_turning_points_at_the_seam_of_the_halves_are_kept(monkeypatch):
+    monkeypatch.setattr(drift, "_GRID_CHUNK", 5)
+    polished = []
+    refine = drift._refine
+
+    def spy(gamma, ys, sign, lo, hi, width):
+        polished.append(ys.tolist())
+        return refine(gamma, ys, sign, lo, hi, width)
+
+    monkeypatch.setattr(drift, "_refine", spy)
+    scans = []
+    for cpus in (1, 2):
+        walks = _walks(monkeypatch, cpus)
+        scans.append(_hex_range(_scan_grid(GammaField(SEAM), 0.0, 19.0, 1.0)))
+    assert [first for _, first, _ in walks] == [0, 2]
+    # the highest turning points first (9, 10), then the lowest (10, 9)
+    assert polished == [[9.0, 10.0, 10.0, 9.0]] * 2
+    assert scans[0] == scans[1] == ((0.125).hex(), (10.0).hex(), (4.5).hex(), (9.0).hex())
+
+
+@pytest.mark.parametrize("bad, named", [([-0.5, 0.5], r"-0\.5"), ([0.25, 0.5], r"0\.25")],
+                         ids=["both-halves", "right-half"])
+def test_split_scan_names_the_first_grid_point_where_the_field_is_not_finite(
+        bad, named, monkeypatch):
+    # 201 points in 41 chunks of 5: the helper walks y < 0, the caller the rest
+    def b(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(np.isin(np.round(y, 9), bad), np.nan, 1.0)
+
+    monkeypatch.setattr(drift, "_GRID_CHUNK", 5)
+    gamma = GammaField(custom_drift(b, lambda y: 0.0 * np.asarray(y, dtype=float)))
+    for cpus in (1, 2):
+        _walks(monkeypatch, cpus)
+        with pytest.raises(ModelError, match=rf"gamma not finite at y={named}$"):
+            _scan_grid(gamma, -1.0, 1.0, 0.01)
+
+
+def test_an_error_on_the_helper_is_raised_on_the_caller(monkeypatch):
+    # the drift fails only on the first half of the grid, which the helper walks
+    raised_on = []
+
+    def b(y):
+        y = np.asarray(y, dtype=float)
+        if y.min() < -0.5:
+            raised_on.append(threading.get_ident())
+            raise ZeroDivisionError("the first half")
+        return 1.0 + 0.0 * y
+
+    monkeypatch.setattr(drift, "_GRID_CHUNK", 5)
+    gamma = GammaField(custom_drift(b, lambda y: 0.0 * np.asarray(y, dtype=float)))
+    walks = _walks(monkeypatch, 2)
+    with pytest.raises(ZeroDivisionError, match="the first half"):
+        _scan_grid(gamma, -1.0, 1.0, 0.01)
+    helper = {ident for ident, _, _ in walks} - {threading.get_ident()}
+    assert set(raised_on) == helper and len(helper) == 1
+
+
+def test_no_thread_outlives_a_split_certification(monkeypatch):
+    # the default grid of L=2 (~3e6 points, 184 chunks) is walked on two threads
+    walks = _walks(monkeypatch, 2)
+    before = set(threading.enumerate())
+    claim = BoundCertificate(kappa=5.0, domain_hint=-3000.0)
+    report = certify_bounds(GammaField(sine_drift()), claim, level=2.0)
+    assert report.passed
+    assert len({ident for ident, _, _ in walks}) == 2
+    assert set(threading.enumerate()) == before
 
 
 @pytest.mark.parametrize("model", CATALOG + [OSCILLATING], ids=lambda m: m.label())

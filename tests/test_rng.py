@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from scipy.integrate import quad
 
 from fptsim import (ConfigError, FptsimError, RandomStream, draw_brownian_fpt,
                     draw_inverse_gaussian, draw_truncated_brownian_fpt)
-from fptsim.rng import (EXPONENTIAL, NORMAL, UNIFORM, LaneStreams, _inverse_gaussian_lanes,
-                        _inverse_gaussian_value, _keyed, _philox_key, _philox_keys,
-                        _truncated_brownian_fpt_lanes, _truncated_brownian_fpt_value)
+from fptsim.rng import (_BUFLEN, EXPONENTIAL, NORMAL, UNIFORM, LaneStreams, _in_halves,
+                        _inverse_gaussian_lanes, _inverse_gaussian_value, _keyed, _philox_key,
+                        _philox_keys, _truncated_brownian_fpt_lanes, _truncated_brownian_fpt_value)
 from fptsim.harness import brownian_fpt_cdf, ks_statistic, truncated_brownian_fpt_cdf, two_sample_ks
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,25 @@ def test_fractional_stream_address_is_refused(address):
     # a fractional address used to draw what its floor draws
     with pytest.raises(ConfigError, match="integer"):
         address()
+
+
+@pytest.mark.parametrize("address", [lambda: RandomStream(-1),
+                                     lambda: RandomStream(2**64 + 5),
+                                     lambda: RandomStream(3, -2),
+                                     lambda: RandomStream(3, 2**64),
+                                     lambda: RandomStream(np.int64(-1))],
+                         ids=["seed-neg", "seed-wide", "stream-neg", "stream-wide", "numpy-neg"])
+def test_seed_or_stream_id_outside_64_bits_is_refused(address):
+    # both used to be taken modulo 2**64: seed -1 drew what seed 2**64 - 1
+    # draws, and seed 2**64 + 5 what seed 5 draws
+    with pytest.raises(ConfigError, match=r"\[0, 2\*\*64\)"):
+        address()
+
+
+def test_seed_and_stream_id_span_64_bits():
+    # the ends of the range are streams of their own
+    ends = [RandomStream(word, word) for word in (0, 2**64 - 1)]
+    assert ends[0]._key != ends[1]._key
 
 
 def test_numpy_integer_addresses_are_the_int_ones():
@@ -414,9 +434,10 @@ def test_lane_view_draws_what_its_stream_draws():
 
 
 def test_lane_streams_reuse_a_released_buffer_as_new():
-    # a LaneStreams takes its rows from the buffer of a released one: they
-    # start as ones whatever the last owner left there, and the lanes read
-    # their streams' draws
+    # a LaneStreams takes its rows from the buffer of a released one: the
+    # slack past each block, all a lane reads before its first refill, starts
+    # as ones whatever the last owner left there, and the lanes read their
+    # streams' draws
     keys = RandomStream(50, 4).substream_keys(np.arange(4))
     first = LaneStreams(keys + keys)
     first.take(NORMAL)
@@ -426,11 +447,41 @@ def test_lane_streams_reuse_a_released_buffer_as_new():
     del first
     lanes = LaneStreams(keys)
     assert np.shares_memory(lanes._rows, buf)
-    assert (lanes._rows == 1.0).all()
+    assert (lanes._rows[:, :, _BUFLEN:] == 1.0).all()
     twins = [RandomStream(50, 4).substream(i) for i in range(4)]
     got = [lanes.take(kind) for kind in (NORMAL, EXPONENTIAL, UNIFORM)]
     for j, twin in enumerate(twins):
         assert [g[j] for g in got] == [twin.normal(), twin.exponential(1.0), twin.uniform()]
+
+
+@pytest.mark.parametrize("cpus, n, parts", [(1, 10, [(0, 10)]), (2, 3, [(0, 3)]),
+                                             (2, 4, [(0, 2), (2, 4)]), (2, 9, [(0, 4), (4, 9)])])
+def test_in_halves_splits_from_the_least_size_on_two_cpus(cpus, n, parts, monkeypatch):
+    from fptsim import rng
+    monkeypatch.setattr(rng, "_CPUS", cpus)
+    threads = []
+
+    def run(lo, hi):
+        threads.append(threading.get_ident())
+        return lo, hi
+
+    assert _in_halves(run, n, 4) == parts
+    assert len(set(threads)) == len(parts)
+
+
+@pytest.mark.parametrize("failing", [{0}, {5}, {0, 5}], ids=["helper", "caller", "both"])
+def test_in_halves_raises_the_first_halfs_error(failing, monkeypatch):
+    # what a single pass from 0 to n would meet first
+    from fptsim import rng
+    monkeypatch.setattr(rng, "_CPUS", 2)
+
+    def run(lo, hi):
+        if lo in failing:
+            raise ValueError(f"half from {lo}")
+        return lo
+
+    with pytest.raises(ValueError, match=f"half from {min(failing)}$"):
+        _in_halves(run, 10, 2)
 
 
 def test_wide_lane_rows_are_freed_not_pooled():
