@@ -51,6 +51,7 @@ _SPLIT_CHUNKS = 4             # a grid of this many chunks or more is walked in 
 _POLISHED = 32                # turning points polished at each end of gamma's range
 _GRID_MAX = 10**8             # most grid points one scan may take (the default grid has ~3e6)
 _NO_TURNS = np.empty((3, 0))  # rows gamma, grid index and y of no turning point
+_EXP_ZERO = -746.0            # exp(x) rounds to +0.0 for every x <= this (for x < -745.14 already)
 
 try:  # glibc's; where the C library has none, a split scan keeps its helper's heap
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -187,6 +188,12 @@ def truncate_drift(model, rho):
     tends to ``b(-rho)`` at -infinity.  Derivative and (when the inner model
     has one) closed-form beta are the exact analytic expressions of that
     formula.
+
+    On an array each callable evaluates only the branch its points need,
+    both joined by ``np.where`` only where the array straddles the cut, and
+    leaves the tail's exp(y + rho) at 0.0 without calling exp where it
+    underflows.  Every value is bit for bit what both branches evaluated at
+    every point and joined by ``np.where`` give.
     """
     if not rho > 0.0:
         raise ConfigError(f"truncation depth rho must be positive, got {rho}")
@@ -196,19 +203,45 @@ def truncate_drift(model, rho):
     if not (math.isfinite(b_cut) and math.isfinite(bp_cut)):
         raise ModelError(f"inner drift not finite at the cut point {-rho}")
 
+    def below(tail, y):
+        """``tail(s, exp(s))`` at s = y + rho, for y <= -rho."""
+        s = y + rho
+        return tail(s, np.exp(s, out=np.zeros_like(s), where=s > _EXP_ZERO))
+
     def join(inner, tail):
-        """``inner`` from the cut up, below it ``tail(s, exp(s))`` at s = y + rho."""
+        """``inner`` at the points from the cut up, the tail below it."""
         def f(y):
             y = np.asarray(y, dtype=float)
-            s = y + rho
-            # the tail first: its temporaries are freed before the inner branch makes its own
-            below = tail(s, np.exp(np.minimum(s, 0.0)))
-            out = np.where(y >= -rho, inner(y), below)
+            up = y >= -rho  # False at NaN: the tail, which gives NaN
+            if up.all():
+                out = inner(y)
+                if np.shape(out) != y.shape:  # an inner callable that does not broadcast
+                    out = np.broadcast_to(out, y.shape).copy()
+            elif up.any():
+                out = np.where(up, inner(y), below(tail, np.minimum(y, -rho)))
+            else:
+                out = below(tail, y)
+            out = np.asarray(out, dtype=float)
             return out if out.ndim else float(out)
         return f
 
-    b = join(model.b, lambda s, e: b_cut + bp_cut * s * e)
-    b_prime = join(model.b_prime, lambda s, e: bp_cut * e * (1.0 + s))
+    # b's and b''s tails, evaluated on every certification chunk, work in place
+    # in the s and exp(s) that ``below`` made for them, with their formulas'
+    # roundings, so that a chunk makes no 128 KiB temporaries beyond those two
+    def b_tail(s, e):  # b_cut + bp_cut * s * e
+        s *= bp_cut
+        s *= e
+        s += b_cut
+        return s
+
+    def b_prime_tail(s, e):  # bp_cut * e * (1.0 + s)
+        e *= bp_cut
+        s += 1.0
+        e *= s
+        return e
+
+    b = join(model.b, b_tail)
+    b_prime = join(model.b_prime, b_prime_tail)
     beta_closed = None
     if model.beta_closed is not None:
         beta_cut = float(model.beta_closed(-rho))

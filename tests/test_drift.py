@@ -438,6 +438,119 @@ class TestTruncateDrift:
             truncate_drift(nan_deep, self.RHO)
 
 
+def _two_branch(model, rho):
+    """b, b', beta and gamma of ``truncate_drift(model, rho)`` by the formula
+    as first written: both branches at every point, exp(min(y + rho, 0)) at
+    every point, joined by ``np.where``."""
+    b_cut = float(model.b(-rho))
+    bp_cut = float(model.b_prime(-rho))
+    beta_cut = float(model.beta_closed(-rho))
+
+    def join(inner, tail):
+        def f(y):
+            y = np.asarray(y, dtype=float)
+            s = y + rho
+            below = tail(s, np.exp(np.minimum(s, 0.0)))
+            out = np.where(y >= -rho, inner(y), below)
+            return out if out.ndim else float(out)
+        return f
+
+    b = join(model.b, lambda s, e: b_cut + bp_cut * s * e)
+    b_prime = join(model.b_prime, lambda s, e: bp_cut * e * (1.0 + s))
+    beta = join(model.beta_closed,
+                lambda s, e: beta_cut + b_cut * s + bp_cut * ((s - 1.0) * e + 1.0))
+    return {"b": b, "b_prime": b_prime, "beta_closed": beta,
+            "gamma": lambda y: (np.asarray(b(y)) ** 2 + np.asarray(b_prime(y))) / 2.0}
+
+
+def _truncated(model, rho):
+    tm = truncate_drift(model, rho)
+    return {"b": tm.b, "b_prime": tm.b_prime, "beta_closed": tm.beta_closed,
+            "gamma": GammaField(tm).eval_array}
+
+
+TRUNCATED = [(ou_drift(0.3, 1.0), 3.0), (ou_drift(0.3, 1.0), 5.0), (ou_drift(0.3, 1.0), 60.0),
+             (sine_drift(), 5.0)]
+TRUNCATED_IDS = ["ou-rho3", "ou-rho5", "ou-rho60", "sine-rho5"]
+
+
+@pytest.mark.parametrize("model, rho", TRUNCATED, ids=TRUNCATED_IDS)
+def test_truncated_drift_is_its_two_branch_formula_bit_for_bit(model, rho):
+    # every 0.01 of [-3000, 1]: the tail where exp(y + rho) underflows (y + rho
+    # <= -746) and where it does not, the cut and the inner model above it;
+    # then the points next to the cut and to the underflow bound
+    edges = [e for x in (-rho, -rho + drift._EXP_ZERO)
+             for e in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+    ys = np.concatenate((np.linspace(-3000.0, 1.0, 300101), edges))
+    up = ys >= -rho
+    ref = _two_branch(model, rho)
+    for name, f in _truncated(model, rho).items():
+        want = ref[name](ys)
+        # both branches, the tail alone, the inner model alone, and chunks
+        assert f(ys).tobytes() == want.tobytes(), name
+        assert f(ys[~up]).tobytes() == want[~up].tobytes(), name
+        assert f(ys[up]).tobytes() == want[up].tobytes(), name
+        chunks = np.concatenate([f(ys[i:i + 16384]) for i in range(0, len(ys), 16384)])
+        assert chunks.tobytes() == want.tobytes(), name
+        for y in ys[np.r_[0:300101:101, 300101:len(ys)]].tolist():
+            for arg in (y, np.asarray(y)):
+                assert float(f(arg)).hex() == float(ref[name](arg)).hex(), (name, y)
+
+
+def test_truncated_drift_keeps_its_inputs_and_their_shape():
+    # the tails work in place: in arrays of their own, never in the caller's;
+    # and an inner drift whose callables return one number for any input
+    # still gives an array of the input's shape, on either side of the cut
+    flat = custom_drift(lambda y: 0.5, lambda y: 0.0, beta_closed=lambda y: 0.5 * np.asarray(y))
+    for model in (ou_drift(0.3, 1.0), flat):
+        ref = _two_branch(model, 5.0)
+        for name, f in _truncated(model, 5.0).items():
+            for ys in ([-800.0, -6.0], [-6.0, 0.0], [-4.0, 0.0], [[-4.0], [-900.0]], []):
+                ys = np.array(ys)
+                kept = ys.copy()
+                out = f(ys)
+                assert ys.tobytes() == kept.tobytes(), (name, ys)
+                assert out.shape == ys.shape and out.dtype == float, (name, ys)
+                assert out.tobytes() == np.asarray(ref[name](ys)).tobytes(), (name, ys)
+
+
+@pytest.mark.parametrize("model, rho", TRUNCATED, ids=TRUNCATED_IDS)
+def test_truncated_drift_is_not_finite_at_nan_or_infinity(model, rho):
+    with np.errstate(invalid="ignore"):
+        for name, f in _truncated(model, rho).items():
+            for bad in (math.nan, math.inf, -math.inf):
+                assert not math.isfinite(float(f(bad))), (name, bad)
+                assert not math.isfinite(float(f(np.asarray(bad)))), (name, bad)
+                assert not np.isfinite(f(np.array([bad]))).any(), (name, bad)
+                # a straddling input: both branches, and only the bad point not finite
+                out = f(np.array([-2000.0, bad, 0.0]))
+                assert np.isfinite(out).tolist() == [True, False, True], (name, bad)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_scan_of_a_truncated_drift_names_its_first_bad_point(cpus, monkeypatch):
+    # NaN above 0.5 in the inner model; 18 chunks of 64 points, the first
+    # ones wholly below the cut, one across it, the rest above it
+    inner = custom_drift(lambda y: np.where(np.asarray(y) > 0.5, np.nan, 1.0),
+                         lambda y: 0.0 * np.asarray(y, dtype=float))
+    gamma = GammaField(truncate_drift(inner, 5.0))
+    monkeypatch.setattr(drift, "_GRID_CHUNK", 64)
+    walks = _walks(monkeypatch, cpus)
+    with pytest.raises(ModelError, match=r"gamma not finite at y=0\.5[01]"):
+        _scan_grid(gamma, -10.0, 1.0, 0.01)
+    assert len({ident for ident, _, _ in walks}) == cpus
+
+
+@pytest.mark.parametrize("x", [drift._EXP_ZERO, np.nextafter(drift._EXP_ZERO, -np.inf),
+                               -1e4, -1e308, -np.inf])
+def test_numpys_exp_is_plus_zero_at_and_below_the_truncation_bound(x):
+    # the truncated drift leaves exp(y + rho) at +0.0 without calling exp for
+    # y + rho <= _EXP_ZERO; a numpy whose exp gave anything else there would
+    # move certificates without a word, so it fails here instead
+    for v in [np.exp(x), np.exp(np.float64(x))] + np.exp(np.full(16384 + 7, x)).tolist():
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------
@@ -684,6 +797,26 @@ def test_no_thread_outlives_a_split_certification(monkeypatch):
     assert report.passed
     assert len({ident for ident, _, _ in walks}) == 2
     assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("model, level, pinned", [
+    (truncate_drift(ou_drift(0.3, 1.0), 5.0), 1.0,
+     ("0x1.851eb851eb850p-4", "0x1.0000000000000p+0",
+      "0x1.b4a271bc11346p+1", "-0x1.8a4adce228353p+2")),
+    (sine_drift(), 2.0,
+     ("0x1.8c0634cdfb826p-2", "-0x1.42716889776c4p+8",
+      "0x1.22a78556a991bp+2", "-0x1.949020d8b020ap+9")),
+], ids=["ou-trunc5-L1", "sine-L2"])
+def test_default_grid_range_is_pinned(model, level, pinned, cpus, monkeypatch):
+    # the whole default grid, from default_domain_hint(level): ~2e6 points for
+    # OU, all but 6e3 of them below the cut and most where the tail's exp
+    # underflows; ~3e6 for sine.  The pins were taken with the truncated drift
+    # of _two_branch's formula, and hold on one core and on two
+    walks = _walks(monkeypatch, cpus)
+    scan = _scan_grid(GammaField(model), drift.default_domain_hint(level), level, 1e-3)
+    assert _hex_range(scan) == pinned
+    assert len({ident for ident, _, _ in walks}) == cpus
 
 
 @pytest.mark.parametrize("model", CATALOG + [OSCILLATING], ids=lambda m: m.label())
