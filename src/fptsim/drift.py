@@ -21,7 +21,9 @@ and Simpson's rule by one Richardson step for ``eval_beta`` and ``eval_scale_p``
 
 Certification walks its grid in chunks of _GRID_CHUNK points and keeps only
 the grid's extremes and its 32 highest and 32 lowest turning points, so the
-scan's memory is O(chunk) whatever the grid's length or the field.  A grid
+scan's memory is O(chunk) whatever the grid's length or the field.  Each
+chunk is read with one grid point either side of it, so that every turning
+point lies inside one chunk and none on a seam between chunks.  A grid
 of _SPLIT_CHUNKS chunks or more, in a process allowed two CPUs, is walked in
 two halves at once: a helper thread takes the first half of the chunks
 (``rng._in_halves``), and the halves merge into what one walk finds, bit for
@@ -497,66 +499,28 @@ class _GridScan:
     gmax_y: float             # where gmax occurs: its first grid point, or the refined one
 
 
-@dataclass
-class _Walk:
-    """What a walk over the consecutive grid points start, start + 1, ... found.
-
-    ``high`` and ``low`` hold the _POLISHED highest and lowest turning points
-    of the sampled curve among the walk's points whose two neighbours it
-    also walked (see :func:`_most_extreme`); ``head`` and ``tail`` hold
-    (y, gamma) of its first and last two points, for the turning points at
-    a seam.
-    """
-
-    start: int
-    gmin: float
-    gmin_y: float             # the first grid point where gmin occurs
-    gmax: float
-    gmax_y: float             # the first grid point where gmax occurs
-    high: np.ndarray
-    low: np.ndarray
-    head: list
-    tail: list
-
-    def then(self, right):
-        """The walk over this one's points and then ``right``'s, as one walk
-        finds it: extremes tied in gamma keep the earlier grid point."""
-        # the points either side of the seam turn on their neighbours across it
-        seam = self.tail + right.head
-        first = right.start - len(self.tail)
-        found = [(g, first + i, y) for i, (y, g) in enumerate(seam)
-                 if 0 < i < len(seam) - 1 and _turn(seam[i - 1][1], g, seam[i + 1][1])]
-        found = np.array(found).reshape(-1, 3).T
-        least = right if right.gmin < self.gmin else self
-        most = right if right.gmax > self.gmax else self
-        return _Walk(self.start, least.gmin, least.gmin_y, most.gmax, most.gmax_y,
-                     _most_extreme(self.high, np.concatenate((right.high, found), axis=1), -1.0),
-                     _most_extreme(self.low, np.concatenate((right.low, found), axis=1), 1.0),
-                     (self.head + right.head)[:2], (self.tail + right.tail)[-2:])
-
-
-def _turn(g0, g1, g2):
-    """Whether the sampled curve turns at a point of value g1 between g0 and g2."""
-    a = g1 - g0
-    b = g2 - g1
-    return a > 0.0 and b < 0.0 or a < 0.0 and b > 0.0
-
-
 def _walk(gamma, lo, hi, grid_step, n, first, last):
-    """The :class:`_Walk` over chunks first, ..., last - 1 of the grid of n points.
+    """What a walk over chunks first, ..., last - 1 of the grid of n points
+    finds: (gmin, gmin_y, gmax, gmax_y, high, low).
 
-    ModelError names the walk's first grid point where gamma is not finite.
+    gmin_y and gmax_y are the first grid points where gmin and gmax occur;
+    ``high`` and ``low`` hold the _POLISHED highest and lowest turning points
+    (see :func:`_most_extreme`).  Each chunk is read with one grid point
+    either side of it, so that each turning point, a point with both
+    neighbours on the grid, is found in exactly one chunk.  ModelError
+    names the walk's first grid point where gamma is not finite.
     """
-    walk = None
+    walk = (math.inf, math.nan, -math.inf, math.nan, _NO_TURNS, _NO_TURNS)
     # the grid points and their differences go into arrays made once per
     # walk: a chunk allocates only what gamma's evaluation does, and the
     # heap has fewer megabytes to give back and fault in again
-    base = np.arange(_GRID_CHUNK, dtype=float)
-    grid = np.empty(_GRID_CHUNK)
-    diff = np.empty(_GRID_CHUNK)
+    base = np.arange(_GRID_CHUNK + 2, dtype=float)
+    grid = np.empty(_GRID_CHUNK + 2)
+    diff = np.empty(_GRID_CHUNK + 1)
     for start in range(first * _GRID_CHUNK, min(last * _GRID_CHUNK, n), _GRID_CHUNK):
-        m = min(_GRID_CHUNK, n - start)
-        ys = np.add(base[:m], start, out=grid[:m])
+        at = max(start - 1, 0)
+        m = min(start + _GRID_CHUNK + 1, n) - at
+        ys = np.add(base[:m], at, out=grid[:m])
         ys *= grid_step
         ys += lo
         np.minimum(ys, hi, out=ys)
@@ -566,26 +530,35 @@ def _walk(gamma, lo, hi, grid_step, n, first, last):
         # each stops at the first NaN, and an infinity is one's extreme
         if not (math.isfinite(gs[kmin]) and math.isfinite(gs[kmax])):
             raise ModelError(f"gamma not finite at y={ys[~np.isfinite(gs)][0]}")
-        # _turn at every point with both neighbours in the chunk
+        # the points where the sampled curve turns, between a rise and a fall
         d = np.subtract(gs[1:], gs[:-1], out=diff[:m - 1])
         up = d > 0.0
         down = d < 0.0
         turn = ((up[:-1] & down[1:]) | (down[:-1] & up[1:])).nonzero()[0] + 1
-        found = np.stack((gs[turn], turn + start, ys[turn]))
-        part = _Walk(start, float(gs[kmin]), float(ys[kmin]), float(gs[kmax]), float(ys[kmax]),
-                     _most_extreme(_NO_TURNS, found, -1.0), _most_extreme(_NO_TURNS, found, 1.0),
-                     list(zip(ys[:2].tolist(), gs[:2].tolist())),
-                     list(zip(ys[-2:].tolist(), gs[-2:].tolist())))
-        walk = part if walk is None else walk.then(part)
+        found = np.stack((gs[turn], turn + at, ys[turn]))
+        walk = _join(walk, (float(gs[kmin]), float(ys[kmin]), float(gs[kmax]), float(ys[kmax]),
+                            found, found))
     return walk
+
+
+def _join(left, right):
+    """What a walk over ``left``'s grid points and then ``right``'s finds,
+    from what each found (see :func:`_walk`): extremes tied in gamma keep
+    the earlier grid point."""
+    least = right if right[0] < left[0] else left
+    most = right if right[2] > left[2] else left
+    return (*least[:2], *most[2:4],
+            _most_extreme(left[4], right[4], -1.0), _most_extreme(left[5], right[5], 1.0))
 
 
 def _scan_grid(gamma, lo, hi, grid_step):
     """The range of gamma on the certification grid, walked in chunks so memory stays bounded.
 
     A grid of _SPLIT_CHUNKS chunks or more is walked in two halves at once
-    (see ``rng._in_halves``); :meth:`_Walk.then` joins them into what one
-    walk finds, and the error raised is the first in grid order.
+    (see ``rng._in_halves``).  Each chunk is read with one grid point either
+    side of it, so no turning point falls on the seam of the halves, and
+    :func:`_join` joins them into what one walk finds; the error raised is
+    the first in grid order.
     """
     if not 0.0 < grid_step < math.inf:
         raise ConfigError(f"grid_step must be positive and finite, got {grid_step}")
@@ -604,13 +577,11 @@ def _scan_grid(gamma, lo, hi, grid_step):
     n = int(math.ceil(span)) + 1
     halves = rng._in_halves(partial(_walk, gamma, lo, hi, grid_step, n),
                             -(-n // _GRID_CHUNK), _SPLIT_CHUNKS)
-    walk = reduce(_Walk.then, halves)
+    gmin, gmin_y, gmax, gmax_y, high, low = reduce(_join, halves)
     if len(halves) > 1 and _malloc_trim is not None:
         # the helper thread's malloc arena would keep the ~1 MB of chunks it
         # freed for the next thread to use it; give their pages back (~0.3 ms)
         _malloc_trim(0)
-    gmin, gmin_y, gmax, gmax_y = walk.gmin, walk.gmin_y, walk.gmax, walk.gmax_y
-    high, low = walk.high, walk.low
     kept = high.shape[1]
     if kept:
         # the highest and lowest turning points, refined within a grid step,

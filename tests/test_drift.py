@@ -723,8 +723,11 @@ def test_scan_on_two_cores_is_the_scan_on_one(model, chunk, monkeypatch):
     assert walks[0][1:] == (0, walks[1][1]) and walks[1][2] > walks[1][1]
 
 
-# gamma = b^2/2 on 0, 1, ..., 19 in four chunks of 5: it turns only at the last
-# grid point of the first half (9, a peak) and the first of the second (10, a trough)
+# gamma = b^2/2 on 0, 1, ..., 19: it turns only at 9 (a peak) and 10 (a trough).
+# In chunks of 5 they are the last grid point of the first half and the first
+# of the second; in chunks of 3 the peak starts a chunk (and the second half)
+# and in 4 both lie inside one; the two chunks of 10, too few to split, meet
+# between them, inside the one walk
 SEAM_B = np.array([1.0 + 0.01 * i for i in range(20)])
 SEAM_B[9], SEAM_B[10] = 3.0, 0.5
 SEAM = custom_drift(lambda y: np.interp(y, np.arange(20.0), SEAM_B),
@@ -732,7 +735,6 @@ SEAM = custom_drift(lambda y: np.interp(y, np.arange(20.0), SEAM_B),
 
 
 def test_turning_points_at_the_seam_of_the_halves_are_kept(monkeypatch):
-    monkeypatch.setattr(drift, "_GRID_CHUNK", 5)
     polished = []
     refine = drift._refine
 
@@ -741,21 +743,28 @@ def test_turning_points_at_the_seam_of_the_halves_are_kept(monkeypatch):
         return refine(gamma, ys, sign, lo, hi, width)
 
     monkeypatch.setattr(drift, "_refine", spy)
-    scans = []
-    for cpus in (1, 2):
-        walks = _walks(monkeypatch, cpus)
-        scans.append(_hex_range(_scan_grid(GammaField(SEAM), 0.0, 19.0, 1.0)))
-    assert [first for _, first, _ in walks] == [0, 2]
-    # the highest turning points first (9, 10), then the lowest (10, 9)
-    assert polished == [[9.0, 10.0, 10.0, 9.0]] * 2
-    assert scans[0] == scans[1] == ((0.125).hex(), (10.0).hex(), (4.5).hex(), (9.0).hex())
+    for chunk, firsts in ((5, [0, 2]), (3, [0, 3]), (4, [0, 2]), (10, [0])):
+        monkeypatch.setattr(drift, "_GRID_CHUNK", chunk)
+        polished.clear()
+        scans = []
+        for cpus in (1, 2):
+            walks = _walks(monkeypatch, cpus)
+            scans.append(_hex_range(_scan_grid(GammaField(SEAM), 0.0, 19.0, 1.0)))
+        assert [first for _, first, _ in walks] == firsts
+        # the highest turning points first (9, 10), then the lowest (10, 9),
+        # each once: a chunk's neighbour points are read but not its turns
+        assert polished == [[9.0, 10.0, 10.0, 9.0]] * 2
+        assert scans[0] == scans[1] == ((0.125).hex(), (10.0).hex(), (4.5).hex(), (9.0).hex())
 
 
-@pytest.mark.parametrize("bad, named", [([-0.5, 0.5], r"-0\.5"), ([0.25, 0.5], r"0\.25")],
-                         ids=["both-halves", "right-half"])
+@pytest.mark.parametrize("bad, named", [([-0.5, 0.5], r"-0\.5"), ([0.25, 0.5], r"0\.25"),
+                                        ([0.05], r"0\.050000000000000044"), ([0.0], r"0\.0")],
+                         ids=["both-halves", "right-half", "chunk-start", "half-start"])
 def test_split_scan_names_the_first_grid_point_where_the_field_is_not_finite(
         bad, named, monkeypatch):
-    # 201 points in 41 chunks of 5: the helper walks y < 0, the caller the rest
+    # 201 points in 41 chunks of 5: the helper walks y < 0, the caller the rest.
+    # 0.05 (grid point 105) and 0.0 (100) start a chunk, and the chunk before
+    # reads them too; 0.0 starts the caller's half, and the helper reads it
     def b(y):
         y = np.asarray(y, dtype=float)
         return np.where(np.isin(np.round(y, 9), bad), np.nan, 1.0)
