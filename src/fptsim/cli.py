@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 
-from .drift import (BoundCertificate, GammaField, _certify_scan, _scan_grid,
+from .drift import (BoundCertificate, GammaField, _certify_range, _gamma_range,
                     default_domain_hint, model_from_spec, truncate_drift)
 from .errors import BudgetError, ConfigError, FptsimError
 from .harness import (delta_compare, histogram_export, ig_cdf, iteration_identity_check,
@@ -130,7 +130,7 @@ def _hist_flags(p):
 
 
 def _resolve_claim(args, scan):
-    """The certificate to judge: the given bounds, the rest derived from the grid pass."""
+    """The certificate to judge: the given bounds, the rest derived from gamma's range."""
     kappa = args.kappa if args.kappa is not None else (
         scan.gmax + _CLAIM_MARGIN + 1e-9 * abs(scan.gmax))
     gamma0 = m = 0.0
@@ -158,10 +158,10 @@ def _resolve(args, split_k=1):
     effective = truncate_drift(model, args.rho) if args.rho is not None else model
     gamma = GammaField(effective)
     scan_from = args.scan_from if args.scan_from is not None else default_domain_hint(args.level)
-    # one grid pass both derives the missing bounds and certifies the claim
-    scan = _scan_grid(gamma, scan_from, args.level, args.grid_step)
+    # one pass over gamma's range both derives the missing bounds and certifies the claim
+    scan = _gamma_range(gamma, scan_from, args.level, args.grid_step)
     cert = _resolve_claim(args, scan)
-    report = _certify_scan(gamma, cert, scan)
+    report = _certify_range(gamma, cert, scan)
     if not report.passed:
         raise ConfigError("bound certificate failed:\n" + report.text())
     if args.verbose:
@@ -192,8 +192,7 @@ def _worker_rows(spec, config, seed, streams, lo, hi):
 
 def _share_cpus(workers):
     # each of the pool's workers gets c // w of the c CPUs it may use, so
-    # workers that fill the machine make their refill waves and walk their
-    # certification grids on one thread
+    # workers that fill the machine make their refill waves on one thread
     rng._CPUS = len(os.sched_getaffinity(0)) // workers
 
 

@@ -19,46 +19,43 @@ that end at 0: cumulative ones for the recurrence probes (:func:`_beta_grid`),
 and Simpson's rule by one Richardson step for ``eval_beta`` and ``eval_scale_p``
 (:func:`_simpson`).  The Lamperti reduction composes closed-form callables.
 
-Certification walks its grid in chunks of _GRID_CHUNK points and keeps only
-the grid's extremes and its 32 highest and 32 lowest turning points, so the
-scan's memory is O(chunk) whatever the grid's length or the field.  Each
-chunk is read with one grid point either side of it, so that every turning
-point lies inside one chunk and none on a seam between chunks.  A grid
-of _SPLIT_CHUNKS chunks or more, in a process allowed two CPUs, is walked in
-two halves at once: a helper thread takes the first half of the chunks
-(``rng._in_halves``), and the halves merge into what one walk finds, bit for
-bit.  The drift callables are then called from two threads at once, so they
-must be pure functions of their argument, as the catalog's, the truncated
-and the Lamperti models are.  The 64 kept turning points are polished on
-refined grids of the same vectorised field (:func:`_refine`): 65 points
-within a grid step of each, then 32 times narrower around the best, until
-the spacing is below 1e-12.
+Certification finds gamma's range on [domain_hint, L] in one of two ways
+(:func:`_gamma_range`).  A model that carries a bound on |gamma''|
+(``DriftModel.curvature``: every catalog drift and their truncations) has it
+proved by branch and bound (:func:`_branch_and_bound`): cells are halved
+until none can beat the best value found by more than _BNB_TOL, so the
+reported extremes are values gamma takes and no narrow spike between
+evaluations can hide.  A model with no such bound (custom and Lamperti
+drifts) is scanned on a grid of step ``grid_step``, walked in chunks of
+_GRID_CHUNK points on the calling thread, keeping only the grid's extremes
+and its 32 highest and 32 lowest turning points, so the scan's memory is
+O(chunk) whatever the grid's length or the field.  Each chunk is read with
+one grid point either side of it, so that every turning point lies inside
+one chunk and none on a seam between chunks.  The 64 kept turning points
+are polished on refined grids of the same vectorised field
+(:func:`_refine`): 65 points within a grid step of each, then 32 times
+narrower around the best, until the spacing is below 1e-12.  Both routes
+refuse the same grids: one too long to walk, or with a step that is not
+positive or that adding to its start rounds away.
 """
 
-import ctypes
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import rng
 from .errors import ConfigError, ModelError, NumericError
 
 _CERT_TOL = 1e-9              # slack allowed before a scan point counts as a violation
 _GRID_CHUNK = 1 << 14         # grid points per numpy call: 128 KiB per array, the scan's O(chunk) memory
-_SPLIT_CHUNKS = 4             # a grid of this many chunks or more is walked in two halves at once:
-                              # ~2 ms of sine's field, against a thread's ~0.1 ms start and join
 _POLISHED = 32                # turning points polished at each end of gamma's range
 _GRID_MAX = 10**8             # most grid points one scan may take (the default grid has ~3e6)
 _NO_TURNS = np.empty((3, 0))  # rows gamma, grid index and y of no turning point
 _EXP_ZERO = -746.0            # exp(x) rounds to +0.0 for every x <= this (for x < -745.14 already)
-
-try:  # glibc's; where the C library has none, a split scan keeps its helper's heap
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
+_BNB_TOL = 1e-10              # a cell whose bound beats the best value found by no more than this is closed
+_BNB_CELLS = 1 << 18          # most cells the branch and bound may hold open at once
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +71,10 @@ class DriftModel:
     ``gamma_scalar`` are optional closed forms used when available (catalog
     entries always provide them); they must agree with the generic
     compositions, which the certification and test suites check.
+    ``curvature``, when given, bounds |gamma''| piecewise: sorted pieces
+    ``((from_y, M2), ...)``, the first from -inf, each with M2 >= sup
+    |gamma''| from its from_y up to the next one; gamma must be C^1 inside
+    each piece.  Certification proves the range of gamma from it.
     """
 
     kind: str
@@ -83,6 +84,7 @@ class DriftModel:
     beta_closed: Optional[Callable] = None
     gamma_scalar: Optional[Callable] = None
     inner: Optional["DriftModel"] = None
+    curvature: Optional[tuple] = None
 
     def label(self):
         if not self.params:
@@ -100,11 +102,15 @@ def constant_drift(mu=1.0):
         b_prime=lambda y: 0.0 * np.asarray(y, dtype=float),
         beta_closed=lambda y: mu * y,
         gamma_scalar=lambda y, _g=0.5 * mu * mu: _g,
+        curvature=((-math.inf, 0.0),),
     )
 
 
 def sine_drift():
-    """b(y) = 2 + sin(y); gamma stays in [0, 5]."""
+    """b(y) = 2 + sin(y); gamma stays in [0, 5].
+
+    gamma'' = (-4 sin y + 2 cos 2y - cos y)/2, so |gamma''| <= 3.5.
+    """
     def gamma(y):
         s = 2.0 + math.sin(y)
         return (s * s + math.cos(y)) / 2.0
@@ -116,11 +122,28 @@ def sine_drift():
         b_prime=lambda y: np.cos(y),
         beta_closed=lambda y: 2.0 * y + 1.0 - np.cos(y),
         gamma_scalar=gamma,
+        curvature=((-math.inf, 3.5),),
     )
 
 
+def _flat_tails(core, tail, centre):
+    """Curvature pieces for a field with |gamma''| <= core, and <= tail(d)
+    where |y - centre| >= d: the tail's bounds from 10 and 100 away, so that
+    certification need not resolve a flat tail with the core's bound."""
+    near, far = tail(10.0), tail(100.0)
+    return ((-math.inf, far), (centre - 100.0, near), (centre - 10.0, core),
+            (centre + 10.0, near), (centre + 100.0, far))
+
+
 def arctan_shift_drift():
-    """b(y) = 1 + arctan(1 - y); gamma >= 0 on (-inf, 1]."""
+    """b(y) = 1 + arctan(1 - y); gamma >= 0 on (-inf, 1].
+
+    In v = 1 - y, gamma'' = 2 (1 - v^2)/(1 + v^2)^3 - 2 v (1 + arctan v)/(1 + v^2)^2.
+    The first term is at most 2 in size, |1 + arctan v| < 1 + pi/2 and
+    |2 v|/(1 + v^2)^2 peaks at 9/(8 sqrt 3), at v^2 = 1/3; a fine grid finds
+    |gamma''| at most 2.000 on y <= 1 (at y = 1) and 2.10 near y = 1.1.  For
+    |v| >= d >= 1 the terms are at most 2/(1 + d^2)^2 and 2 (1 + pi/2)/d^3 in size.
+    """
     c = math.pi / 4.0 - 0.5 * math.log(2.0)
 
     def beta(y):
@@ -139,11 +162,19 @@ def arctan_shift_drift():
         b_prime=lambda y: -1.0 / (1.0 + (1.0 - y) ** 2),
         beta_closed=beta,
         gamma_scalar=gamma,
+        curvature=_flat_tails(2.0 + 9.0 * (1.0 + math.pi / 2.0) / (8.0 * math.sqrt(3.0)),
+                              lambda d: 2.0 / (1.0 + d * d) ** 2 + (2.0 + math.pi) / d ** 3, 1.0),
     )
 
 
 def neg_arctan_drift():
-    """b(y) = -arctan(y); gamma in [-1/2, pi^2/8]."""
+    """b(y) = -arctan(y); gamma in [-1/2, pi^2/8].
+
+    gamma'' = 2 (1 - y^2)/(1 + y^2)^3 - 2 y arctan(y)/(1 + y^2)^2: for y^2 <= 1
+    the first term lies in [0, 2] and the second in [-1/2, 0], and for y^2 > 1
+    both are negative and at most 1/2 in size, so |gamma''| <= 2.  For
+    |y| >= d >= 1 they are at most 2/(1 + d^2)^2 and pi/d^3 in size.
+    """
     def gamma(y):
         a = math.atan(y)
         return (a * a - 1.0 / (1.0 + y * y)) / 2.0
@@ -155,11 +186,12 @@ def neg_arctan_drift():
         b_prime=lambda y: -1.0 / (1.0 + y * y),
         beta_closed=lambda y: -y * np.arctan(y) + 0.5 * np.log1p(y * y),
         gamma_scalar=gamma,
+        curvature=_flat_tails(2.0, lambda d: 2.0 / (1.0 + d * d) ** 2 + math.pi / d ** 3, 0.0),
     )
 
 
 def ou_drift(alpha=0.3, beta=1.0):
-    """Ornstein-Uhlenbeck drift b(y) = -alpha*y + beta (unbounded below)."""
+    """Ornstein-Uhlenbeck drift b(y) = -alpha*y + beta (unbounded below); gamma'' = alpha^2."""
     alpha = float(alpha)
     beta = float(beta)
 
@@ -174,12 +206,27 @@ def ou_drift(alpha=0.3, beta=1.0):
         b_prime=lambda y: -alpha + 0.0 * np.asarray(y, dtype=float),
         beta_closed=lambda y: -0.5 * alpha * y * y + beta * y,
         gamma_scalar=gamma,
+        curvature=((-math.inf, alpha * alpha),),
     )
 
 
-def custom_drift(b, b_prime, beta_closed=None, name="custom"):
-    """Wrap user callables; they must be finite on the working half-line."""
-    return DriftModel(kind=name, params={}, b=b, b_prime=b_prime, beta_closed=beta_closed)
+def custom_drift(b, b_prime, beta_closed=None, name="custom", curvature=None):
+    """Wrap user callables; they must be finite on the working half-line.
+
+    ``curvature`` is an optional piecewise bound on |gamma''| (see
+    :class:`DriftModel`); with one, certification proves gamma's range
+    instead of scanning it on a grid.  ConfigError for pieces that are not
+    sorted from -inf or whose bound is not finite and non-negative.
+    """
+    if curvature is not None:
+        curvature = tuple((float(y), float(m2)) for y, m2 in curvature)
+        starts = [y for y, _ in curvature]
+        if not (starts and starts[0] == -math.inf and starts == sorted(set(starts))
+                and all(0.0 <= m2 < math.inf for _, m2 in curvature)):
+            raise ConfigError(f"curvature must be pieces (from_y, M2) sorted from -inf, "
+                              f"with finite M2 >= 0; got {curvature}")
+    return DriftModel(kind=name, params={}, b=b, b_prime=b_prime, beta_closed=beta_closed,
+                      curvature=curvature)
 
 
 def truncate_drift(model, rho):
@@ -190,6 +237,12 @@ def truncate_drift(model, rho):
     tends to ``b(-rho)`` at -infinity.  Derivative and (when the inner model
     has one) closed-form beta are the exact analytic expressions of that
     formula.
+
+    When the inner model bounds |gamma''|, so does the truncated one: the
+    inner pieces from -rho up, and below it, with s = y + rho <= 0,
+    gamma'' = b'^2 + b b'' + b'''/2, where |s e^s| <= 1/e, |(1+s) e^s| <= 1,
+    |(2+s) e^s| <= 2 and |(3+s) e^s| <= 3 give
+    bp^2 + 2 |bp| (|b_cut| + |bp|/e) + 1.5 |bp| (bp = b'(-rho)).
 
     On an array each callable evaluates only the branch its points need,
     both joined by ``np.where`` only where the array straddles the cut, and
@@ -250,6 +303,13 @@ def truncate_drift(model, rho):
         beta_closed = join(model.beta_closed, lambda s, e: (
             beta_cut + b_cut * s + bp_cut * ((s - 1.0) * e + 1.0)))
     inner_gamma = gamma_fn(model)
+    curvature = None
+    if model.curvature is not None:
+        bp = abs(bp_cut)
+        tail = bp * bp + 2.0 * bp * (abs(b_cut) + bp / math.e) + 1.5 * bp
+        at_cut = [m2 for y, m2 in model.curvature if y <= -rho][-1]
+        curvature = ((-math.inf, tail), (-rho, at_cut),
+                     *((y, m2) for y, m2 in model.curvature if y > -rho))
 
     def gamma_scalar(y):
         if y >= -rho:
@@ -267,6 +327,7 @@ def truncate_drift(model, rho):
         beta_closed=beta_closed,
         gamma_scalar=gamma_scalar,
         inner=model,
+        curvature=curvature,
     )
 
 
@@ -468,10 +529,13 @@ class CertificateReport:
     worst_violation: float
     location: float
     analytic_kappa: Optional[float] = None
+    proved: bool = False      # the range came from a curvature bound, not a grid
 
     def text(self):
+        how = "proved" if self.proved else "grid-checked, not proved"
         lines = [
-            f"certificate check for {self.model_label} on [{self.claim.domain_hint:g}, {self.level:g}]",
+            f"certificate check for {self.model_label} on [{self.claim.domain_hint:g}, "
+            f"{self.level:g}] ({how})",
             f"  claim: {-self.claim.m if self.claim.m > 0 else self.claim.gamma0:g}"
             f" <= gamma <= {self.claim.kappa:g}",
             f"  result: {'PASS' if self.passed else 'FAIL'}"
@@ -488,15 +552,109 @@ def truncated_ou_kappa(alpha, rho, beta):
 
 
 @dataclass(frozen=True)
-class _GridScan:
-    """The range of gamma that one pass over the grid lo, lo + step, ..., hi found."""
+class _GammaRange:
+    """The range of gamma on [lo, hi]: proved by :func:`_branch_and_bound`,
+    or found by one pass over the grid lo, lo + step, ..., hi."""
 
     lo: float
     hi: float
     gmin: float
-    gmin_y: float             # where gmin occurs: its first grid point, or the refined one
+    gmin_y: float             # where gmin occurs: its first grid point, a refined one or a cell's end
     gmax: float
-    gmax_y: float             # where gmax occurs: its first grid point, or the refined one
+    gmax_y: float             # where gmax occurs: its first grid point, a refined one or a cell's end
+    proved: bool = False
+
+
+def _gamma_range(gamma, lo, hi, grid_step):
+    """The range of gamma on [lo, hi] that certification judges claims against.
+
+    Proved by branch and bound when the model bounds |gamma''|, else
+    scanned on the grid of step grid_step.  Either way ConfigError for a
+    grid :func:`_grid_points` refuses, so both routes take the same inputs.
+    """
+    pieces = gamma.source.curvature
+    if pieces is None:
+        return _scan_grid(gamma, lo, hi, grid_step)
+    lo, hi, _ = _grid_points(lo, hi, grid_step)
+    return _branch_and_bound(gamma, lo, hi, pieces)
+
+
+def _grid_points(lo, hi, grid_step):
+    """(lo, hi, n): the grid's ends as floats and its number of points;
+    ConfigError for a grid that cannot be walked in bounded time."""
+    if not 0.0 < grid_step < math.inf:
+        raise ConfigError(f"grid_step must be positive and finite, got {grid_step}")
+    lo = float(lo)
+    hi = float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"certification grid [{lo}, {hi}] must have finite ends")
+    if lo >= hi:
+        raise ConfigError(f"domain_hint {lo} must lie below the level {hi}")
+    span = (hi - lo) / grid_step
+    if not span <= _GRID_MAX:
+        raise ConfigError(f"certification grid [{lo}, {hi}] at step {grid_step} has more "
+                          f"than {_GRID_MAX:.0e} points; raise grid_step or the domain hint")
+    if lo + grid_step == lo:
+        raise ConfigError(f"grid_step {grid_step} is below the float spacing at {lo}")
+    return lo, hi, int(math.ceil(span)) + 1
+
+
+def _field(gamma, ys):
+    """gamma at the points ys; ModelError naming the first where it is not finite."""
+    gs = gamma.eval_array(ys)
+    bad = ~np.isfinite(gs)
+    if bad.any():
+        raise ModelError(f"gamma not finite at y={ys[bad][0]}")
+    return gs
+
+
+def _branch_and_bound(gamma, lo, hi, pieces):
+    """The range of gamma on [lo, hi], proved from the bounds M2 >= |gamma''| of ``pieces``.
+
+    The cells start as [lo, hi] cut at the pieces' breakpoints, so no cell
+    straddles one.  On a cell of width w with end values ga, gb, gamma lies
+    within max(ga, gb) + M2 w^2/8 above and min(ga, gb) - M2 w^2/8 below.
+    Each round halves every cell whose bound could beat the best value
+    found by more than _BNB_TOL, evaluating gamma at the midpoints in one
+    call, until no cell is open.  So gamma's sup is within _BNB_TOL of the
+    gmax returned, and its inf of gmin; both are values gamma takes, at the
+    first point found with them.  NumericError when more than _BNB_CELLS
+    cells are open at once, or one is too narrow to halve: the bound is too
+    loose to prove the range.
+    """
+    starts = np.array([y for y, _ in pieces])
+    ys = np.array([lo, *(y for y in starts if lo < y < hi), hi])
+    m2 = np.array([m for _, m in pieces])[np.searchsorted(starts, ys[:-1], side="right") - 1]
+    gs = _field(gamma, ys)
+    # the cells, each as its ends, their values and its bound on |gamma''|
+    a, b, ga, gb = ys[:-1], ys[1:], gs[:-1], gs[1:]
+    k, j = int(np.argmax(gs)), int(np.argmin(gs))
+    gmax, gmax_y, gmin, gmin_y = float(gs[k]), float(ys[k]), float(gs[j]), float(ys[j])
+    while True:
+        w = b - a
+        slack = m2 * w * w / 8.0
+        # as indices: gathering five arrays by them beats five boolean masks
+        open_ = np.flatnonzero((np.maximum(ga, gb) + slack > gmax + _BNB_TOL)
+                               | (np.minimum(ga, gb) - slack < gmin - _BNB_TOL))
+        a, b, ga, gb, m2 = a[open_], b[open_], ga[open_], gb[open_], m2[open_]
+        if not a.size:
+            break
+        mid = 0.5 * (a + b)
+        if a.size > _BNB_CELLS or not np.all((a < mid) & (mid < b)):
+            raise NumericError(
+                f"the curvature bound does not prove gamma's range on [{lo}, {hi}]: "
+                f"{a.size} cells open, the narrowest {float((b - a).min()):.3g} wide; "
+                "give a tighter bound on |gamma''|")
+        gm = _field(gamma, mid)
+        k, j = int(np.argmax(gm)), int(np.argmin(gm))
+        if gm[k] > gmax:
+            gmax, gmax_y = float(gm[k]), float(mid[k])
+        if gm[j] < gmin:
+            gmin, gmin_y = float(gm[j]), float(mid[j])
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        ga, gb = np.concatenate((ga, gm)), np.concatenate((gm, gb))
+        m2 = np.concatenate((m2, m2))
+    return _GammaRange(lo, hi, gmin, gmin_y, gmax, gmax_y, proved=True)
 
 
 def _walk(gamma, lo, hi, grid_step, n, first, last):
@@ -554,34 +712,12 @@ def _join(left, right):
 def _scan_grid(gamma, lo, hi, grid_step):
     """The range of gamma on the certification grid, walked in chunks so memory stays bounded.
 
-    A grid of _SPLIT_CHUNKS chunks or more is walked in two halves at once
-    (see ``rng._in_halves``).  Each chunk is read with one grid point either
-    side of it, so no turning point falls on the seam of the halves, and
-    :func:`_join` joins them into what one walk finds; the error raised is
-    the first in grid order.
+    One walk over all the chunks, on the calling thread (:func:`_walk`);
+    the error raised is the first in grid order.
     """
-    if not 0.0 < grid_step < math.inf:
-        raise ConfigError(f"grid_step must be positive and finite, got {grid_step}")
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"certification grid [{lo}, {hi}] must have finite ends")
-    if lo >= hi:
-        raise ConfigError(f"domain_hint {lo} must lie below the level {hi}")
-    span = (hi - lo) / grid_step
-    if not span <= _GRID_MAX:
-        raise ConfigError(f"certification grid [{lo}, {hi}] at step {grid_step} has more "
-                          f"than {_GRID_MAX:.0e} points; raise grid_step or the domain hint")
-    if lo + grid_step == lo:
-        raise ConfigError(f"grid_step {grid_step} is below the float spacing at {lo}")
-    n = int(math.ceil(span)) + 1
-    halves = rng._in_halves(partial(_walk, gamma, lo, hi, grid_step, n),
-                            -(-n // _GRID_CHUNK), _SPLIT_CHUNKS)
-    gmin, gmin_y, gmax, gmax_y, high, low = reduce(_join, halves)
-    if len(halves) > 1 and _malloc_trim is not None:
-        # the helper thread's malloc arena would keep the ~1 MB of chunks it
-        # freed for the next thread to use it; give their pages back (~0.3 ms)
-        _malloc_trim(0)
+    lo, hi, n = _grid_points(lo, hi, grid_step)
+    gmin, gmin_y, gmax, gmax_y, high, low = _walk(gamma, lo, hi, grid_step, n,
+                                                  0, -(-n // _GRID_CHUNK))
     kept = high.shape[1]
     if kept:
         # the highest and lowest turning points, refined within a grid step,
@@ -594,7 +730,7 @@ def _scan_grid(gamma, lo, hi, grid_step):
         k = kept + int(np.argmin(gs[kept:]))
         if gs[k] < gmin:
             gmin, gmin_y = float(gs[k]), float(ys[k])
-    return _GridScan(lo, hi, gmin, gmin_y, gmax, gmax_y)
+    return _GammaRange(lo, hi, gmin, gmin_y, gmax, gmax_y)
 
 
 def _most_extreme(kept, found, sign):
@@ -621,20 +757,18 @@ def _refine(gamma, ys, sign, lo, hi, width):
     rows = np.arange(len(ys))
     while width >= 1e-12:
         pts = np.clip(ys[:, None] + width * offsets, lo, hi)
-        gs = gamma.eval_array(pts.ravel()).reshape(pts.shape)
-        if not np.all(np.isfinite(gs)):
-            raise ModelError(f"gamma not finite at y={pts[~np.isfinite(gs)][0]}")
+        gs = _field(gamma, pts.ravel()).reshape(pts.shape)
         k = np.argmin(sign[:, None] * gs, axis=1)
         ys = pts[rows, k]
         width /= 32.0
     return ys, gs[rows, k]
 
 
-def _certify_scan(gamma, claim, scan):
-    """Judge the claimed bounds against the range a grid pass found."""
+def _certify_range(gamma, claim, found):
+    """Judge the claimed bounds against the range :func:`_gamma_range` found."""
     lower = claim.gamma0 if claim.m == 0.0 else -claim.m
     # the worse violation, at the smaller y when the two tie
-    candidates = ((scan.gmax - claim.kappa, scan.gmax_y), (lower - scan.gmin, scan.gmin_y))
+    candidates = ((found.gmax - claim.kappa, found.gmax_y), (lower - found.gmin, found.gmin_y))
     worst = max(v for v, _ in candidates)
     worst_y = min(y for v, y in candidates if v == worst)
 
@@ -647,29 +781,38 @@ def _certify_scan(gamma, claim, scan):
     return CertificateReport(
         model_label=model.label(),
         claim=claim,
-        level=scan.hi,
+        level=found.hi,
         passed=bool(worst <= _CERT_TOL),
         worst_violation=worst,
         location=worst_y,
         analytic_kappa=analytic,
+        proved=found.proved,
     )
 
 
 def certify_bounds(gamma, claim, grid_step=1e-3, *, level):
     """Judge the claimed bounds against the range of gamma on [domain_hint, level].
 
-    The range is :func:`scan_gamma_range`'s on the same grid.  Failures are
-    reported, not raised.
+    The range is :func:`scan_gamma_range`'s: proved from the model's bound
+    on |gamma''| when it has one (the report says ``proved``), else scanned
+    on the grid of step grid_step, which is validated either way.  Failures
+    are reported, not raised.
     """
-    return _certify_scan(gamma, claim, _scan_grid(gamma, claim.domain_hint, level, grid_step))
+    return _certify_range(gamma, claim, _gamma_range(gamma, claim.domain_hint, level, grid_step))
 
 
 def scan_gamma_range(model, level, lo=None, grid_step=1e-3):
-    """(min, max) of gamma on a scan grid: the range certification judges claims against."""
+    """(min, max) of gamma on [lo, level], the range certification judges claims against.
+
+    Proved by branch and bound on the model's bound on |gamma''| when it has
+    one: both are values gamma takes, within _BNB_TOL of its inf and sup.
+    Else the extremes of the grid of step grid_step, polished near its
+    turning points.
+    """
     if lo is None:
         lo = default_domain_hint(level)
-    scan = _scan_grid(GammaField(model), lo, level, grid_step)
-    return scan.gmin, scan.gmax
+    found = _gamma_range(GammaField(model), lo, level, grid_step)
+    return found.gmin, found.gmax
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ batch in one numpy pass, so keying a generator only sets its state.
 
 A :meth:`LaneStreams.take` that refills _WAVE_MIN lanes or more at once, in a
 process allowed two CPUs or more (_CPUS), makes half of the wave's blocks on
-a helper thread (``_in_halves``, which the certification scan uses too).
+a helper thread (``_in_halves``).
 numpy fills a block without holding the GIL, each row and its generator are
 touched by one thread only, and every block is the one its lane's stream
 would make, so the lanes read the same values bit for bit; no thread
@@ -76,8 +76,8 @@ _POOLED_LANES = 512
 # helper thread: ~0.6 ms of work or more, against a thread's ~0.1 ms start and join
 _WAVE_MIN = 64
 # the CPUs this process may use, the one switch of ``_in_halves``: refill waves
-# and certification scans use a helper thread only when it is 2 or more; the
-# CLI gives each of w workers c // w of them
+# use a helper thread only when it is 2 or more; the CLI gives each of w
+# workers c // w of them
 _CPUS = len(os.sched_getaffinity(0))
 
 with np.errstate(invalid="ignore"):

@@ -394,19 +394,19 @@ def test_nonpositive_grid_step_exits_2(tmp_path, monkeypatch, capsys, command):
     ["validate", "--scan-from", "-50", "--n", "200", "--seed", "1"],
 ], ids=["kappa", "derived", "validate"])
 def test_sample_scans_the_grid_once(tmp_path, monkeypatch, argv):
-    # deriving the bounds and certifying them share one pass over the grid,
-    # and validate's four suites share one certified claim
+    # deriving the bounds and certifying them share one pass over gamma's
+    # range, and validate's four suites share one certified claim
     import fptsim.cli as cli
     import fptsim.drift as drift
     calls = []
-    real = drift._scan_grid
+    real = drift._gamma_range
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(drift, "_scan_grid", counted)
-    monkeypatch.setattr(cli, "_scan_grid", counted)
+    monkeypatch.setattr(drift, "_gamma_range", counted)
+    monkeypatch.setattr(cli, "_gamma_range", counted)
     assert _run(tmp_path, monkeypatch, argv) == 0
     assert len(calls) == 1
 

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -538,7 +539,7 @@ def test_scan_of_a_truncated_drift_names_its_first_bad_point(cpus, monkeypatch):
     walks = _walks(monkeypatch, cpus)
     with pytest.raises(ModelError, match=r"gamma not finite at y=0\.5[01]"):
         _scan_grid(gamma, -10.0, 1.0, 0.01)
-    assert len({ident for ident, _, _ in walks}) == cpus
+    assert walks == [(threading.get_ident(), 0, 18)]
 
 
 @pytest.mark.parametrize("x", [drift._EXP_ZERO, np.nextafter(drift._EXP_ZERO, -np.inf),
@@ -604,16 +605,20 @@ def test_certificate_rejects_non_finite_constants(name, value):
         BoundCertificate(**{"kappa": 5.0, name: value})
 
 
+# sine's callables with no bound on |gamma''|: certified on the grid
+GRID_SINE = custom_drift(sine_drift().b, sine_drift().b_prime, name="sine")
+
+
 @pytest.mark.parametrize("kappa, passed, worst, location", [
     (5.0, True, "-0x1.8c0634cdfb826p-2", "-0x1.09145d87b0000p+3"),
     (4.0, False, "0x1.153c2ab54c8d0p-1", "-0x1.e02d27d708d4fp+4"),
 ], ids=["kappa5-holds", "kappa4-fails"])
 def test_certificate_report_is_pinned(kappa, passed, worst, location):
-    # the reports certification gives, field by field and bit for bit, since
+    # the reports the grid route gives, field by field and bit for bit, since
     # it polishes extrema on refined grids of the vectorised field; sine's
     # extrema repeat every 2 pi, so the location is one of several equal ones
     claim = BoundCertificate(kappa=kappa, domain_hint=-50.0)
-    report = certify_bounds(GammaField(sine_drift()), claim, grid_step=1e-3, level=2.0)
+    report = certify_bounds(GammaField(GRID_SINE), claim, grid_step=1e-3, level=2.0)
     assert report.model_label == "sine"
     assert report.claim == claim
     assert report.level.hex() == (2.0).hex()
@@ -621,6 +626,108 @@ def test_certificate_report_is_pinned(kappa, passed, worst, location):
     assert report.worst_violation.hex() == worst
     assert report.location.hex() == location
     assert report.analytic_kappa is None
+    assert report.proved is False
+    assert report.text().splitlines()[0].endswith("(grid-checked, not proved)")
+
+
+@pytest.mark.parametrize("kappa, passed, worst, location", [
+    (5.0, True, "-0x1.8c0634cdfbab1p-2", "-0x1.09145e0000000p+3"),
+    (4.0, False, "0x1.153c2ab54c800p-1", "-0x1.652ac00000000p+3"),
+], ids=["kappa5-holds", "kappa4-fails"])
+def test_proved_certificate_report_is_pinned(kappa, passed, worst, location):
+    # the catalog sine carries |gamma''| <= 3.5, so its range is proved by
+    # branch and bound, within _BNB_TOL of the grid route's polished one
+    claim = BoundCertificate(kappa=kappa, domain_hint=-50.0)
+    report = certify_bounds(GammaField(sine_drift()), claim, grid_step=1e-3, level=2.0)
+    assert (report.model_label, report.claim, report.level) == ("sine", claim, 2.0)
+    assert report.passed is passed
+    assert report.worst_violation.hex() == worst
+    assert report.location.hex() == location
+    assert report.proved is True
+    assert report.text().splitlines()[0] == "certificate check for sine on [-50, 2] (proved)"
+
+
+def _spike(curvature=None):
+    """b = 1 + y/20 plus a Gaussian bump of height 2e-4 and width 1e-4 centred
+    at 0.0005, midway between two points of the 1e-3 grid from -1: there gamma
+    rises to ~1.1 and falls to ~-0.1, but on the grid it climbs from 0.476 to
+    0.576 with no turning point for the scan to polish."""
+    def b(y):
+        y = np.asarray(y, dtype=float)
+        return 1.0 + 0.05 * y + 2e-4 * np.exp(-0.5 * ((y - 5e-4) / 1e-4) ** 2)
+
+    def b_prime(y):
+        u = (np.asarray(y, dtype=float) - 5e-4) / 1e-4
+        return 0.05 - 2.0 * u * np.exp(-0.5 * u * u)
+
+    return custom_drift(b, b_prime, name="spike", curvature=curvature)
+
+
+def test_a_spike_between_grid_points_fails_only_the_proof():
+    claim = BoundCertificate(kappa=0.6, domain_hint=-1.0)
+    scanned = certify_bounds(GammaField(_spike()), claim, level=1.0)
+    assert scanned.passed and not scanned.proved
+    assert scanned.text().splitlines()[0].endswith("(grid-checked, not proved)")
+    # |gamma''| < 1.4e8 within 20 widths of the bump, and below 1 elsewhere
+    proved = certify_bounds(GammaField(_spike(((-math.inf, 1.0), (-1.5e-3, 2e8),
+                                               (2.5e-3, 1.0)))), claim, level=1.0)
+    assert not proved.passed and proved.proved
+    assert proved.worst_violation > 0.5 and abs(proved.location - 5e-4) < 2e-4
+    assert proved.text().splitlines()[0].endswith("(proved)")
+
+
+def test_a_loose_curvature_bound_raises_numeric_error_at_once():
+    sine = sine_drift()
+    loose = custom_drift(sine.b, sine.b_prime, curvature=((-math.inf, 1e30),))
+    claim = BoundCertificate(kappa=5.0, domain_hint=drift.default_domain_hint(2.0))
+    began = time.monotonic()
+    with pytest.raises(NumericError, match="curvature bound"):
+        certify_bounds(GammaField(loose), claim, level=2.0)
+    assert time.monotonic() - began < 1.0
+
+
+@pytest.mark.parametrize("curvature", [
+    (), ((0.0, 1.0),), ((-math.inf, 1.0), (2.0, 1.0), (1.0, 1.0)), ((-math.inf, -1.0),),
+    ((-math.inf, math.nan),)], ids=["empty", "not-from-inf", "unsorted", "negative", "nan"])
+def test_custom_curvature_must_be_sorted_finite_pieces(curvature):
+    with pytest.raises(ConfigError, match="curvature"):
+        custom_drift(np.sin, np.cos, curvature=curvature)
+
+
+BOUNDED = CATALOG + [truncate_drift(model, rho) for model, rho in TRUNCATED]
+
+
+@pytest.mark.parametrize("lo", [-50.0, None], ids=["lo-50", "lo-default"])
+@pytest.mark.parametrize("level", [1.0, 2.0])
+@pytest.mark.parametrize("model", BOUNDED, ids=lambda m: m.label())
+def test_proved_range_is_the_polished_grid_range(model, level, lo):
+    # within the branch and bound's tolerance of the grid's polished range,
+    # and made of values gamma takes at the points it reports
+    lo = drift.default_domain_hint(level) if lo is None else lo
+    proved = drift._gamma_range(GammaField(model), lo, level, 1e-3)
+    scanned = _scan_grid(GammaField(model), lo, level, 1e-3)
+    assert proved.proved and not scanned.proved
+    assert abs(proved.gmax - scanned.gmax) <= 1e-10
+    assert abs(proved.gmin - scanned.gmin) <= 1e-10
+    for g, y in ((proved.gmax, proved.gmax_y), (proved.gmin, proved.gmin_y)):
+        assert lo <= y <= level
+        assert eval_gamma(model, y) == g
+
+
+@pytest.mark.parametrize("model", BOUNDED, ids=lambda m: m.label())
+def test_declared_curvature_bounds_the_field(model):
+    # each piece's M2 against the finite-difference |gamma''| at spacing 1e-3
+    # on the piece within 20 of its point nearest 0, where the fields curve most
+    starts = [y for y, _ in model.curvature] + [math.inf]
+    for (start, m2), end in zip(model.curvature, starts[1:]):
+        near = min(max(0.0, start), end)
+        left, right = max(start, near - 20.0), min(end, near + 20.0)
+        ys = np.linspace(left, right, int(1000 * (right - left)) + 1)
+        g = GammaField(model).eval_array(ys)
+        fd = np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2]) / (ys[1] - ys[0]) ** 2
+        assert fd.max() <= m2 * (1.0 + 1e-6) + 1e-9, (model.label(), start)
+    bare = custom_drift(sine_drift().b, sine_drift().b_prime)
+    assert truncate_drift(bare, 5.0).curvature is None
 
 
 @pytest.mark.parametrize("lo", [-10.0, -37.0, -50.0])
@@ -687,11 +794,10 @@ def test_scan_grid_does_not_depend_on_its_chunk(model, monkeypatch):
     assert scans.count(scans[0]) == len(scans)
 
 
-def _walks(monkeypatch, cpus, split_chunks=drift._SPLIT_CHUNKS):
-    """Scan on ``cpus`` CPUs, splitting grids of ``split_chunks`` chunks or more;
-    returns the (thread id, first chunk, last chunk) of each half-grid walk."""
+def _walks(monkeypatch, cpus):
+    """Scan in a process allowed ``cpus`` CPUs; returns the (thread id,
+    first chunk, last chunk) of each walk over the grid's chunks."""
     monkeypatch.setattr(rng, "_CPUS", cpus)
-    monkeypatch.setattr(drift, "_SPLIT_CHUNKS", split_chunks)
     walks = []
     walk = drift._walk
 
@@ -710,24 +816,23 @@ def _hex_range(scan):
 @pytest.mark.parametrize("chunk", [5, 64, drift._GRID_CHUNK, 1 << 19])
 @pytest.mark.parametrize("model", SCAN_FIELDS, ids=lambda m: m.label())
 def test_scan_on_two_cores_is_the_scan_on_one(model, chunk, monkeypatch):
-    # the two halves of the chunks walked at once, on the caller and a helper,
-    # merge into the one-core range bit for bit; the grid has two chunks or more
+    # a second CPU changes nothing: the grid, of two chunks or more, is
+    # walked once, on the calling thread, from its first chunk to its last
     monkeypatch.setattr(drift, "_GRID_CHUNK", chunk)
     lo = -30.0 if chunk < 1 << 19 else -600.0
     scans = []
     for cpus in (1, 2):
-        walks = _walks(monkeypatch, cpus, split_chunks=2)
+        walks = _walks(monkeypatch, cpus)
         scans.append(_hex_range(_scan_grid(GammaField(model), lo, 1.0, 1e-3)))
-        assert len({ident for ident, _, _ in walks}) == cpus
+        assert len(walks) == 1 and walks[0][:2] == (threading.get_ident(), 0)
+        assert walks[0][2] >= 2
     assert scans[0] == scans[1]
-    assert walks[0][1:] == (0, walks[1][1]) and walks[1][2] > walks[1][1]
 
 
 # gamma = b^2/2 on 0, 1, ..., 19: it turns only at 9 (a peak) and 10 (a trough).
-# In chunks of 5 they are the last grid point of the first half and the first
-# of the second; in chunks of 3 the peak starts a chunk (and the second half)
-# and in 4 both lie inside one; the two chunks of 10, too few to split, meet
-# between them, inside the one walk
+# In chunks of 5 they are the last grid point of one chunk and the first of
+# the next; in chunks of 3 the peak starts a chunk and in 4 both lie inside
+# one; the two chunks of 10 meet between them
 SEAM_B = np.array([1.0 + 0.01 * i for i in range(20)])
 SEAM_B[9], SEAM_B[10] = 3.0, 0.5
 SEAM = custom_drift(lambda y: np.interp(y, np.arange(20.0), SEAM_B),
@@ -743,14 +848,14 @@ def test_turning_points_at_the_seam_of_the_halves_are_kept(monkeypatch):
         return refine(gamma, ys, sign, lo, hi, width)
 
     monkeypatch.setattr(drift, "_refine", spy)
-    for chunk, firsts in ((5, [0, 2]), (3, [0, 3]), (4, [0, 2]), (10, [0])):
+    for chunk in (5, 3, 4, 10):
         monkeypatch.setattr(drift, "_GRID_CHUNK", chunk)
         polished.clear()
         scans = []
         for cpus in (1, 2):
             walks = _walks(monkeypatch, cpus)
             scans.append(_hex_range(_scan_grid(GammaField(SEAM), 0.0, 19.0, 1.0)))
-        assert [first for _, first, _ in walks] == firsts
+            assert walks == [(threading.get_ident(), 0, -(-20 // chunk))]
         # the highest turning points first (9, 10), then the lowest (10, 9),
         # each once: a chunk's neighbour points are read but not its turns
         assert polished == [[9.0, 10.0, 10.0, 9.0]] * 2
@@ -762,9 +867,8 @@ def test_turning_points_at_the_seam_of_the_halves_are_kept(monkeypatch):
                          ids=["both-halves", "right-half", "chunk-start", "half-start"])
 def test_split_scan_names_the_first_grid_point_where_the_field_is_not_finite(
         bad, named, monkeypatch):
-    # 201 points in 41 chunks of 5: the helper walks y < 0, the caller the rest.
-    # 0.05 (grid point 105) and 0.0 (100) start a chunk, and the chunk before
-    # reads them too; 0.0 starts the caller's half, and the helper reads it
+    # 201 points in 41 chunks of 5, walked once whatever the CPUs: 0.05 (grid
+    # point 105) and 0.0 (100) start a chunk, and the chunk before reads them too
     def b(y):
         y = np.asarray(y, dtype=float)
         return np.where(np.isin(np.round(y, 9), bad), np.nan, 1.0)
@@ -775,37 +879,6 @@ def test_split_scan_names_the_first_grid_point_where_the_field_is_not_finite(
         _walks(monkeypatch, cpus)
         with pytest.raises(ModelError, match=rf"gamma not finite at y={named}$"):
             _scan_grid(gamma, -1.0, 1.0, 0.01)
-
-
-def test_an_error_on_the_helper_is_raised_on_the_caller(monkeypatch):
-    # the drift fails only on the first half of the grid, which the helper walks
-    raised_on = []
-
-    def b(y):
-        y = np.asarray(y, dtype=float)
-        if y.min() < -0.5:
-            raised_on.append(threading.get_ident())
-            raise ZeroDivisionError("the first half")
-        return 1.0 + 0.0 * y
-
-    monkeypatch.setattr(drift, "_GRID_CHUNK", 5)
-    gamma = GammaField(custom_drift(b, lambda y: 0.0 * np.asarray(y, dtype=float)))
-    walks = _walks(monkeypatch, 2)
-    with pytest.raises(ZeroDivisionError, match="the first half"):
-        _scan_grid(gamma, -1.0, 1.0, 0.01)
-    helper = {ident for ident, _, _ in walks} - {threading.get_ident()}
-    assert set(raised_on) == helper and len(helper) == 1
-
-
-def test_no_thread_outlives_a_split_certification(monkeypatch):
-    # the default grid of L=2 (~3e6 points, 184 chunks) is walked on two threads
-    walks = _walks(monkeypatch, 2)
-    before = set(threading.enumerate())
-    claim = BoundCertificate(kappa=5.0, domain_hint=-3000.0)
-    report = certify_bounds(GammaField(sine_drift()), claim, level=2.0)
-    assert report.passed
-    assert len({ident for ident, _, _ in walks}) == 2
-    assert set(threading.enumerate()) == before
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -821,11 +894,11 @@ def test_default_grid_range_is_pinned(model, level, pinned, cpus, monkeypatch):
     # the whole default grid, from default_domain_hint(level): ~2e6 points for
     # OU, all but 6e3 of them below the cut and most where the tail's exp
     # underflows; ~3e6 for sine.  The pins were taken with the truncated drift
-    # of _two_branch's formula, and hold on one core and on two
+    # of _two_branch's formula, and hold in a process allowed one CPU or two
     walks = _walks(monkeypatch, cpus)
     scan = _scan_grid(GammaField(model), drift.default_domain_hint(level), level, 1e-3)
     assert _hex_range(scan) == pinned
-    assert len({ident for ident, _, _ in walks}) == cpus
+    assert len(walks) == 1 and walks[0][:2] == (threading.get_ident(), 0)
 
 
 @pytest.mark.parametrize("model", CATALOG + [OSCILLATING], ids=lambda m: m.label())
