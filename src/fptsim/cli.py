@@ -67,13 +67,6 @@ def _positive_int(text):
     return value
 
 
-def _positive_float(text):
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
 def _k_sweep(text):
     """The slice counts split-scan sweeps: ``lo..hi`` or a single count."""
     lo, dots, hi = text.partition("..")
@@ -84,15 +77,13 @@ def _k_sweep(text):
 
 
 def _run_flags(p):
-    """The flags every subcommand reads: replicates, streams and the certification grid."""
+    """The flags every subcommand reads: replicates, streams and the certified interval."""
     p.add_argument("--n", type=_positive_int, default=10000,
                    help="number of draws/replicates (>= 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--streams", type=int, default=0, help="base stream id")
     p.add_argument("--scan-from", type=float, default=None,
-                   help="left end of the certification grid (default -1000*(1+|L|))")
-    p.add_argument("--grid-step", type=_positive_float, default=1e-3,
-                   help="certification grid step (> 0)")
+                   help="left end of the certified interval (default -1000*(1+|L|))")
     p.add_argument("--max-iterations", type=int, default=10**8)
     p.add_argument("--verbose", action="store_true")
 
@@ -159,7 +150,7 @@ def _resolve(args, split_k=1):
     gamma = GammaField(effective)
     scan_from = args.scan_from if args.scan_from is not None else default_domain_hint(args.level)
     # one pass over gamma's range both derives the missing bounds and certifies the claim
-    scan = _gamma_range(gamma, scan_from, args.level, args.grid_step)
+    scan = _gamma_range(gamma, scan_from, args.level)
     cert = _resolve_claim(args, scan)
     report = _certify_range(gamma, cert, scan)
     if not report.passed:

@@ -19,24 +19,13 @@ that end at 0: cumulative ones for the recurrence probes (:func:`_beta_grid`),
 and Simpson's rule by one Richardson step for ``eval_beta`` and ``eval_scale_p``
 (:func:`_simpson`).  The Lamperti reduction composes closed-form callables.
 
-Certification finds gamma's range on [domain_hint, L] in one of two ways
-(:func:`_gamma_range`).  A model that carries a bound on |gamma''|
-(``DriftModel.curvature``: every catalog drift and their truncations) has it
-proved by branch and bound (:func:`_branch_and_bound`): cells are halved
+Certification proves gamma's range on [domain_hint, L] (:func:`_gamma_range`)
+from the model's bound on |gamma''| (``DriftModel.curvature``: every catalog
+drift and their truncations carry one; a custom or Lamperti drift must be
+given one) by branch and bound (:func:`_branch_and_bound`): cells are halved
 until none can beat the best value found by more than _BNB_TOL, so the
 reported extremes are values gamma takes and no narrow spike between
-evaluations can hide.  A model with no such bound (custom and Lamperti
-drifts) is scanned on a grid of step ``grid_step``, walked in chunks of
-_GRID_CHUNK points on the calling thread, keeping only the grid's extremes
-and its 32 highest and 32 lowest turning points, so the scan's memory is
-O(chunk) whatever the grid's length or the field.  Each chunk is read with
-one grid point either side of it, so that every turning point lies inside
-one chunk and none on a seam between chunks.  The 64 kept turning points
-are polished on refined grids of the same vectorised field
-(:func:`_refine`): 65 points within a grid step of each, then 32 times
-narrower around the best, until the spacing is below 1e-12.  Both routes
-refuse the same grids: one too long to walk, or with a step that is not
-positive or that adding to its start rounds away.
+evaluations can hide.  A model with no bound is refused with ConfigError.
 """
 
 import math
@@ -48,11 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, ModelError, NumericError
 
-_CERT_TOL = 1e-9              # slack allowed before a scan point counts as a violation
-_GRID_CHUNK = 1 << 14         # grid points per numpy call: 128 KiB per array, the scan's O(chunk) memory
-_POLISHED = 32                # turning points polished at each end of gamma's range
-_GRID_MAX = 10**8             # most grid points one scan may take (the default grid has ~3e6)
-_NO_TURNS = np.empty((3, 0))  # rows gamma, grid index and y of no turning point
+_CERT_TOL = 1e-9              # slack allowed before a range value counts as a violation
 _EXP_ZERO = -746.0            # exp(x) rounds to +0.0 for every x <= this (for x < -745.14 already)
 _BNB_TOL = 1e-10              # a cell whose bound beats the best value found by no more than this is closed
 _BNB_CELLS = 1 << 18          # most cells the branch and bound may hold open at once
@@ -71,10 +56,12 @@ class DriftModel:
     ``gamma_scalar`` are optional closed forms used when available (catalog
     entries always provide them); they must agree with the generic
     compositions, which the certification and test suites check.
-    ``curvature``, when given, bounds |gamma''| piecewise: sorted pieces
-    ``((from_y, M2), ...)``, the first from -inf, each with M2 >= sup
-    |gamma''| from its from_y up to the next one; gamma must be C^1 inside
-    each piece.  Certification proves the range of gamma from it.
+    ``curvature`` bounds |gamma''| piecewise: sorted pieces ``((from_y,
+    M2), ...)``, the first from -inf, each with M2 >= sup |gamma''| from its
+    from_y up to the next one; gamma must be C^1 inside each piece.
+    Certification proves the range of gamma from it, and refuses a model
+    without one.  ConfigError for pieces that are not sorted from -inf or
+    whose bound is not finite and non-negative.
     """
 
     kind: str
@@ -85,6 +72,17 @@ class DriftModel:
     gamma_scalar: Optional[Callable] = None
     inner: Optional["DriftModel"] = None
     curvature: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.curvature is None:
+            return
+        pieces = tuple((float(y), float(m2)) for y, m2 in self.curvature)
+        starts = [y for y, _ in pieces]
+        if not (starts and starts[0] == -math.inf and starts == sorted(set(starts))
+                and all(0.0 <= m2 < math.inf for _, m2 in pieces)):
+            raise ConfigError(f"curvature must be pieces (from_y, M2) sorted from -inf, "
+                              f"with finite M2 >= 0; got {pieces}")
+        object.__setattr__(self, "curvature", pieces)
 
     def label(self):
         if not self.params:
@@ -213,18 +211,10 @@ def ou_drift(alpha=0.3, beta=1.0):
 def custom_drift(b, b_prime, beta_closed=None, name="custom", curvature=None):
     """Wrap user callables; they must be finite on the working half-line.
 
-    ``curvature`` is an optional piecewise bound on |gamma''| (see
-    :class:`DriftModel`); with one, certification proves gamma's range
-    instead of scanning it on a grid.  ConfigError for pieces that are not
-    sorted from -inf or whose bound is not finite and non-negative.
+    ``curvature`` is a piecewise bound on |gamma''| (see :class:`DriftModel`);
+    without one the model samples under a caller's certificate but cannot
+    be certified.
     """
-    if curvature is not None:
-        curvature = tuple((float(y), float(m2)) for y, m2 in curvature)
-        starts = [y for y, _ in curvature]
-        if not (starts and starts[0] == -math.inf and starts == sorted(set(starts))
-                and all(0.0 <= m2 < math.inf for _, m2 in curvature)):
-            raise ConfigError(f"curvature must be pieces (from_y, M2) sorted from -inf, "
-                              f"with finite M2 >= 0; got {curvature}")
     return DriftModel(kind=name, params={}, b=b, b_prime=b_prime, beta_closed=beta_closed,
                       curvature=curvature)
 
@@ -280,23 +270,8 @@ def truncate_drift(model, rho):
             return out if out.ndim else float(out)
         return f
 
-    # b's and b''s tails, evaluated on every certification chunk, work in place
-    # in the s and exp(s) that ``below`` made for them, with their formulas'
-    # roundings, so that a chunk makes no 128 KiB temporaries beyond those two
-    def b_tail(s, e):  # b_cut + bp_cut * s * e
-        s *= bp_cut
-        s *= e
-        s += b_cut
-        return s
-
-    def b_prime_tail(s, e):  # bp_cut * e * (1.0 + s)
-        e *= bp_cut
-        s += 1.0
-        e *= s
-        return e
-
-    b = join(model.b, b_tail)
-    b_prime = join(model.b_prime, b_prime_tail)
+    b = join(model.b, lambda s, e: b_cut + bp_cut * s * e)
+    b_prime = join(model.b_prime, lambda s, e: bp_cut * e * (1.0 + s))
     beta_closed = None
     if model.beta_closed is not None:
         beta_cut = float(model.beta_closed(-rho))
@@ -516,7 +491,7 @@ class BoundCertificate:
 
 
 def default_domain_hint(level):
-    """Left end of the certification scan grid used when the caller has no better hint."""
+    """Left end of the certified interval used when the caller has no better hint."""
     return -1000.0 * (1.0 + abs(level))
 
 
@@ -529,13 +504,11 @@ class CertificateReport:
     worst_violation: float
     location: float
     analytic_kappa: Optional[float] = None
-    proved: bool = False      # the range came from a curvature bound, not a grid
 
     def text(self):
-        how = "proved" if self.proved else "grid-checked, not proved"
         lines = [
             f"certificate check for {self.model_label} on [{self.claim.domain_hint:g}, "
-            f"{self.level:g}] ({how})",
+            f"{self.level:g}] (proved)",
             f"  claim: {-self.claim.m if self.claim.m > 0 else self.claim.gamma0:g}"
             f" <= gamma <= {self.claim.kappa:g}",
             f"  result: {'PASS' if self.passed else 'FAIL'}"
@@ -553,50 +526,40 @@ def truncated_ou_kappa(alpha, rho, beta):
 
 @dataclass(frozen=True)
 class _GammaRange:
-    """The range of gamma on [lo, hi]: proved by :func:`_branch_and_bound`,
-    or found by one pass over the grid lo, lo + step, ..., hi."""
+    """The range of gamma on [lo, hi], proved by :func:`_branch_and_bound`."""
 
     lo: float
     hi: float
     gmin: float
-    gmin_y: float             # where gmin occurs: its first grid point, a refined one or a cell's end
+    gmin_y: float             # where gmin occurs: the first point evaluated with it
     gmax: float
-    gmax_y: float             # where gmax occurs: its first grid point, a refined one or a cell's end
-    proved: bool = False
+    gmax_y: float             # where gmax occurs: the first point evaluated with it
 
 
-def _gamma_range(gamma, lo, hi, grid_step):
-    """The range of gamma on [lo, hi] that certification judges claims against.
+def _gamma_range(gamma, lo, hi):
+    """The range of gamma on [lo, hi] that certification judges claims against,
+    proved by branch and bound on the model's bound on |gamma''|.
 
-    Proved by branch and bound when the model bounds |gamma''|, else
-    scanned on the grid of step grid_step.  Either way ConfigError for a
-    grid :func:`_grid_points` refuses, so both routes take the same inputs.
+    ConfigError, before gamma is evaluated, for a model with no such bound
+    or an interval whose ends are not finite and increasing.
     """
     pieces = gamma.source.curvature
     if pieces is None:
-        return _scan_grid(gamma, lo, hi, grid_step)
-    lo, hi, _ = _grid_points(lo, hi, grid_step)
-    return _branch_and_bound(gamma, lo, hi, pieces)
-
-
-def _grid_points(lo, hi, grid_step):
-    """(lo, hi, n): the grid's ends as floats and its number of points;
-    ConfigError for a grid that cannot be walked in bounded time."""
-    if not 0.0 < grid_step < math.inf:
-        raise ConfigError(f"grid_step must be positive and finite, got {grid_step}")
+        raise ConfigError(f"{gamma.source.label()} has no curvature bound to prove gamma's "
+                          "range from: give the model curvature=((-inf, M2), ...) with "
+                          "M2 >= sup |gamma''|")
     lo = float(lo)
     hi = float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"certification grid [{lo}, {hi}] must have finite ends")
+        raise ConfigError(f"certified interval [{lo}, {hi}] must have finite ends")
     if lo >= hi:
         raise ConfigError(f"domain_hint {lo} must lie below the level {hi}")
-    span = (hi - lo) / grid_step
-    if not span <= _GRID_MAX:
-        raise ConfigError(f"certification grid [{lo}, {hi}] at step {grid_step} has more "
-                          f"than {_GRID_MAX:.0e} points; raise grid_step or the domain hint")
-    if lo + grid_step == lo:
-        raise ConfigError(f"grid_step {grid_step} is below the float spacing at {lo}")
-    return lo, hi, int(math.ceil(span)) + 1
+    # an overflow on the way, in the slack of a cell ~1e300 wide or in a drift
+    # far out (-1/(1 + y^2) at y = -1e300), is judged by what it leads to, with
+    # no warning: an infinite slack keeps its cell open, and a gamma that is
+    # not finite raises ModelError
+    with np.errstate(over="ignore"):
+        return _branch_and_bound(gamma, lo, hi, pieces)
 
 
 def _field(gamma, ys):
@@ -618,9 +581,9 @@ def _branch_and_bound(gamma, lo, hi, pieces):
     found by more than _BNB_TOL, evaluating gamma at the midpoints in one
     call, until no cell is open.  So gamma's sup is within _BNB_TOL of the
     gmax returned, and its inf of gmin; both are values gamma takes, at the
-    first point found with them.  NumericError when more than _BNB_CELLS
-    cells are open at once, or one is too narrow to halve: the bound is too
-    loose to prove the range.
+    first point found with them.  NumericError, before halving, when that
+    would leave more than _BNB_CELLS cells open, or when a cell is too
+    narrow to halve: the bound is too loose to prove the range.
     """
     starts = np.array([y for y, _ in pieces])
     ys = np.array([lo, *(y for y in starts if lo < y < hi), hi])
@@ -640,7 +603,7 @@ def _branch_and_bound(gamma, lo, hi, pieces):
         if not a.size:
             break
         mid = 0.5 * (a + b)
-        if a.size > _BNB_CELLS or not np.all((a < mid) & (mid < b)):
+        if 2 * a.size > _BNB_CELLS or not np.all((a < mid) & (mid < b)):
             raise NumericError(
                 f"the curvature bound does not prove gamma's range on [{lo}, {hi}]: "
                 f"{a.size} cells open, the narrowest {float((b - a).min()):.3g} wide; "
@@ -654,114 +617,7 @@ def _branch_and_bound(gamma, lo, hi, pieces):
         a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
         ga, gb = np.concatenate((ga, gm)), np.concatenate((gm, gb))
         m2 = np.concatenate((m2, m2))
-    return _GammaRange(lo, hi, gmin, gmin_y, gmax, gmax_y, proved=True)
-
-
-def _walk(gamma, lo, hi, grid_step, n, first, last):
-    """What a walk over chunks first, ..., last - 1 of the grid of n points
-    finds: (gmin, gmin_y, gmax, gmax_y, high, low).
-
-    gmin_y and gmax_y are the first grid points where gmin and gmax occur;
-    ``high`` and ``low`` hold the _POLISHED highest and lowest turning points
-    (see :func:`_most_extreme`).  Each chunk is read with one grid point
-    either side of it, so that each turning point, a point with both
-    neighbours on the grid, is found in exactly one chunk.  ModelError
-    names the walk's first grid point where gamma is not finite.
-    """
-    walk = (math.inf, math.nan, -math.inf, math.nan, _NO_TURNS, _NO_TURNS)
-    # the grid points and their differences go into arrays made once per
-    # walk: a chunk allocates only what gamma's evaluation does, and the
-    # heap has fewer megabytes to give back and fault in again
-    base = np.arange(_GRID_CHUNK + 2, dtype=float)
-    grid = np.empty(_GRID_CHUNK + 2)
-    diff = np.empty(_GRID_CHUNK + 1)
-    for start in range(first * _GRID_CHUNK, min(last * _GRID_CHUNK, n), _GRID_CHUNK):
-        at = max(start - 1, 0)
-        m = min(start + _GRID_CHUNK + 1, n) - at
-        ys = np.add(base[:m], at, out=grid[:m])
-        ys *= grid_step
-        ys += lo
-        np.minimum(ys, hi, out=ys)
-        gs = gamma.eval_array(ys)
-        kmin = int(np.argmin(gs))
-        kmax = int(np.argmax(gs))
-        # each stops at the first NaN, and an infinity is one's extreme
-        if not (math.isfinite(gs[kmin]) and math.isfinite(gs[kmax])):
-            raise ModelError(f"gamma not finite at y={ys[~np.isfinite(gs)][0]}")
-        # the points where the sampled curve turns, between a rise and a fall
-        d = np.subtract(gs[1:], gs[:-1], out=diff[:m - 1])
-        up = d > 0.0
-        down = d < 0.0
-        turn = ((up[:-1] & down[1:]) | (down[:-1] & up[1:])).nonzero()[0] + 1
-        found = np.stack((gs[turn], turn + at, ys[turn]))
-        walk = _join(walk, (float(gs[kmin]), float(ys[kmin]), float(gs[kmax]), float(ys[kmax]),
-                            found, found))
-    return walk
-
-
-def _join(left, right):
-    """What a walk over ``left``'s grid points and then ``right``'s finds,
-    from what each found (see :func:`_walk`): extremes tied in gamma keep
-    the earlier grid point."""
-    least = right if right[0] < left[0] else left
-    most = right if right[2] > left[2] else left
-    return (*least[:2], *most[2:4],
-            _most_extreme(left[4], right[4], -1.0), _most_extreme(left[5], right[5], 1.0))
-
-
-def _scan_grid(gamma, lo, hi, grid_step):
-    """The range of gamma on the certification grid, walked in chunks so memory stays bounded.
-
-    One walk over all the chunks, on the calling thread (:func:`_walk`);
-    the error raised is the first in grid order.
-    """
-    lo, hi, n = _grid_points(lo, hi, grid_step)
-    gmin, gmin_y, gmax, gmax_y, high, low = _walk(gamma, lo, hi, grid_step, n,
-                                                  0, -(-n // _GRID_CHUNK))
-    kept = high.shape[1]
-    if kept:
-        # the highest and lowest turning points, refined within a grid step,
-        # replace the grid's extreme where they go strictly beyond it
-        ys, gs = _refine(gamma, np.concatenate((high[2], low[2])),
-                         np.repeat((-1.0, 1.0), kept), lo, hi, grid_step)
-        k = int(np.argmax(gs[:kept]))
-        if gs[k] > gmax:
-            gmax, gmax_y = float(gs[k]), float(ys[k])
-        k = kept + int(np.argmin(gs[kept:]))
-        if gs[k] < gmin:
-            gmin, gmin_y = float(gs[k]), float(ys[k])
     return _GammaRange(lo, hi, gmin, gmin_y, gmax, gmax_y)
-
-
-def _most_extreme(kept, found, sign):
-    """The _POLISHED columns of ``kept`` and ``found`` (rows gamma, grid index,
-    y) with the least ``sign * gamma``, in that order, ties to the earlier
-    grid point; ``kept`` is such a selection already.  Merged chunk by
-    chunk, this is ``sorted(points, key=sign * gamma)[:_POLISHED]`` of all
-    the turning points in grid order."""
-    if not found.shape[1]:
-        return kept
-    both = np.concatenate((kept, found), axis=1)
-    return both[:, np.lexsort((both[1], sign * both[0]))[:_POLISHED]]
-
-
-def _refine(gamma, ys, sign, lo, hi, width):
-    """Each point of ys moved to where ``sign * gamma`` is least near it, and gamma there.
-
-    A round evaluates gamma on 65 points across +-width around every row's
-    best point so far (clipped to [lo, hi]) and keeps the best of them; the
-    next round searches 32 times narrower, i.e. one spacing either side of
-    it.  The rounds stop once width is below 1e-12.
-    """
-    offsets = np.linspace(-1.0, 1.0, 65)
-    rows = np.arange(len(ys))
-    while width >= 1e-12:
-        pts = np.clip(ys[:, None] + width * offsets, lo, hi)
-        gs = _field(gamma, pts.ravel()).reshape(pts.shape)
-        k = np.argmin(sign[:, None] * gs, axis=1)
-        ys = pts[rows, k]
-        width /= 32.0
-    return ys, gs[rows, k]
 
 
 def _certify_range(gamma, claim, found):
@@ -786,32 +642,27 @@ def _certify_range(gamma, claim, found):
         worst_violation=worst,
         location=worst_y,
         analytic_kappa=analytic,
-        proved=found.proved,
     )
 
 
-def certify_bounds(gamma, claim, grid_step=1e-3, *, level):
-    """Judge the claimed bounds against the range of gamma on [domain_hint, level].
-
-    The range is :func:`scan_gamma_range`'s: proved from the model's bound
-    on |gamma''| when it has one (the report says ``proved``), else scanned
-    on the grid of step grid_step, which is validated either way.  Failures
-    are reported, not raised.
+def certify_bounds(gamma, claim, *, level):
+    """Judge the claimed bounds against the range of gamma on [domain_hint, level],
+    :func:`scan_gamma_range`'s, proved from the model's bound on |gamma''|.
+    Failures are reported, not raised; a model with no bound raises ConfigError.
     """
-    return _certify_range(gamma, claim, _gamma_range(gamma, claim.domain_hint, level, grid_step))
+    return _certify_range(gamma, claim, _gamma_range(gamma, claim.domain_hint, level))
 
 
-def scan_gamma_range(model, level, lo=None, grid_step=1e-3):
+def scan_gamma_range(model, level, lo=None):
     """(min, max) of gamma on [lo, level], the range certification judges claims against.
 
-    Proved by branch and bound on the model's bound on |gamma''| when it has
-    one: both are values gamma takes, within _BNB_TOL of its inf and sup.
-    Else the extremes of the grid of step grid_step, polished near its
-    turning points.
+    Proved by branch and bound on the model's bound on |gamma''|: both are
+    values gamma takes, within _BNB_TOL of its inf and sup.  ConfigError
+    for a model with no bound.
     """
     if lo is None:
         lo = default_domain_hint(level)
-    found = _gamma_range(GammaField(model), lo, level, grid_step)
+    found = _gamma_range(GammaField(model), lo, level)
     return found.gmin, found.gmax
 
 

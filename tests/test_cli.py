@@ -218,7 +218,7 @@ def test_shift_without_floor_exits_2(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flag, value", [("--kappa", "nan"), ("--level", "inf"),
-                                         ("--scan-from", "nan"), ("--grid-step", "inf")])
+                                         ("--scan-from", "nan")])
 def test_non_finite_bounds_and_grid_ends_exit_2(tmp_path, monkeypatch, capsys, flag, value):
     code = _run(tmp_path, monkeypatch,
                 ["sample", *BASE, flag, value, "--n", "32", "--seed", "1"])
@@ -226,16 +226,15 @@ def test_non_finite_bounds_and_grid_ends_exit_2(tmp_path, monkeypatch, capsys, f
     assert "must" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", [["--scan-from=-1e300"],
-                                  ["--scan-from", "-50", "--grid-step", "1e-300"]],
-                         ids=["wide", "fine"])
+@pytest.mark.parametrize("grid", [["--scan-from=-1e300"]], ids=["wide"])
 def test_unwalkable_certification_grid_exits_2(tmp_path, monkeypatch, capsys, grid):
-    # a finite grid of ~1e303 or ~5e301 points once ran until killed
+    # cells ~1e300 wide, whose slack overflows: they stay open until the
+    # branch and bound's cell cap stops it, at once and with no file written
     code = _run(tmp_path, monkeypatch,
-                ["sample", "--model", "constant:mu=1", "--level", "2", "--kappa", "0.5",
+                ["sample", "--model", "sine", "--level", "2", "--kappa", "5",
                  *grid, "--n", "1"])
     assert code == 2
-    assert "grid" in capsys.readouterr().err
+    assert "curvature bound" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -260,13 +259,13 @@ assert {case[1] for case in CASES} == set(VARIANTS)
 for spec, variant, split_k, rho, t0 in CASES:
     model = model_from_spec(spec)
     effective = truncate_drift(model, rho) if rho is not None else model
-    # the margin on kappa covers the fields' approach to their sup below the grid
-    gmin, gmax = scan_gamma_range(effective, 1.0, lo=-2000.0, grid_step=1e-2)
+    # the margin on kappa covers the fields' approach to their sup below -2000
+    gmin, gmax = scan_gamma_range(effective, 1.0, lo=-2000.0)
     cert = BoundCertificate(kappa=gmax + 1e-2,
                             gamma0=gmin - 1e-6 if variant.endswith("-shift") else 0.0,
                             m=max(0.0, -gmin) + 1e-6 if variant == "a3" else 0.0,
                             domain_hint=-2000.0)
-    assert certify_bounds(GammaField(effective), cert, grid_step=1e-2, level=1.0).passed
+    assert certify_bounds(GammaField(effective), cert, level=1.0).passed
     config = SamplerConfig(x=0.0, L=1.0, model=model, cert=cert, variant=variant,
                            split_k=split_k, t0=t0, rho=rho)
     validate_config(config)
@@ -293,11 +292,14 @@ for model, answer in ((sine_drift(), "yes"), (constant_drift(-1.0), "no"), (bare
 
 # geometric BM through the Lamperti map: certified, sampled and probed
 NO_SCIPY_LAMPERTI = """
+import math
+from dataclasses import replace
 import numpy as np
 from fptsim import (BoundCertificate, GammaField, RandomStream, SamplerConfig,
                     certify_bounds, lamperti_drift, recurrence_diagnostic, sample_batch)
 gbm = lamperti_drift(lambda y: 0.5 * y, lambda y: 0.5 + 0.0 * y, lambda y: 0.5 * y,
                      lambda y: 0.5 + 0.0 * y, lambda y: 0.0 * y, lambda z: np.exp(0.5 * z))
+gbm = replace(gbm, curvature=((-math.inf, 0.0),))  # gamma is the constant 0.28125
 cert = BoundCertificate(kappa=0.5, domain_hint=-100.0)
 assert certify_bounds(GammaField(gbm), cert, level=2.0).passed
 config = SamplerConfig(x=0.0, L=2.0, model=gbm, cert=cert, variant="a1")
@@ -380,10 +382,14 @@ def test_split_scan_has_interior_minimum(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["sample", "validate", "bench", "split-scan", "compare"])
 def test_nonpositive_grid_step_exits_2(tmp_path, monkeypatch, capsys, command):
+    # no subcommand reads --grid-step since certification has no grid: the
+    # value it once refused, and any other, is an unrecognized argument
+    base = [] if command == "validate" else BASE
     with pytest.raises(SystemExit) as err:
-        _run(tmp_path, monkeypatch, [command, *BASE, "--grid-step", "0"])
+        _run(tmp_path, monkeypatch, [command, *base, "--grid-step", "0"])
     assert err.value.code == 2
-    assert "--grid-step" in capsys.readouterr().err
+    assert "unrecognized arguments: --grid-step 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -442,8 +448,7 @@ def test_nonpositive_bins_and_workers_exit_2(tmp_path, monkeypatch, capsys, flag
     assert not list(tmp_path.iterdir())
 
 
-RUN_FLAGS = ["--n", "--seed", "--streams", "--scan-from", "--grid-step",
-             "--max-iterations", "--verbose"]
+RUN_FLAGS = ["--n", "--seed", "--streams", "--scan-from", "--max-iterations", "--verbose"]
 CONFIG_FLAGS = ["--model", "--x", "--level", "--variant", "--kappa", "--gamma0", "--m",
                 "--t0", "--rho", "--out"]
 FLAGS_READ = {

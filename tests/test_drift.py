@@ -1,14 +1,14 @@
 """Tests for the drift catalog and the derived fields beta, p, gamma."""
 
 import math
+import re
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fptsim import (BoundCertificate, GammaField, ModelError, NumericError,
@@ -19,7 +19,6 @@ from fptsim import (BoundCertificate, GammaField, ModelError, NumericError,
                     recurrence_diagnostic, rho_distance_bound, sample_batch,
                     scan_gamma_range, sine_drift, truncate_drift, truncated_ou_kappa)
 from fptsim import drift, rng
-from fptsim.drift import _POLISHED, _most_extreme, _scan_grid
 from fptsim.errors import ConfigError
 
 CATALOG = [constant_drift(1.0), sine_drift(), arctan_shift_drift(),
@@ -76,7 +75,8 @@ def _gbm_parts(mu, s):
 
 
 def _gbm(mu, s):
-    return lamperti_drift(*_gbm_parts(mu, s))
+    """Geometric BM's unit drift, whose gamma is constant: |gamma''| <= 0."""
+    return replace(lamperti_drift(*_gbm_parts(mu, s)), curvature=((-math.inf, 0.0),))
 
 
 def _no_closed_form_models():
@@ -528,20 +528,6 @@ def test_truncated_drift_is_not_finite_at_nan_or_infinity(model, rho):
                 assert np.isfinite(out).tolist() == [True, False, True], (name, bad)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_scan_of_a_truncated_drift_names_its_first_bad_point(cpus, monkeypatch):
-    # NaN above 0.5 in the inner model; 18 chunks of 64 points, the first
-    # ones wholly below the cut, one across it, the rest above it
-    inner = custom_drift(lambda y: np.where(np.asarray(y) > 0.5, np.nan, 1.0),
-                         lambda y: 0.0 * np.asarray(y, dtype=float))
-    gamma = GammaField(truncate_drift(inner, 5.0))
-    monkeypatch.setattr(drift, "_GRID_CHUNK", 64)
-    walks = _walks(monkeypatch, cpus)
-    with pytest.raises(ModelError, match=r"gamma not finite at y=0\.5[01]"):
-        _scan_grid(gamma, -10.0, 1.0, 0.01)
-    assert walks == [(threading.get_ident(), 0, 18)]
-
-
 @pytest.mark.parametrize("x", [drift._EXP_ZERO, np.nextafter(drift._EXP_ZERO, -np.inf),
                                -1e4, -1e308, -np.inf])
 def test_numpys_exp_is_plus_zero_at_and_below_the_truncation_bound(x):
@@ -559,13 +545,13 @@ def test_numpys_exp_is_plus_zero_at_and_below_the_truncation_bound(x):
 
 def test_certify_sine_passes_reference_claim():
     claim = BoundCertificate(kappa=5.0, gamma0=0.25, domain_hint=-50.0)
-    report = certify_bounds(GammaField(sine_drift()), claim, grid_step=1e-3, level=2.0)
+    report = certify_bounds(GammaField(sine_drift()), claim, level=2.0)
     assert report.passed
 
 
 def test_certify_neg_arctan_with_negativity():
     claim = BoundCertificate(kappa=math.pi**2 / 8, m=0.5, domain_hint=-100.0)
-    report = certify_bounds(GammaField(neg_arctan_drift()), claim, grid_step=1e-3, level=1.0)
+    report = certify_bounds(GammaField(neg_arctan_drift()), claim, level=1.0)
     assert report.passed
 
 
@@ -575,14 +561,14 @@ def test_certify_truncated_ou_reports_analytic_kappa():
     assert kappa == pytest.approx(0.5 * (0.3 * 5 + 1 + 0.3 / math.e) ** 2
                                   + 0.3 / (2 * math.e**2), rel=1e-15)
     claim = BoundCertificate(kappa=kappa, domain_hint=-80.0)
-    report = certify_bounds(GammaField(tm), claim, grid_step=1e-3, level=1.0)
+    report = certify_bounds(GammaField(tm), claim, level=1.0)
     assert report.passed
     assert report.analytic_kappa == pytest.approx(kappa)
 
 
 def test_certify_reports_violation_with_location():
     claim = BoundCertificate(kappa=4.0, domain_hint=-30.0)
-    report = certify_bounds(GammaField(sine_drift()), claim, grid_step=1e-3, level=2.0)
+    report = certify_bounds(GammaField(sine_drift()), claim, level=2.0)
     assert not report.passed
     assert report.worst_violation > 0.5  # actual maximum is about 4.54
     assert eval_gamma(sine_drift(), report.location) == pytest.approx(
@@ -605,53 +591,53 @@ def test_certificate_rejects_non_finite_constants(name, value):
         BoundCertificate(**{"kappa": 5.0, name: value})
 
 
-# sine's callables with no bound on |gamma''|: certified on the grid
-GRID_SINE = custom_drift(sine_drift().b, sine_drift().b_prime, name="sine")
-
-
-@pytest.mark.parametrize("kappa, passed, worst, location", [
-    (5.0, True, "-0x1.8c0634cdfb826p-2", "-0x1.09145d87b0000p+3"),
-    (4.0, False, "0x1.153c2ab54c8d0p-1", "-0x1.e02d27d708d4fp+4"),
-], ids=["kappa5-holds", "kappa4-fails"])
-def test_certificate_report_is_pinned(kappa, passed, worst, location):
-    # the reports the grid route gives, field by field and bit for bit, since
-    # it polishes extrema on refined grids of the vectorised field; sine's
-    # extrema repeat every 2 pi, so the location is one of several equal ones
-    claim = BoundCertificate(kappa=kappa, domain_hint=-50.0)
-    report = certify_bounds(GammaField(GRID_SINE), claim, grid_step=1e-3, level=2.0)
-    assert report.model_label == "sine"
-    assert report.claim == claim
-    assert report.level.hex() == (2.0).hex()
-    assert report.passed is passed
-    assert report.worst_violation.hex() == worst
-    assert report.location.hex() == location
-    assert report.analytic_kappa is None
-    assert report.proved is False
-    assert report.text().splitlines()[0].endswith("(grid-checked, not proved)")
-
-
 @pytest.mark.parametrize("kappa, passed, worst, location", [
     (5.0, True, "-0x1.8c0634cdfbab1p-2", "-0x1.09145e0000000p+3"),
     (4.0, False, "0x1.153c2ab54c800p-1", "-0x1.652ac00000000p+3"),
 ], ids=["kappa5-holds", "kappa4-fails"])
 def test_proved_certificate_report_is_pinned(kappa, passed, worst, location):
-    # the catalog sine carries |gamma''| <= 3.5, so its range is proved by
-    # branch and bound, within _BNB_TOL of the grid route's polished one
+    # the catalog sine carries |gamma''| <= 3.5, from which branch and bound
+    # proves its range; sine's extrema repeat every 2 pi, so the location is
+    # one of several equal ones
     claim = BoundCertificate(kappa=kappa, domain_hint=-50.0)
-    report = certify_bounds(GammaField(sine_drift()), claim, grid_step=1e-3, level=2.0)
+    report = certify_bounds(GammaField(sine_drift()), claim, level=2.0)
     assert (report.model_label, report.claim, report.level) == ("sine", claim, 2.0)
     assert report.passed is passed
     assert report.worst_violation.hex() == worst
     assert report.location.hex() == location
-    assert report.proved is True
     assert report.text().splitlines()[0] == "certificate check for sine on [-50, 2] (proved)"
 
 
-def _spike(curvature=None):
+def _counting(count):
+    """sine's drift with no curvature bound, its b and b' counting their calls in ``count``."""
+    def counted(f):
+        def g(y):
+            count.append(y)
+            return f(y)
+        return g
+    return custom_drift(counted(sine_drift().b), counted(sine_drift().b_prime))
+
+
+def test_certification_refuses_a_model_without_a_curvature_bound():
+    # there is no range to judge a claim against, and nothing is evaluated
+    calls = []
+    model = _counting(calls)
+    claim = BoundCertificate(kappa=5.0, domain_hint=-50.0)
+    with pytest.raises(ConfigError, match="curvature"):
+        certify_bounds(GammaField(model), claim, level=2.0)
+    with pytest.raises(ConfigError, match="curvature"):
+        scan_gamma_range(model, 2.0)
+    assert calls == []
+    # given a bound, the same callables certify
+    assert certify_bounds(GammaField(replace(model, curvature=((-math.inf, 3.5),))),
+                          claim, level=2.0).passed
+
+
+def _spike(curvature):
     """b = 1 + y/20 plus a Gaussian bump of height 2e-4 and width 1e-4 centred
     at 0.0005, midway between two points of the 1e-3 grid from -1: there gamma
-    rises to ~1.1 and falls to ~-0.1, but on the grid it climbs from 0.476 to
-    0.576 with no turning point for the scan to polish."""
+    rises to ~1.1 and falls to ~-0.1, while on that grid it climbs from 0.476
+    to 0.576 with no turning point."""
     def b(y):
         y = np.asarray(y, dtype=float)
         return 1.0 + 0.05 * y + 2e-4 * np.exp(-0.5 * ((y - 5e-4) / 1e-4) ** 2)
@@ -664,14 +650,11 @@ def _spike(curvature=None):
 
 
 def test_a_spike_between_grid_points_fails_only_the_proof():
-    claim = BoundCertificate(kappa=0.6, domain_hint=-1.0)
-    scanned = certify_bounds(GammaField(_spike()), claim, level=1.0)
-    assert scanned.passed and not scanned.proved
-    assert scanned.text().splitlines()[0].endswith("(grid-checked, not proved)")
     # |gamma''| < 1.4e8 within 20 widths of the bump, and below 1 elsewhere
+    claim = BoundCertificate(kappa=0.6, domain_hint=-1.0)
     proved = certify_bounds(GammaField(_spike(((-math.inf, 1.0), (-1.5e-3, 2e8),
                                                (2.5e-3, 1.0)))), claim, level=1.0)
-    assert not proved.passed and proved.proved
+    assert not proved.passed
     assert proved.worst_violation > 0.5 and abs(proved.location - 5e-4) < 2e-4
     assert proved.text().splitlines()[0].endswith("(proved)")
 
@@ -681,9 +664,25 @@ def test_a_loose_curvature_bound_raises_numeric_error_at_once():
     loose = custom_drift(sine.b, sine.b_prime, curvature=((-math.inf, 1e30),))
     claim = BoundCertificate(kappa=5.0, domain_hint=drift.default_domain_hint(2.0))
     began = time.monotonic()
-    with pytest.raises(NumericError, match="curvature bound"):
+    with pytest.raises(NumericError, match="curvature bound") as err:
         certify_bounds(GammaField(loose), claim, level=2.0)
     assert time.monotonic() - began < 1.0
+    # it stops before halving would hold more than _BNB_CELLS cells open
+    assert int(re.search(r"(\d+) cells open", str(err.value))[1]) <= drift._BNB_CELLS
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", [sine_drift(), neg_arctan_drift(), arctan_shift_drift(),
+                                   constant_drift(1.0)], ids=lambda m: m.label())
+def test_an_overflowing_slack_keeps_its_cell_open(model):
+    # cells ~1e300 wide: M2 w^2/8 overflows to +inf without a warning, as does
+    # y^2 in the arctan drifts' b', so their cells stay open until the cap
+    # raises; the constant drift's M2 of 0 proves the interval
+    if model.kind == "constant":
+        assert scan_gamma_range(model, 2.0, lo=-1e300) == (0.5, 0.5)
+    else:
+        with pytest.raises(NumericError, match="curvature bound"):
+            scan_gamma_range(model, 2.0, lo=-1e300)
 
 
 @pytest.mark.parametrize("curvature", [
@@ -692,23 +691,50 @@ def test_a_loose_curvature_bound_raises_numeric_error_at_once():
 def test_custom_curvature_must_be_sorted_finite_pieces(curvature):
     with pytest.raises(ConfigError, match="curvature"):
         custom_drift(np.sin, np.cos, curvature=curvature)
+    # every model checks its bound, also one given to a catalog drift afterwards
+    with pytest.raises(ConfigError, match="curvature"):
+        replace(sine_drift(), curvature=curvature)
 
 
 BOUNDED = CATALOG + [truncate_drift(model, rho) for model, rho in TRUNCATED]
+
+
+def _polished_grid_range(model, lo, hi, step=1e-3, kept=32):
+    """(gmin, gmax) on [lo, hi] as a dense grid of the given step finds them:
+    the grid's extremes, and its ``kept`` highest peaks and lowest troughs
+    polished within a grid step by scipy's bounded Brent method."""
+    from scipy.optimize import minimize_scalar
+
+    field = GammaField(model).eval_array
+    ys = np.minimum(lo + step * np.arange(int(math.ceil((hi - lo) / step)) + 1), hi)
+    gs = np.concatenate([field(ys[i:i + 65536]) for i in range(0, len(ys), 65536)])
+    d = np.diff(gs)
+    found = []
+    for sign, turns in ((1.0, (d[:-1] < 0.0) & (d[1:] > 0.0)),
+                        (-1.0, (d[:-1] > 0.0) & (d[1:] < 0.0))):
+        at = turns.nonzero()[0] + 1
+        best = (sign * gs).min()
+        for y0 in ys[at[np.argsort(sign * gs[at], kind="stable")[:kept]]].tolist():
+            # in u = y - y0: Brent's x tolerance grows with sqrt(eps) |x|
+            res = minimize_scalar(lambda u: sign * float(field(y0 + u)),
+                                  bounds=(max(lo, y0 - step) - y0, min(hi, y0 + step) - y0),
+                                  method="bounded", options={"xatol": 1e-12})
+            best = min(best, res.fun)
+        found.append(sign * best)
+    return tuple(found)
 
 
 @pytest.mark.parametrize("lo", [-50.0, None], ids=["lo-50", "lo-default"])
 @pytest.mark.parametrize("level", [1.0, 2.0])
 @pytest.mark.parametrize("model", BOUNDED, ids=lambda m: m.label())
 def test_proved_range_is_the_polished_grid_range(model, level, lo):
-    # within the branch and bound's tolerance of the grid's polished range,
+    # within the branch and bound's tolerance of a dense grid's polished range,
     # and made of values gamma takes at the points it reports
     lo = drift.default_domain_hint(level) if lo is None else lo
-    proved = drift._gamma_range(GammaField(model), lo, level, 1e-3)
-    scanned = _scan_grid(GammaField(model), lo, level, 1e-3)
-    assert proved.proved and not scanned.proved
-    assert abs(proved.gmax - scanned.gmax) <= 1e-10
-    assert abs(proved.gmin - scanned.gmin) <= 1e-10
+    proved = drift._gamma_range(GammaField(model), lo, level)
+    gmin, gmax = _polished_grid_range(model, lo, level)
+    assert abs(proved.gmax - gmax) <= 1e-10
+    assert abs(proved.gmin - gmin) <= 1e-10
     for g, y in ((proved.gmax, proved.gmax_y), (proved.gmin, proved.gmin_y)):
         assert lo <= y <= level
         assert eval_gamma(model, y) == g
@@ -736,7 +762,7 @@ def test_declared_curvature_bounds_the_field(model):
                          ids=["sine", "ou-trunc5"])
 def test_scanned_range_passes_as_its_own_claim(model, level, lo):
     # certification judges a claim against the range scan_gamma_range gives,
-    # so that range, taken as the claim, holds on the same grid with no slack
+    # so that range, taken as the claim, holds with no slack
     gmin, gmax = scan_gamma_range(model, level, lo=lo)
     assert 0.0 < gmin < gmax
     for gamma0 in (0.0, gmin):
@@ -746,220 +772,110 @@ def test_scanned_range_passes_as_its_own_claim(model, level, lo):
         assert report.worst_violation == 0.0
 
 
-@pytest.mark.parametrize("lo, hi, step", [(-1e300, 2.0, 1e-3), (-50.0, 2.0, 1e-300),
-                                          (-1e12, -1e12 + 0.01, 1e-5), (-50.0, 2.0, math.inf)],
-                         ids=["wide", "fine", "below-spacing", "inf-step"])
-def test_scan_grid_refuses_grids_it_cannot_walk(lo, hi, step):
-    # too many points to scan in bounded time, a step that lo + step rounds
-    # away, or one that is not finite (0 * inf once put NaN on the grid)
-    with pytest.raises(ConfigError, match="grid"):
-        _scan_grid(GammaField(constant_drift(1.0)), lo, hi, step)
+def test_scan_refuses_an_empty_or_unbounded_interval():
+    # from the level to itself or above it, and an end that is not finite
+    for lo, hi in ((2.0, 2.0), (3.0, 2.0), (-math.inf, 2.0), (math.nan, 2.0), (-50.0, math.inf)):
+        with pytest.raises(ConfigError, match="below the level|finite ends"):
+            scan_gamma_range(sine_drift(), hi, lo=lo)
 
 
 def test_scan_refuses_an_empty_grid_or_a_zero_step():
-    # a grid from the level to itself, and a step that never moves
+    # a grid from the level to itself; and no step, zero or other, can be
+    # given, since the branch and bound picks its own points
     with pytest.raises(ConfigError, match="below the level"):
         scan_gamma_range(sine_drift(), 2.0, lo=2.0)
     claim = BoundCertificate(kappa=5.0, domain_hint=-50.0)
-    with pytest.raises(ConfigError, match="grid_step"):
+    with pytest.raises(TypeError, match="grid_step"):
         certify_bounds(GammaField(sine_drift()), claim, grid_step=0.0, level=2.0)
+    with pytest.raises(TypeError, match="grid_step"):
+        scan_gamma_range(sine_drift(), 2.0, lo=-50.0, grid_step=0.0)
 
 
-# b = 2 + sin(1700 y) / 2: a turning point every ~2 points of the default grid
+LOOSE_SINE = custom_drift(sine_drift().b, sine_drift().b_prime, name="sine",
+                          curvature=((-math.inf, 1e30),))
+
+
+@pytest.mark.parametrize("model, lo, hi", [
+    (sine_drift(), -1e300, 2.0), (LOOSE_SINE, 1.0, np.nextafter(1.0, 2.0)),
+    (sine_drift(), -1e12, -1e12 + 0.01)], ids=["wide", "fine", "below-spacing"])
+def test_scan_grid_refuses_grids_it_cannot_walk(model, lo, hi):
+    # intervals the bound cannot prove in float64: cells ~1e300 wide fill the
+    # cell cap, and a cell one float wide, or one near -1e12 whose midpoint
+    # rounds to an end, cannot be halved to close within _BNB_TOL
+    began = time.monotonic()
+    with pytest.raises(NumericError, match="curvature bound"):
+        scan_gamma_range(model, hi, lo=lo)
+    assert time.monotonic() - began < 1.0
+
+
+# b = 2 + sin(1700 y) / 2: ~14000 equal peaks on [-50, 2], a turning point
+# every ~2 points of a 1e-3 grid.  gamma'' = b'^2 + b b'' + b'''/2, at most
+# 722500 + 2.5 * 1.445e6 + 1.2282e9 < 1.24e9 in absolute value
 OSCILLATING = custom_drift(lambda y: 2.0 + 0.5 * np.sin(1700.0 * np.asarray(y, dtype=float)),
                            lambda y: 850.0 * np.cos(1700.0 * np.asarray(y, dtype=float)),
-                           name="oscillating")
-
-
-def _tied_drift(step):
-    """A drift constant on each grid cell, cycling through 7 levels: many
-    turning points tie in gamma, on both sides of every chunk seam."""
-    def b(y):
-        return 1.0 + 0.25 * (np.rint(np.asarray(y, dtype=float) / step) % 7)
-    return custom_drift(b, lambda y: 0.0 * np.asarray(y, dtype=float), name="tied")
-
-
-SCAN_FIELDS = CATALOG + [OSCILLATING, _tied_drift(1e-3)]
-
-
-@pytest.mark.parametrize("model", SCAN_FIELDS, ids=lambda m: m.label())
-def test_scan_grid_does_not_depend_on_its_chunk(model, monkeypatch):
-    # 31001 points: two chunks at the default size, one at 1 << 19
-    scans = []
-    for chunk in (5, 64, drift._GRID_CHUNK, 1 << 19):
-        monkeypatch.setattr(drift, "_GRID_CHUNK", chunk)
-        scan = _scan_grid(GammaField(model), -30.0, 1.0, 1e-3)
-        scans.append(tuple(float(v).hex() for v in (scan.gmin, scan.gmin_y,
-                                                    scan.gmax, scan.gmax_y)))
-    assert scans.count(scans[0]) == len(scans)
-
-
-def _walks(monkeypatch, cpus):
-    """Scan in a process allowed ``cpus`` CPUs; returns the (thread id,
-    first chunk, last chunk) of each walk over the grid's chunks."""
-    monkeypatch.setattr(rng, "_CPUS", cpus)
-    walks = []
-    walk = drift._walk
-
-    def spy(gamma, lo, hi, grid_step, n, first, last):
-        walks.append((threading.get_ident(), first, last))
-        return walk(gamma, lo, hi, grid_step, n, first, last)
-
-    monkeypatch.setattr(drift, "_walk", spy)
-    return walks
-
-
-def _hex_range(scan):
-    return tuple(float(v).hex() for v in (scan.gmin, scan.gmin_y, scan.gmax, scan.gmax_y))
-
-
-@pytest.mark.parametrize("chunk", [5, 64, drift._GRID_CHUNK, 1 << 19])
-@pytest.mark.parametrize("model", SCAN_FIELDS, ids=lambda m: m.label())
-def test_scan_on_two_cores_is_the_scan_on_one(model, chunk, monkeypatch):
-    # a second CPU changes nothing: the grid, of two chunks or more, is
-    # walked once, on the calling thread, from its first chunk to its last
-    monkeypatch.setattr(drift, "_GRID_CHUNK", chunk)
-    lo = -30.0 if chunk < 1 << 19 else -600.0
-    scans = []
-    for cpus in (1, 2):
-        walks = _walks(monkeypatch, cpus)
-        scans.append(_hex_range(_scan_grid(GammaField(model), lo, 1.0, 1e-3)))
-        assert len(walks) == 1 and walks[0][:2] == (threading.get_ident(), 0)
-        assert walks[0][2] >= 2
-    assert scans[0] == scans[1]
-
-
-# gamma = b^2/2 on 0, 1, ..., 19: it turns only at 9 (a peak) and 10 (a trough).
-# In chunks of 5 they are the last grid point of one chunk and the first of
-# the next; in chunks of 3 the peak starts a chunk and in 4 both lie inside
-# one; the two chunks of 10 meet between them
-SEAM_B = np.array([1.0 + 0.01 * i for i in range(20)])
-SEAM_B[9], SEAM_B[10] = 3.0, 0.5
-SEAM = custom_drift(lambda y: np.interp(y, np.arange(20.0), SEAM_B),
-                    lambda y: 0.0 * np.asarray(y, dtype=float), name="seam")
-
-
-def test_turning_points_at_the_seam_of_the_halves_are_kept(monkeypatch):
-    polished = []
-    refine = drift._refine
-
-    def spy(gamma, ys, sign, lo, hi, width):
-        polished.append(ys.tolist())
-        return refine(gamma, ys, sign, lo, hi, width)
-
-    monkeypatch.setattr(drift, "_refine", spy)
-    for chunk in (5, 3, 4, 10):
-        monkeypatch.setattr(drift, "_GRID_CHUNK", chunk)
-        polished.clear()
-        scans = []
-        for cpus in (1, 2):
-            walks = _walks(monkeypatch, cpus)
-            scans.append(_hex_range(_scan_grid(GammaField(SEAM), 0.0, 19.0, 1.0)))
-            assert walks == [(threading.get_ident(), 0, -(-20 // chunk))]
-        # the highest turning points first (9, 10), then the lowest (10, 9),
-        # each once: a chunk's neighbour points are read but not its turns
-        assert polished == [[9.0, 10.0, 10.0, 9.0]] * 2
-        assert scans[0] == scans[1] == ((0.125).hex(), (10.0).hex(), (4.5).hex(), (9.0).hex())
-
-
-@pytest.mark.parametrize("bad, named", [([-0.5, 0.5], r"-0\.5"), ([0.25, 0.5], r"0\.25"),
-                                        ([0.05], r"0\.050000000000000044"), ([0.0], r"0\.0")],
-                         ids=["both-halves", "right-half", "chunk-start", "half-start"])
-def test_split_scan_names_the_first_grid_point_where_the_field_is_not_finite(
-        bad, named, monkeypatch):
-    # 201 points in 41 chunks of 5, walked once whatever the CPUs: 0.05 (grid
-    # point 105) and 0.0 (100) start a chunk, and the chunk before reads them too
-    def b(y):
-        y = np.asarray(y, dtype=float)
-        return np.where(np.isin(np.round(y, 9), bad), np.nan, 1.0)
-
-    monkeypatch.setattr(drift, "_GRID_CHUNK", 5)
-    gamma = GammaField(custom_drift(b, lambda y: 0.0 * np.asarray(y, dtype=float)))
-    for cpus in (1, 2):
-        _walks(monkeypatch, cpus)
-        with pytest.raises(ModelError, match=rf"gamma not finite at y={named}$"):
-            _scan_grid(gamma, -1.0, 1.0, 0.01)
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("model, level, pinned", [
-    (truncate_drift(ou_drift(0.3, 1.0), 5.0), 1.0,
-     ("0x1.851eb851eb850p-4", "0x1.0000000000000p+0",
-      "0x1.b4a271bc11346p+1", "-0x1.8a4adce228353p+2")),
-    (sine_drift(), 2.0,
-     ("0x1.8c0634cdfb826p-2", "-0x1.42716889776c4p+8",
-      "0x1.22a78556a991bp+2", "-0x1.949020d8b020ap+9")),
-], ids=["ou-trunc5-L1", "sine-L2"])
-def test_default_grid_range_is_pinned(model, level, pinned, cpus, monkeypatch):
-    # the whole default grid, from default_domain_hint(level): ~2e6 points for
-    # OU, all but 6e3 of them below the cut and most where the tail's exp
-    # underflows; ~3e6 for sine.  The pins were taken with the truncated drift
-    # of _two_branch's formula, and hold in a process allowed one CPU or two
-    walks = _walks(monkeypatch, cpus)
-    scan = _scan_grid(GammaField(model), drift.default_domain_hint(level), level, 1e-3)
-    assert _hex_range(scan) == pinned
-    assert len(walks) == 1 and walks[0][:2] == (threading.get_ident(), 0)
+                           name="oscillating", curvature=((-math.inf, 1.24e9),))
 
 
 @pytest.mark.parametrize("model", CATALOG + [OSCILLATING], ids=lambda m: m.label())
-def test_refined_range_is_scipys_bounded_brent(model, monkeypatch):
-    # the scan's range against the same scan with each kept turning point
-    # polished by scipy's bounded Brent method within the same grid step
+def test_refined_range_is_scipys_bounded_brent(model):
+    # the points the branch and bound reports are gamma's extremes as scipy's
+    # bounded Brent method, started there, polishes them within a 1e-3 step
     from scipy.optimize import minimize_scalar
 
-    def brent(gamma, ys, sign, lo, hi, width):
-        best = []
-        for y0, s in zip(ys.tolist(), sign.tolist()):
-            # in u = y - y0: Brent's x tolerance grows with sqrt(eps) |x|, and at
-            # |y| ~ 50 that misses the oscillating field's extremes by up to 5e-9
-            res = minimize_scalar(lambda u: s * float(gamma.eval_array(y0 + u)),
-                                  bounds=(max(lo, y0 - width) - y0, min(hi, y0 + width) - y0),
-                                  method="bounded", options={"xatol": 1e-12})
-            best.append((y0 + res.x, s * res.fun))
-        return np.array(best).T
+    lo, hi = -50.0, 2.0
+    found = drift._gamma_range(GammaField(model), lo, hi)
+    field = GammaField(model).eval_array
+    for sign, g, y0 in ((1.0, found.gmin, found.gmin_y), (-1.0, found.gmax, found.gmax_y)):
+        # in u = y - y0: Brent's x tolerance grows with sqrt(eps) |x|, and at
+        # |y| ~ 50 that misses the oscillating field's extremes by up to 5e-9
+        res = minimize_scalar(lambda u: sign * float(field(y0 + u)),
+                              bounds=(max(lo, y0 - 1e-3) - y0, min(hi, y0 + 1e-3) - y0),
+                              method="bounded", options={"xatol": 1e-12})
+        assert abs(sign * res.fun - g) <= drift._BNB_TOL
 
-    refined = _scan_grid(GammaField(model), -50.0, 2.0, 1e-3)
-    monkeypatch.setattr(drift, "_refine", brent)
-    polished = _scan_grid(GammaField(model), -50.0, 2.0, 1e-3)
-    assert abs(refined.gmin - polished.gmin) <= 1e-12
-    assert abs(refined.gmax - polished.gmax) <= 1e-12
+
+# b is 1, so gamma 0.5, up to 0.5 and NaN above it; the pieces of the bound
+# start the branch and bound's points at -1, 0.49, 0.51 and the level 1
+NAN_ABOVE_HALF = custom_drift(lambda y: np.where(np.asarray(y) > 0.5, np.nan, 1.0),
+                              lambda y: 0.0 * np.asarray(y, dtype=float),
+                              curvature=((-math.inf, 0.0), (0.49, 0.0), (0.51, 0.0)))
 
 
 def test_scan_grid_names_the_first_grid_point_where_the_field_is_not_finite():
-    gamma = GammaField(custom_drift(lambda y: np.where(np.asarray(y) > 0.5, np.nan, 1.0),
-                                    lambda y: 0.0 * np.asarray(y, dtype=float)))
     with pytest.raises(ModelError, match=r"gamma not finite at y=0\.5[01]"):
-        _scan_grid(gamma, -1.0, 1.0, 0.01)
+        scan_gamma_range(NAN_ABOVE_HALF, 1.0, lo=-1.0)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_scan_of_a_truncated_drift_names_its_first_bad_point(cpus, monkeypatch):
+    # the tail below the cut at -5 is finite, the inner drift above it NaN
+    # above 0.5; gamma is evaluated on the calling thread whatever the CPUs
+    monkeypatch.setattr(rng, "_CPUS", cpus)
+    threads = set()
+
+    def b(y):
+        threads.add(threading.get_ident())
+        return NAN_ABOVE_HALF.b(y)
+
+    inner = replace(NAN_ABOVE_HALF, b=b)
+    with pytest.raises(ModelError, match=r"gamma not finite at y=0\.5[01]"):
+        scan_gamma_range(truncate_drift(inner, 5.0), 1.0, lo=-10.0)
+    assert threads == {threading.get_ident()}
 
 
 def test_refinement_checks_the_field_between_grid_points():
-    # gamma = (y^2 - 1)/2 turns at the grid point 0, and b is NaN only on
-    # (0.004, 0.006): no grid point hits it, the first refinement round does
+    # gamma = (y^2 - 1)/2, with |gamma''| = 1, and b NaN only on (0.0039, 0.004):
+    # no point of a 0.01 grid hits it, and neither do the first rounds; the
+    # cells about the trough at 0 are halved down to [0, 2^-7], whose midpoint is in it
     def b(y):
         y = np.asarray(y, dtype=float)
-        return np.where((y > 0.004) & (y < 0.006), np.nan, -y)
+        return np.where((y > 0.0039) & (y < 0.004), np.nan, -y)
 
-    gamma = GammaField(custom_drift(b, lambda y: -1.0 + 0.0 * np.asarray(y, dtype=float)))
-    assert np.all(np.isfinite(gamma.eval_array(-1.0 + 0.01 * np.arange(201))))
-    with pytest.raises(ModelError, match=r"gamma not finite at y=0\.00[45]"):
-        _scan_grid(gamma, -1.0, 1.0, 0.01)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 1.0, 3.0]), max_size=150),
-       st.lists(st.integers(1, 40), max_size=8), st.sampled_from([-1.0, 1.0]))
-def test_bounded_selection_is_the_sorted_prefix(values, cuts, sign):
-    # turning points found chunk by chunk, ties in gamma and in its sign
-    points = [(g, i, 0.25 * i - 7.0) for i, g in enumerate(values)]
-    kept = np.empty((3, 0))
-    at = 0
-    for size in cuts + [len(points)]:
-        found = np.array(points[at:at + size], dtype=float).reshape(-1, 3).T
-        kept = _most_extreme(kept, found, sign)
-        at += size
-    expected = sorted(points, key=lambda p: sign * p[0])[:_POLISHED]
-    assert [(g.hex(), int(i), y.hex()) for g, i, y in kept.T.tolist()] == \
-        [(g.hex(), i, y.hex()) for g, i, y in expected]
+    model = custom_drift(b, lambda y: -1.0 + 0.0 * np.asarray(y, dtype=float),
+                         curvature=((-math.inf, 1.0),))
+    assert np.all(np.isfinite(GammaField(model).eval_array(-1.0 + 0.01 * np.arange(201))))
+    with pytest.raises(ModelError, match=r"gamma not finite at y=0\.00390625$"):
+        scan_gamma_range(model, 1.0, lo=-1.0)
 
 
 def _traced_peak(run):
@@ -972,9 +888,9 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("model", [sine_drift(), OSCILLATING], ids=lambda m: m.label())
+@pytest.mark.parametrize("model", [sine_drift()], ids=lambda m: m.label())
 def test_certification_memory_does_not_grow_with_the_grid(model):
-    # the default grid of L=2, ~3e6 points; the scan holds O(chunk) of it
+    # the interval of the default hint at L=2, [-3000, 2]
     claim = BoundCertificate(kappa=5.0, domain_hint=-3000.0)
     peak = _traced_peak(lambda: certify_bounds(GammaField(model), claim, level=2.0))
     assert peak < 8 << 20
